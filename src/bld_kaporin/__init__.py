@@ -49,7 +49,6 @@ from .precond import (
     ErrorCore,
     LowRankTerm,
     Preconditioner,
-    apply_inverse,
     bld_truncate,
     divergence_alpha,
     error_core,

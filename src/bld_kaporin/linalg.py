@@ -3,7 +3,9 @@ triangular solves, and Lanczos tridiagonalization.
 
 Dense kernels are delegated to LAPACK through numpy/scipy (the eigensolver
 is the standard Householder reduction plus implicitly shifted QL/QR that
-``eigh`` wraps); the zero-fill incomplete Cholesky and the Lanczos
+``eigh`` wraps).  Every factor, dense or sparse, is stored as a CSR lower
+triangle; its triangular solves go through one SuperLU handle built when
+the factor is made.  The zero-fill incomplete Cholesky and the Lanczos
 recurrence are implemented here because their contracts (pattern equality,
 shift reporting, breakdown flags) are part of this package's surface.
 """
@@ -13,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (
     ConvergenceError,
@@ -36,57 +38,49 @@ __all__ = [
     "lanczos",
 ]
 
-# Dense solve cache is only built below this order; above it the sparse
-# triangular solve is used as-is.
-_DENSE_CACHE_LIMIT = 2000
 
-
-@dataclass
+@dataclass(frozen=True)
 class LowerTriFactor:
     """Lower-triangular factor Q with QQ^T approximating (or equal to) A.
 
     kind is one of {"exact-cholesky", "ic0", "identity"}; shift records the
     relative diagonal boost that was needed to complete an ic0 run (0 when
-    none was).
+    none was).  values holds the lower triangle as CSR, whatever the input
+    format; a SuperLU handle on it is built once here and serves every
+    triangular solve.
     """
 
     n: int
     kind: str
+    values: sp.csr_matrix = field(repr=False)
     shift: float = 0.0
-    dense_values: np.ndarray | None = field(default=None, repr=False)
-    sparse_values: sp.csr_matrix | None = field(default=None, repr=False)
-    _dense_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _lu: SuperLU = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        diag = self.diagonal()
-        if np.any(diag <= 0):
+        values = sp.csr_matrix(sp.tril(self.values), dtype=np.float64)
+        if np.any(values.diagonal() <= 0):
             raise SingularFactorError("factor has a nonpositive diagonal entry")
+        object.__setattr__(self, "values", values)
+        # natural column order and no row pivoting keep both permutations the
+        # identity: SuperLU splits Q into its unit lower part and diagonal
+        # with no fill, and its solves are plain substitutions with Q
+        lu = splu(values.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"Equil": False})
+        object.__setattr__(self, "_lu", lu)
 
     def diagonal(self) -> np.ndarray:
-        if self.dense_values is not None:
-            return np.diag(self.dense_values).copy()
-        return self.sparse_values.diagonal()
+        return self.values.diagonal()
 
     @property
     def nnz(self) -> int:
-        if self.sparse_values is not None:
-            return int(self.sparse_values.nnz)
-        return int(np.count_nonzero(self.dense_values))
+        return int(self.values.nnz)
 
     def to_dense(self) -> np.ndarray:
-        if self.dense_values is not None:
-            return self.dense_values
-        if self._dense_cache is None and self.n <= _DENSE_CACHE_LIMIT:
-            self._dense_cache = self.sparse_values.toarray()
-        return self._dense_cache if self._dense_cache is not None else self.sparse_values.toarray()
-
-    def solve(self, b, mode="forward"):
-        return tri_solve(self, b, mode)
+        return self.values.toarray()
 
     def matvec(self, x, mode="forward") -> np.ndarray:
         """Apply Q (mode forward) or Q^T (mode adjoint)."""
-        L = self.sparse_values if self.sparse_values is not None else self.dense_values
-        return (L @ x) if mode == "forward" else (L.T @ x)
+        return (self.values @ x) if mode == "forward" else (self.values.T @ x)
 
     def logdet_gram(self) -> float:
         """log det(QQ^T) = 2 sum(log diag Q)."""
@@ -151,12 +145,12 @@ def cholesky(A) -> LowerTriFactor:
         L = np.linalg.cholesky(0.5 * (Ad + Ad.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"cholesky failed: {exc}") from exc
-    return LowerTriFactor(n=Ad.shape[0], kind="exact-cholesky", dense_values=L)
+    return LowerTriFactor(n=Ad.shape[0], kind="exact-cholesky", values=L)
 
 
 def identity_factor(n: int) -> LowerTriFactor:
     """Factor of the identity; P = QQ^T = I."""
-    return LowerTriFactor(n=n, kind="identity", dense_values=np.eye(n))
+    return LowerTriFactor(n=n, kind="identity", values=sp.identity(n, format="csr"))
 
 
 def ic0(A: SparseSymMatrix, beta0=1e-3, beta_max=1.0) -> LowerTriFactor:
@@ -174,7 +168,7 @@ def ic0(A: SparseSymMatrix, beta0=1e-3, beta_max=1.0) -> LowerTriFactor:
     while True:
         L = _ic0_attempt(A, beta)
         if L is not None:
-            return LowerTriFactor(n=A.n, kind="ic0", shift=beta, sparse_values=L)
+            return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
         beta = beta0 if beta == 0.0 else 2.0 * beta
         if beta > beta_max:
             raise FactorizationError(f"ic0 breakdown persists past shift {beta_max}")
@@ -246,25 +240,14 @@ def sym_eig(S) -> EigenDecomposition:
 
 
 def tri_solve(L: LowerTriFactor, b, mode="forward"):
-    """Solve Lx = b (forward) or L^T x = b (adjoint).
+    """Solve Lx = b (forward) or L^T x = b (adjoint) with the factor's
+    SuperLU handle.
 
     Accepts a vector or a matrix right-hand side.
     """
     if mode not in ("forward", "adjoint"):
         raise ValueError(f"unknown mode {mode!r}")
-    b = np.asarray(b, dtype=np.float64)
-    diag = L.diagonal()
-    if np.any(diag == 0.0):
-        raise SingularFactorError("zero diagonal in triangular solve")
-    if L.dense_values is not None or L.n <= _DENSE_CACHE_LIMIT:
-        Ld = L.to_dense()
-        return sla.solve_triangular(Ld, b, lower=True, trans="N" if mode == "forward" else "T")
-    Ls = L.sparse_values
-    from scipy.sparse.linalg import spsolve_triangular
-
-    if mode == "forward":
-        return spsolve_triangular(Ls, b, lower=True)
-    return spsolve_triangular(Ls.T.tocsr(), b, lower=False)
+    return L._lu.solve(np.asarray(b, dtype=np.float64), trans="N" if mode == "forward" else "T")
 
 
 def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:

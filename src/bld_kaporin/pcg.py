@@ -113,7 +113,8 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     A may be a SparseSymMatrix or dense array; H a Preconditioner, a
     callable applying P^-1, a dense matrix, or None for the identity.
     Raises PcgBreakdownError (with the partial report attached) when the
-    curvature p' A p turns nonpositive.
+    curvature p' A p or the preconditioned residual product r' H r turns
+    nonpositive before convergence.
     """
     cfg = config or SolveConfig()
     matvec, n = _as_matvec(A)
@@ -141,6 +142,9 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     converged = res2[0] <= stop
     k = 0
     while not converged and k < max_iter:
+        if rho <= 0.0:
+            report = _finish(x, k, False, res2, res_pinv, err_a, cfg)
+            raise PcgBreakdownError(f"nonpositive r'Hr at iteration {k}: H is not SPD", report)
         Ap = matvec(p)
         curv = float(p @ Ap)
         if curv <= 0.0:

@@ -34,7 +34,6 @@ __all__ = [
     "bld_truncate",
     "tsvd_truncate",
     "optimal_alpha",
-    "apply_inverse",
     "divergence_alpha",
     "ln_kaporin_alpha",
     "kappa2_alpha",
@@ -163,12 +162,18 @@ class Preconditioner:
     def n(self) -> int:
         return self.factor.n
 
+    def _middle_solve(self, y, a, d) -> np.ndarray:
+        """(y - V t)/a + V (t/d) with t = V^T y: the middle term's inverse
+        for a = alpha, d = 1 + D, and its inverse square root for their
+        square roots."""
+        V = self.low_rank.V
+        t = V.T @ y
+        return (y - V @ t) / a + V @ (t / d)
+
     def apply_inverse(self, x) -> np.ndarray:
         """P_alpha^-1 x via two triangular solves and a rank-r update."""
         y = tri_solve(self.factor, np.asarray(x, dtype=np.float64), "forward")
-        V, D = self.low_rank.V, self.low_rank.D
-        t = V.T @ y
-        z = (y - V @ t) / self.alpha + V @ (t / (1.0 + D))
+        z = self._middle_solve(y, self.alpha, 1.0 + self.low_rank.D)
         return tri_solve(self.factor, z, "adjoint")
 
     def apply(self, x) -> np.ndarray:
@@ -182,16 +187,12 @@ class Preconditioner:
     def apply_inv_sqrt(self, x) -> np.ndarray:
         """S^-1 Q^-1 x where Q S (S^2 = middle term) is a square factor of P_alpha."""
         y = tri_solve(self.factor, np.asarray(x, dtype=np.float64), "forward")
-        V, D = self.low_rank.V, self.low_rank.D
-        t = V.T @ y
-        return (y - V @ t) / np.sqrt(self.alpha) + V @ (t / np.sqrt(1.0 + D))
+        return self._middle_solve(y, np.sqrt(self.alpha), np.sqrt(1.0 + self.low_rank.D))
 
     def apply_inv_sqrt_t(self, x) -> np.ndarray:
         """Q^-T S^-1 x, the adjoint of apply_inv_sqrt."""
         x = np.asarray(x, dtype=np.float64)
-        V, D = self.low_rank.V, self.low_rank.D
-        t = V.T @ x
-        z = (x - V @ t) / np.sqrt(self.alpha) + V @ (t / np.sqrt(1.0 + D))
+        z = self._middle_solve(x, np.sqrt(self.alpha), np.sqrt(1.0 + self.low_rank.D))
         return tri_solve(self.factor, z, "adjoint")
 
     def dense(self) -> np.ndarray:
@@ -208,10 +209,6 @@ class Preconditioner:
             + (self.n - r) * float(np.log(self.alpha))
             + float(np.sum(np.log(1.0 + self.low_rank.D)))
         )
-
-
-def apply_inverse(P: Preconditioner, x) -> np.ndarray:
-    return P.apply_inverse(x)
 
 
 def divergence_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:

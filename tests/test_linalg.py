@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
-from bld_kaporin.linalg import cholesky, ic0, identity_factor, lanczos, sym_eig, tri_solve
+from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor, lanczos, sym_eig, tri_solve
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.synth import make_sparse_network, random_spd
 
@@ -49,7 +49,7 @@ class TestIc0:
         Q = ic0(A)
         assert Q.shift == 0.0
         assert Q.nnz == A.nnz_lower
-        got = set(zip(*Q.sparse_values.nonzero()))
+        got = set(zip(*Q.values.nonzero()))
         want = set(zip(*A.lower.nonzero()))
         assert got == want
 
@@ -146,19 +146,28 @@ class TestTriSolve:
         np.testing.assert_allclose(x, [1.0, 1.0])
 
     def test_sparse_matches_dense(self):
-        A = make_sparse_network(80, seed=2)
-        Q = ic0(A)
+        # every factor kind, both modes, vector and block right-hand sides,
+        # and one ic0 factor at n > 2000
         rng = np.random.default_rng(0)
-        b = rng.standard_normal(80)
-        x = tri_solve(Q, b, "forward")
-        res = Q.to_dense() @ x - b
-        assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
+        factors = {
+            "ic0": ic0(make_sparse_network(80, seed=2)),
+            "exact-cholesky": cholesky(random_spd(80, rng)),
+            "identity": identity_factor(80),
+            "ic0-large": ic0(make_sparse_network(2100)),
+        }
+        for name, Q in factors.items():
+            Qd = Q.to_dense()
+            for mode, M in (("forward", Qd), ("adjoint", Qd.T)):
+                for shape in ((Q.n,), (Q.n, 3)):
+                    b = rng.standard_normal(shape)
+                    x = tri_solve(Q, b, mode)
+                    assert x.shape == b.shape
+                    rel = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
+                    assert rel <= 1e-12, (name, mode, shape, rel)
 
     def test_zero_diagonal_rejected(self):
-        Q = identity_factor(2)
-        Q.dense_values[0, 0] = 0.0  # corrupt after construction
         with pytest.raises(SingularFactorError):
-            tri_solve(Q, [1.0, 1.0])
+            LowerTriFactor(n=2, kind="identity", values=np.diag([0.0, 1.0]))
 
 
 class TestLanczos:

@@ -71,6 +71,15 @@ class TestSolver:
         assert exc.value.report is not None
         assert exc.value.report.res2.size >= 1
 
+    @pytest.mark.parametrize("H", [[[0.0, 1.0], [1.0, 0.0]], -np.eye(2)])
+    def test_nonpositive_preconditioner_breaks_down(self, H):
+        # H = [[0, 1], [1, 0]] gives r'Hr = 0 on the first step
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        with pytest.raises(PcgBreakdownError) as exc:
+            pcg_solve(A, np.array([1.0, 0.0]), H=np.asarray(H))
+        assert exc.value.report.iterations == 0
+        assert not exc.value.report.converged
+
     def test_max_iter_cap(self):
         rng = np.random.default_rng(3)
         A = random_spd(50, rng, kappa=1e6)

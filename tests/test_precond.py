@@ -31,7 +31,7 @@ def _planted_core(thetas, seed=0, lower_seed=None):
     L = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
     U = haar_orthogonal(n, seed + 1)
     A = L @ (np.eye(n) + (U * thetas) @ U.T) @ L.T
-    Q = LowerTriFactor(n=n, kind="exact-cholesky", dense_values=L)
+    Q = LowerTriFactor(n=n, kind="exact-cholesky", values=L)
     return A, Q
 
 
