@@ -19,7 +19,7 @@ from . import divergence as dv
 from . import harness, pcg, precond, rla
 from .errors import DomainError
 from .linalg import cholesky
-from .matio import read_matrix_market
+from .matio import read_matrix_market, write_json
 from .synth import SyntheticSpec, make_sparse_network
 
 
@@ -106,12 +106,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _spec_flags(path) -> list[str]:
+    """The --spec JSON object as flags: {"max_iter": 50} -> --max-iter 50."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    if not isinstance(blob, dict):
+        raise UsageError(f"--spec {path} must hold a JSON object")
+    return [tok for key, val in blob.items() for tok in (f"--{key.replace('_', '-')}", str(val))]
+
+
 def _resolve_matrix(args):
-    if args.spec:
-        with open(args.spec) as fh:
-            blob = json.load(fh)
-        for key, val in blob.items():
-            setattr(args, key.replace("-", "_"), val)
     if getattr(args, "matrix", None):
         return read_matrix_market(args.matrix)
     synthetic = getattr(args, "synthetic", None)
@@ -195,9 +199,7 @@ def _cmd_precondition(args) -> int:
     for key, val in summary.items():
         print(f"{key:22s} {val}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(summary, args.out)
     return 0
 
 
@@ -238,9 +240,7 @@ def _cmd_verify(args) -> int:
         status = "pass" if res["pass"] else "FAIL"
         print(f"{status}  {name:32s} worst={res['worst']:.3e} tol={res['tol']:.1e}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(report, args.out)
     if report["violations"]:
         print(f"violations: {report['violations']}", file=sys.stderr)
         return 2
@@ -276,10 +276,10 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        if args.spec:
+            # the spec's flags follow the command line's, so they override
+            # it, and the parser checks their names, types and choices
+            args = parser.parse_args([*argv, *_spec_flags(args.spec)])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ identical specs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from . import precond as pc
 from . import rla
 from .errors import DomainError
 from .linalg import cholesky, ic0, identity_factor
-from .matio import SparseSymMatrix, read_matrix_market, write_table
+from .matio import SparseSymMatrix, read_matrix_market, write_json, write_table
 from .synth import SyntheticSpec, make_sparse_network, random_spd
 
 __all__ = [
@@ -629,6 +628,4 @@ def emit(rows, summary, out_csv=None, out_json=None):
     if out_csv is not None:
         write_table(rows, out_csv)
     if out_json is not None:
-        with open(out_json, "w", encoding="ascii") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(summary, out_json)

@@ -1,25 +1,32 @@
 """Dense symmetric eigendecomposition, Cholesky / IC(0) factorizations,
 triangular solves, and Lanczos tridiagonalization.
 
-Dense kernels are delegated to LAPACK through numpy/scipy (the eigensolver
-is the standard Householder reduction plus implicitly shifted QL/QR that
-``eigh`` wraps).  Every factor, dense or sparse, is stored as a CSR lower
-triangle; its triangular solves go through one SuperLU handle built when
-the factor is made.  The zero-fill incomplete Cholesky and the Lanczos
-recurrence are implemented here because their contracts (pattern equality,
-shift reporting, breakdown flags) are part of this package's surface.
+Dense kernels are delegated to LAPACK through scipy.  The eigensolver
+keeps one Householder tridiagonal reduction (``dsytrd``): every eigenvalue
+comes from the tridiagonal, and eigenvectors are formed only for the
+indices a caller asks for, by solving the tridiagonal for them and
+back-transforming with the stored reflectors (``dormqr``).  Every factor,
+dense or sparse, is stored as a CSR lower triangle; its triangular solves
+go through one SuperLU handle built when the factor is made.  The
+zero-fill incomplete Cholesky and the Lanczos recurrence are implemented
+here because their contracts (pattern equality, shift reporting, breakdown
+flags) are part of this package's surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import (
     ConvergenceError,
+    DomainError,
     FactorizationError,
     NotPositiveDefiniteError,
     SingularFactorError,
@@ -89,15 +96,59 @@ class LowerTriFactor:
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectral factorization S = W diag(values) W^T.
+    """Spectral factorization S = W diag(values) W^T, held as the
+    Householder reduction S = H T H^T.
 
-    values are sorted algebraically non-increasing; the columns of
-    vectors are the matching orthonormal eigenvectors.
+    values are sorted algebraically non-increasing.  c and tau are the
+    reflectors of H as ``dsytrd`` (lower) leaves them, d and e the diagonal
+    and subdiagonal of T.  vectors_at(idx) forms the orthonormal
+    eigenvector columns matching values[idx]; vectors is all n of them,
+    formed on first use.
     """
 
     n: int
     values: np.ndarray
-    vectors: np.ndarray
+    c: np.ndarray = field(repr=False)
+    tau: np.ndarray = field(repr=False)
+    d: np.ndarray = field(repr=False)
+    e: np.ndarray = field(repr=False)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self.vectors_at(np.arange(self.n))
+
+    def vectors_at(self, idx) -> np.ndarray:
+        """Eigenvectors for values[idx] as a C-contiguous n x len(idx) array.
+
+        Each span of requested indices is one tridiagonal solve; all the
+        columns then share one back-transform with the reflectors.
+        """
+        n = self.n
+        # index i in non-increasing order is ascending index n-1-i
+        asc, cols = np.unique(n - 1 - np.arange(n)[idx], return_inverse=True)
+        w = self.values[::-1]
+        # A gap in the requested indices ends a span only where the
+        # eigenvalues across it lie apart: vectors from separate solves are
+        # orthogonal only to about eps ||S|| / (their eigenvalue gap), and
+        # equal eigenvalues could even come back as one vector twice.
+        split = (np.diff(asc) > 1) & (np.diff(w[asc]) > 1e-3 * np.abs(w).max(initial=0.0))
+        spans = np.split(asc, np.flatnonzero(split) + 1) if asc.size else []
+        try:
+            parts = [sla.eigh_tridiagonal(self.d, self.e, select="i",
+                                          select_range=(span[0], span[-1]))[1][:, span - span[0]]
+                     for span in spans]
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"tridiagonal eigensolver did not converge: {exc}") from exc
+        Z = np.hstack(parts)[:, cols] if parts else np.empty((n, 0))
+        X = np.empty(Z.shape)
+        X[0] = Z[0]
+        if n > 1 and Z.shape[1]:
+            # H = diag(1, H'), H' the product of the reflectors in c[1:, :-1];
+            # one contiguous copy serves the workspace query and the product
+            a = np.asfortranarray(self.c[1:, :-1])
+            lwork = lapack.dormqr("L", "N", a, self.tau, Z[1:], lwork=-1)[1][0]
+            X[1:] = lapack.dormqr("L", "N", a, self.tau, Z[1:], lwork=int(lwork))[0]
+        return X
 
 
 @dataclass(frozen=True)
@@ -222,21 +273,33 @@ def _ic0_attempt(A: SparseSymMatrix, beta: float):
 def sym_eig(S) -> EigenDecomposition:
     """Eigendecomposition of a symmetric dense matrix.
 
-    Eigenvalues come back sorted algebraically non-increasing with
-    matching orthonormal eigenvector columns.
+    One Householder tridiagonal reduction plus every eigenvalue of the
+    tridiagonal, sorted algebraically non-increasing; eigenvectors are
+    formed on request (EigenDecomposition.vectors_at).  Non-finite or
+    asymmetric input raises ValueError, a tridiagonal solve that fails to
+    converge ConvergenceError.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError("square matrix required")
-    scale = max(np.abs(S).max(), 1.0)
-    if np.abs(S - S.T).max() > 1e-10 * scale:
+    scale = np.abs(S).max()
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
+    if np.abs(S - S.T).max() > 1e-10 * max(scale, 1.0):
         raise ValueError("matrix is not symmetric to 1e-10 relative")
+    n = S.shape[0]
+    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+    # the transpose of a fresh symmetric copy is an F-contiguous view of
+    # the same matrix, so the reduction overwrites it with no n x n copy
+    c, d, e, tau, info = lapack.dsytrd((0.5 * (S + S.T)).T, lower=1, lwork=int(lwork),
+                                       overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"dsytrd rejected argument {-info}")
     try:
-        w, V = np.linalg.eigh(0.5 * (S + S.T))
+        w = sla.eigvalsh_tridiagonal(d, e)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(w)[::-1]
-    return EigenDecomposition(n=S.shape[0], values=w[order], vectors=V[:, order])
+    return EigenDecomposition(n=n, values=w[::-1].copy(), c=c, tau=tau, d=d, e=e)
 
 
 def tri_solve(L: LowerTriFactor, b, mode="forward"):
@@ -256,7 +319,7 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
     `apply` must implement a symmetric operator on n-vectors.  Full
     reorthogonalization is the default.  beta falling below
     1e-12 * (running norm estimate) truncates the run and sets the
-    breakdown flag.
+    breakdown flag; a non-finite alpha or beta raises DomainError.
     """
     v = np.asarray(v0, dtype=np.float64).copy()
     nrm = np.linalg.norm(v)
@@ -281,6 +344,8 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
     for k in range(m):
         w = np.asarray(apply(basis[:, k]), dtype=np.float64)
         alpha = float(basis[:, k] @ w)
+        if not np.isfinite(alpha):
+            raise DomainError(f"lanczos step {k}: operator returned a non-finite alpha")
         w = w - alpha * basis[:, k] - beta_prev * v_prev
         if reorthogonalize:
             # two classical Gram-Schmidt sweeps against the kept basis
@@ -292,6 +357,8 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
         if k == m - 1:
             break
         beta = float(np.linalg.norm(w))
+        if not np.isfinite(beta):
+            raise DomainError(f"lanczos step {k}: operator returned a non-finite beta")
         norm_est = max(norm_est, beta)
         if beta <= 1e-12 * max(norm_est, 1e-300):
             breakdown = True

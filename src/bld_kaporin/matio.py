@@ -8,8 +8,11 @@ on the fly by every matvec.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import json
 import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +23,7 @@ from .errors import MatrixMarketError, SchemaError, SymmetryError
 __all__ = [
     "SparseSymMatrix",
     "read_matrix_market",
+    "write_json",
     "write_matrix_market",
     "write_table",
 ]
@@ -74,9 +78,10 @@ class SparseSymMatrix:
         return self.lower.diagonal()
 
     def matvec(self, x) -> np.ndarray:
-        """Full symmetric product A @ x from the stored triangle."""
+        """Full symmetric product A @ x from the stored triangle; x is a
+        vector or an n x k block."""
         x = np.asarray(x, dtype=np.float64)
-        return self.lower @ x + self.lower.T @ x - self.diagonal() * x
+        return self.lower @ x + self.lower.T @ x - (self.diagonal() * x.T).T
 
     __matmul__ = matvec
 
@@ -226,10 +231,28 @@ def _format_cell(v) -> str:
     return f"{float(v):.17g}"
 
 
+def write_json(obj, path) -> None:
+    """Write obj as indented, key-sorted ASCII JSON ending in a newline."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
 def _atomic_write(path, text) -> None:
+    """Write text to a new file beside path, then rename it onto path.
+
+    On any failure the temporary file is removed and an existing file at
+    path is left as it was.
+    """
     path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(6)}.tmp")
     try:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(tmp, "x", encoding="ascii", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         raise IOError(f"cannot write {path}: {exc}") from exc

@@ -106,7 +106,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
 def _take(core: ErrorCore, selection: np.ndarray, r: int) -> LowRankTerm:
     return LowRankTerm(
         r=r,
-        V=core.eig.vectors[:, selection].copy(),
+        V=core.eig.vectors_at(selection),
         D=core.thetas[selection].copy(),
         selection=selection.copy(),
     )
@@ -165,10 +165,11 @@ class Preconditioner:
     def _middle_solve(self, y, a, d) -> np.ndarray:
         """(y - V t)/a + V (t/d) with t = V^T y: the middle term's inverse
         for a = alpha, d = 1 + D, and its inverse square root for their
-        square roots."""
+        square roots.  y is a vector or an n x k block; the transposes make
+        d scale the rows of t in both cases."""
         V = self.low_rank.V
         t = V.T @ y
-        return (y - V @ t) / a + V @ (t / d)
+        return (y - V @ t) / a + V @ (t.T / d).T
 
     def apply_inverse(self, x) -> np.ndarray:
         """P_alpha^-1 x via two triangular solves and a rank-r update."""
@@ -181,7 +182,7 @@ class Preconditioner:
         z = self.factor.matvec(np.asarray(x, dtype=np.float64), "adjoint")
         V, D = self.low_rank.V, self.low_rank.D
         t = V.T @ z
-        w = self.alpha * (z - V @ t) + V @ ((1.0 + D) * t)
+        w = self.alpha * (z - V @ t) + V @ ((1.0 + D) * t.T).T
         return self.factor.matvec(w, "forward")
 
     def apply_inv_sqrt(self, x) -> np.ndarray:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
@@ -118,8 +119,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         if nz == 0.0:
             raise DomainError("zero probe vector drawn")
         res = lanczos(apply, z / nz, cfg.m)
-        T = res.tridiagonal()
-        ritz, vecs = np.linalg.eigh(T)
+        ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
         if np.any(ritz <= 0.0):
             raise NotPositiveDefiniteError(
                 f"nonpositive Ritz value on probe {i}: operator is not SPD",

@@ -127,3 +127,43 @@ class TestSolveVerifyEstimate:
         rc = run(["sweep-alpha", "--spec", str(spec)])
         assert rc == 0
         assert "alpha*" in capsys.readouterr().out
+
+
+class TestSpec:
+    def test_verify_reads_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"trials": 1, "seed": 3}))
+        out = tmp_path / "v.json"
+        assert run(["verify", "--trials", "2", "--spec", str(spec), "--out", str(out)]) == 0
+        echo = json.loads(out.read_text())["spec_echo"]
+        assert echo["trials"] == 1
+        assert echo["seed"] == 3
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"synthetic": "network", "n": 30, "rnak": 3}))
+        out = tmp_path / "p.json"
+        assert run(["precondition", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "rnak" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_key_of_another_subcommand_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"trials": 1}))
+        assert run(["precondition", "--synthetic", "network", "--n", "30",
+                    "--spec", str(spec)]) == 1
+
+    def test_values_are_parsed_like_flags(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        out = tmp_path / "p.json"
+        spec.write_text(json.dumps({"synthetic": "network", "n": "30", "rank": 3}))
+        assert run(["precondition", "--rank", "5", "--spec", str(spec), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rank"] == 3
+        for bad in ({"n": "thirty"}, {"factor": "lu"}):
+            spec.write_text(json.dumps({"synthetic": "network", **bad}))
+            assert run(["precondition", "--spec", str(spec)]) == 1
+
+    def test_non_object_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        assert run(["info", "--synthetic", "network", "--spec", str(spec)]) == 1

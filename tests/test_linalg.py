@@ -4,7 +4,7 @@ import pytest
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor, lanczos, sym_eig, tri_solve
 from bld_kaporin.matio import SparseSymMatrix
-from bld_kaporin.synth import make_sparse_network, random_spd
+from bld_kaporin.synth import haar_orthogonal, make_sparse_network, random_spd
 
 
 class TestCholesky:
@@ -126,6 +126,51 @@ class TestSymEig:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @staticmethod
+    def _check_against_eigh(S, idx):
+        """values and vectors_at(idx) against a numpy eigh oracle."""
+        n = S.shape[0]
+        w_ref = np.linalg.eigh(S)[0][::-1]
+        norm = np.abs(w_ref).max()
+        e = sym_eig(S)
+        assert np.abs(e.values - w_ref).max() <= 1e-12 * norm
+        X = e.vectors_at(idx)
+        assert X.shape == (n, len(idx))
+        assert X.dtype == np.float64 and X.flags.c_contiguous
+        res = np.linalg.norm(S @ X - X * e.values[idx], axis=0)
+        assert res.max(initial=0.0) <= 1e-12 * norm
+        assert np.abs(X.T @ X - np.eye(len(idx))).max(initial=0.0) <= 1e-12
+
+    def test_random_against_eigh(self):
+        rng = np.random.default_rng(21)
+        for n in (50, 200):
+            S = rng.standard_normal((n, n))
+            S = 0.5 * (S + S.T)
+            for idx in (list(range(n)), [7, 0, 3, 4, 5, n - 1, n - 2, 20], []):
+                self._check_against_eigh(S, idx)
+
+    def test_repeated_eigenvalues(self):
+        d = np.array([3.0, 3.0, 3.0, 1.0, 1.0, -2.0, -2.0, -2.0, -2.0, 0.5])
+        U = haar_orthogonal(d.size, 4)
+        for S in (np.diag(d), (U * d) @ U.T, np.eye(6), np.zeros((6, 6))):
+            S = 0.5 * (S + S.T)
+            n = S.shape[0]
+            for idx in (list(range(n)), [0, 2, n - 1], []):
+                self._check_against_eigh(S, idx)
+
+    def test_orders_one_and_two(self):
+        self._check_against_eigh(np.array([[-2.5]]), [0])
+        S = np.array([[2.0, 1.0], [1.0, -1.0]])
+        for idx in ([0, 1], [1], [1, 0], []):
+            self._check_against_eigh(S, idx)
+
+    def test_non_finite_rejected(self):
+        for bad in (np.nan, np.inf):
+            S = np.eye(3)
+            S[1, 1] = bad
+            with pytest.raises(ValueError):
+                sym_eig(S)
 
 
 class TestTriSolve:

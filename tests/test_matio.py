@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -7,6 +8,7 @@ from bld_kaporin.errors import MatrixMarketError, SchemaError, SymmetryError
 from bld_kaporin.matio import (
     SparseSymMatrix,
     read_matrix_market,
+    write_json,
     write_matrix_market,
     write_table,
 )
@@ -113,6 +115,15 @@ class TestRoundTrip:
         x = rng.standard_normal(31)
         np.testing.assert_allclose(A.matvec(x), A.to_dense() @ x, rtol=1e-13, atol=1e-13)
 
+    def test_matvec_block_equals_columns(self):
+        rng = np.random.default_rng(4)
+        A = SparseSymMatrix.from_dense(_random_sym(rng, 31))
+        for k in (3, 4):
+            X = rng.standard_normal((31, k))
+            cols = np.column_stack([A.matvec(X[:, j]) for j in range(k)])
+            np.testing.assert_allclose(A.matvec(X), cols, rtol=1e-13,
+                                       atol=1e-13 * np.abs(cols).max())
+
 
 def _random_sym(rng, n, density=0.3):
     M = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
@@ -166,3 +177,22 @@ class TestWriteTable:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_table([{"a": 1.0}], tmp_path / "missing_dir" / "t.csv")
+
+    def test_failed_write_keeps_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table([{"a": 1.0}], path)
+        before = path.read_text()
+        # a non-ASCII cell fails while the text is being written
+        with pytest.raises(UnicodeEncodeError):
+            write_table([{"a": "\u00e9"}], path)
+        assert path.read_text() == before
+        assert os.listdir(tmp_path) == ["t.csv"]
+
+
+class TestWriteJson:
+    def test_sorted_indented_with_newline(self, tmp_path):
+        path = tmp_path / "s.json"
+        write_json({"b": 1, "a": [0.5, None]}, path)
+        text = path.read_text()
+        assert text == json.dumps({"a": [0.5, None], "b": 1}, indent=2) + "\n"
+        assert os.listdir(tmp_path) == ["s.json"]

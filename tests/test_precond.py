@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from bld_kaporin.divergence import bregman_logdet, gamma_map
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
@@ -110,6 +111,25 @@ class TestTruncations:
         term = bld_truncate(core, 5)
         assert np.abs(term.V.T @ term.V - np.eye(5)).max() <= 1e-10
 
+    def test_ic0_correction_matches_eigh_oracle(self):
+        A = make_sparse_network(150, seed=20)
+        Q = ic0(A)
+        L = Q.to_dense()
+        Y = sla.solve_triangular(L, A.to_dense(), lower=True)
+        E = sla.solve_triangular(L, Y.T, lower=True) - np.eye(150)
+        w, U = np.linalg.eigh(0.5 * (E + E.T))
+        w, U = w[::-1], U[:, ::-1]
+        r = 12
+        term = bld_truncate(error_core(A, Q), r)
+        sel = term.selection
+        rest = np.setdiff1d(np.arange(150), sel)
+        # the selected eigenvalues are separated from the rest, so the
+        # selected invariant subspace, and V D V' with it, is well defined
+        assert np.abs(w[sel][:, None] - w[rest][None, :]).min() > 1e-3
+        oracle = (U[:, sel] * w[sel]) @ U[:, sel].T
+        got = (term.V * term.D) @ term.V.T
+        assert np.abs(got - oracle).max() <= 1e-10
+
 
 class TestOptimalAlpha:
     def test_exact_factor_gives_one(self):
@@ -186,6 +206,22 @@ class TestPreconditionerApply:
         # C^-T C^-1 = P^-1 for the split square factor C
         via_split = P.apply_inv_sqrt_t(P.apply_inv_sqrt(x))
         np.testing.assert_allclose(via_split, P.apply_inverse(x), rtol=1e-11, atol=1e-13)
+
+
+class TestBlockRightHandSides:
+    def test_block_equals_columns(self):
+        A = make_sparse_network(60, seed=18)
+        core = error_core(A, ic0(A))
+        r = 3
+        term = bld_truncate(core, r)
+        P = Preconditioner(core.factor, term, optimal_alpha(core, term))
+        rng = np.random.default_rng(19)
+        for k in (r, r + 1):
+            X = rng.standard_normal((60, k))
+            for method in (P.apply_inverse, P.apply, P.apply_inv_sqrt, P.apply_inv_sqrt_t):
+                cols = np.column_stack([method(X[:, j]) for j in range(k)])
+                np.testing.assert_allclose(method(X), cols, rtol=1e-13,
+                                           atol=1e-13 * np.abs(cols).max())
 
 
 def _empty_term(n):

@@ -61,6 +61,11 @@ class TestHutchinson:
 
 
 class TestSlq:
+    def test_non_finite_operator_rejected(self):
+        cfg = ProbeConfig(m=5, n_v=2, seed=0)
+        with pytest.raises(DomainError, match="step 0"):
+            slq_trace_logdet(lambda x: np.full_like(x, np.nan), 20, cfg)
+
     def test_scaled_identity_exact(self):
         for c in (0.7, 3.0):
             rep = slq_trace_logdet(lambda x: c * x, 12, ProbeConfig(m=5, n_v=3, seed=0))
