@@ -128,9 +128,13 @@ def _resolve_matrix(args):
     elif synthetic == "geometric":
         spec = SyntheticSpec(args.n, "geometric", (args.cond,), basis_seed=args.seed)
     else:
-        pairs = [tuple(float(x) for x in item.split(":")) for item in args.clusters.split(",")]
-        values = [v for v, _ in pairs]
-        mults = [int(m) for _, m in pairs]
+        try:
+            pairs = [item.split(":") for item in args.clusters.split(",")]
+            values = [float(v) for v, _ in pairs]
+            mults = [int(m) for _, m in pairs]
+        except ValueError as exc:
+            raise UsageError(f"--clusters expects value:multiplicity[,...], "
+                             f"got {args.clusters!r}") from exc
         if sum(mults) != args.n:
             raise UsageError("cluster multiplicities must sum to --n")
         spec = SyntheticSpec(args.n, "clustered", (values, mults), basis_seed=args.seed)
@@ -140,8 +144,11 @@ def _resolve_matrix(args):
 def _experiment_spec(args, A) -> harness.ExperimentSpec:
     grid = None
     if getattr(args, "grid", None):
-        amin, amax, count, scale = args.grid.split(",")
-        grid = (float(amin), float(amax), int(count), scale)
+        try:
+            amin, amax, count, scale = args.grid.split(",")
+            grid = (float(amin), float(amax), int(count), scale)
+        except ValueError as exc:
+            raise UsageError(f"--grid expects min,max,count,log|linear, got {args.grid!r}") from exc
     return harness.ExperimentSpec(
         matrix=A,
         factor=args.factor,

@@ -530,8 +530,10 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
     """Compare SLQ-derived surrogates with their exact counterparts.
 
     schedules is an iterable of (m, n_v); defaults to the spec's probe
-    config.  Requires the order to stay small enough for the dense
-    reference (n <= 2000).
+    config.  Each row also carries the standard errors of the trace and
+    log-det estimates (empty for n_v = 1) and the number of probes whose
+    Lanczos run broke down.  Requires the order to stay small enough for
+    the dense reference (n <= 2000).
     """
     A = load_matrix(spec.matrix)
     n = A.n
@@ -574,6 +576,9 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
                 "rel_err_alpha": _rel_err(alpha_hat, alpha_star),
                 "rel_err_d_ld": abs(d_hat - d_exact) / max(1.0, d_exact),
                 "sign_ln_k_gap": int(np.sign(ln_k_hat - ln_k_exact)),
+                "trace_stderr": est.trace_stderr,
+                "logdet_stderr": est.logdet_stderr,
+                "breakdowns": est.breakdowns,
             }
         )
     summary = {
@@ -587,7 +592,9 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
         rows,
         ("m", "n_v", "trace_exact", "trace_hat", "logdet_exact", "logdet_hat",
          "ln_k_exact", "ln_k_hat", "alpha_exact", "alpha_hat", "d_ld_exact", "d_ld_hat",
-         "rel_err_ln_k", "rel_err_alpha", "rel_err_d_ld", "sign_ln_k_gap"),
+         "rel_err_ln_k", "rel_err_alpha", "rel_err_d_ld", "sign_ln_k_gap",
+         "trace_stderr", "logdet_stderr", "breakdowns"),
+        allow_none=("trace_stderr", "logdet_stderr"),
     )
     return rows, summary
 

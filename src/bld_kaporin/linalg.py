@@ -157,8 +157,9 @@ class LanczosResult:
 
     alphas has length m, betas length m-1 (strictly positive up to any
     breakdown).  basis, when retained, has the m Lanczos vectors as
-    columns.  breakdown is True when the recurrence exhausted the Krylov
-    space before the requested step count.
+    columns; it is an n x m view of row-major storage, so not
+    C-contiguous.  breakdown is True when the recurrence exhausted the
+    Krylov space before the requested step count.
     """
 
     m: int
@@ -320,8 +321,12 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
     reorthogonalization is the default.  beta falling below
     1e-12 * (running norm estimate) truncates the run and sets the
     breakdown flag; a non-finite alpha or beta raises DomainError.
+
+    The basis is built one Lanczos vector per row of a C-contiguous
+    m x n array, so each step reads and updates contiguous rows; the
+    result's n x m basis is a transposed view of it, not a copy.
     """
-    v = np.asarray(v0, dtype=np.float64).copy()
+    v = np.asarray(v0, dtype=np.float64)
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError("starting vector must have unit 2-norm")
@@ -331,10 +336,10 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
         raise ValueError("m >= 1 required")
     m = min(m, n)
 
-    basis = np.zeros((n, m))
+    basis = np.empty((m, n))
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
-    basis[:, 0] = v
+    basis[0] = v
     v_prev = np.zeros(n)
     beta_prev = 0.0
     norm_est = 0.0
@@ -342,15 +347,19 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
     breakdown = False
 
     for k in range(m):
-        w = np.asarray(apply(basis[:, k]), dtype=np.float64)
-        alpha = float(basis[:, k] @ w)
+        vk = basis[k]
+        w = np.asarray(apply(vk), dtype=np.float64)
+        alpha = float(vk @ w)
         if not np.isfinite(alpha):
             raise DomainError(f"lanczos step {k}: operator returned a non-finite alpha")
-        w = w - alpha * basis[:, k] - beta_prev * v_prev
+        # out of place first: apply may return its argument or an array it keeps
+        w = w - alpha * vk
+        w -= beta_prev * v_prev
         if reorthogonalize:
-            # two classical Gram-Schmidt sweeps against the kept basis
+            # two classical Gram-Schmidt sweeps against the kept rows
+            kept = basis[: k + 1]
             for _ in range(2):
-                w -= basis[:, : k + 1] @ (basis[:, : k + 1].T @ w)
+                w -= (kept @ w) @ kept
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)
         k_done = k + 1
@@ -364,14 +373,14 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
             breakdown = True
             break
         betas[k] = beta
-        v_prev = basis[:, k]
-        basis[:, k + 1] = w / beta
+        v_prev = vk
+        np.divide(w, beta, out=basis[k + 1])
         beta_prev = beta
 
     return LanczosResult(
         m=k_done,
         alphas=alphas[:k_done].copy(),
         betas=betas[: max(k_done - 1, 0)].copy(),
-        basis=basis[:, :k_done].copy(),
+        basis=basis[:k_done].T,
         breakdown=breakdown,
     )

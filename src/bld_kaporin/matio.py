@@ -1,9 +1,10 @@
 """Matrix Market ingestion, symmetric sparse containers, CSV emission.
 
 The on-disk format is the coordinate Matrix Market exchange format
-(`%%MatrixMarket matrix coordinate real symmetric|general`).  Only the
-lower triangle is stored internally; the full operator is reconstructed
-on the fly by every matvec.
+(`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
+matrix is held as its lower triangle; both triangles are assembled into
+one CSR matrix the first time a product or a dense copy asks for them,
+and kept for every later one.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import secrets
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,8 +35,9 @@ __all__ = [
 class SparseSymMatrix:
     """Symmetric real matrix stored as its lower triangle in CSR form.
 
-    Only entries with row >= col are kept; the matvec reflects each
-    off-diagonal entry once.  Positive definiteness is not checked here.
+    Only entries with row >= col are stored; products go through `full`,
+    both triangles as one CSR matrix built on first use.  Positive
+    definiteness is not checked here.
     """
 
     n: int
@@ -77,17 +80,25 @@ class SparseSymMatrix:
     def diagonal(self) -> np.ndarray:
         return self.lower.diagonal()
 
+    @cached_property
+    def full(self) -> sp.csr_matrix:
+        """Both triangles as CSR: the stored triplets plus the off-diagonal
+        ones mirrored, in one COO to CSR conversion."""
+        coo = self.lower.tocoo()
+        off = coo.row != coo.col
+        rows = np.concatenate((coo.row, coo.col[off]))
+        cols = np.concatenate((coo.col, coo.row[off]))
+        vals = np.concatenate((coo.data, coo.data[off]))
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+
     def matvec(self, x) -> np.ndarray:
-        """Full symmetric product A @ x from the stored triangle; x is a
-        vector or an n x k block."""
-        x = np.asarray(x, dtype=np.float64)
-        return self.lower @ x + self.lower.T @ x - (self.diagonal() * x.T).T
+        """Full symmetric product A @ x; x is a vector or an n x k block."""
+        return self.full @ np.asarray(x, dtype=np.float64)
 
     __matmul__ = matvec
 
     def to_dense(self) -> np.ndarray:
-        lo = self.lower.toarray()
-        return lo + lo.T - np.diag(self.lower.diagonal())
+        return self.full.toarray()
 
     def coo_entries(self):
         """Lower-triangle triplets (row, col, value), row-major sorted."""

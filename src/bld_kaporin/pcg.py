@@ -45,8 +45,10 @@ class SolveConfig:
     """Knobs for one PCG run.
 
     max_iter defaults to 10n.  known_solution enables A-norm error
-    tracking.  record_history=False keeps only the iteration counters and
-    the final iterate.
+    tracking.  record_history=False keeps the iteration count, the final
+    iterate and the 2-norm residuals the stopping test computes anyway;
+    the P^-1-norm residuals and the A-norm errors (one extra A product
+    per iteration) are then not computed at all.
     """
 
     tol: float = 1e-10
@@ -133,22 +135,24 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     stop = cfg.tol * norm_b
 
     res2 = [float(np.linalg.norm(r))]
-    res_pinv = [math.sqrt(max(rho, 0.0))] if cfg.track_pinv_norm else None
-    err_a = None
-    if cfg.known_solution is not None:
-        xs = np.asarray(cfg.known_solution, dtype=np.float64)
-        err_a = [_a_norm(matvec, xs - x)]
+    res_pinv = err_a = None
+    if cfg.record_history:
+        if cfg.track_pinv_norm:
+            res_pinv = [math.sqrt(max(rho, 0.0))]
+        if cfg.known_solution is not None:
+            xs = np.asarray(cfg.known_solution, dtype=np.float64)
+            err_a = [_a_norm(matvec, xs - x)]
 
     converged = res2[0] <= stop
     k = 0
     while not converged and k < max_iter:
         if rho <= 0.0:
-            report = _finish(x, k, False, res2, res_pinv, err_a, cfg)
+            report = _finish(x, k, False, res2, res_pinv, err_a)
             raise PcgBreakdownError(f"nonpositive r'Hr at iteration {k}: H is not SPD", report)
         Ap = matvec(p)
         curv = float(p @ Ap)
         if curv <= 0.0:
-            report = _finish(x, k, False, res2, res_pinv, err_a, cfg)
+            report = _finish(x, k, False, res2, res_pinv, err_a)
             raise PcgBreakdownError(f"nonpositive curvature at iteration {k}", report)
         a = rho / curv
         x = x + a * p
@@ -167,16 +171,14 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
             p = z + beta * p
         rho = rho_next
 
-    return _finish(x, k, converged, res2, res_pinv, err_a, cfg)
+    return _finish(x, k, converged, res2, res_pinv, err_a)
 
 
 def _a_norm(matvec, v) -> float:
     return math.sqrt(max(float(v @ matvec(v)), 0.0))
 
 
-def _finish(x, k, converged, res2, res_pinv, err_a, cfg) -> SolveReport:
-    if not cfg.record_history:
-        res_pinv, err_a = None, None
+def _finish(x, k, converged, res2, res_pinv, err_a) -> SolveReport:
     return SolveReport(
         iterations=k,
         converged=converged,

@@ -94,8 +94,8 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
         raise ValueError("factor order does not match the matrix")
     Y = tri_solve(Q, Ad, "forward")          # Q^-1 A
     E = tri_solve(Q, Y.T, "forward").T       # Q^-1 A Q^-T
-    E = 0.5 * (E + E.T) - np.eye(n)
-    eig = sym_eig(E)
+    E[np.diag_indices(n)] -= 1.0
+    eig = sym_eig(E)                         # checks and symmetrizes E
     if np.any(eig.values <= -1.0 + 1e-12):
         raise NotPositiveDefiniteError("error core has eigenvalues <= -1: A is not SPD")
     gammas = gamma_map(eig.values)
@@ -163,13 +163,18 @@ class Preconditioner:
         return self.factor.n
 
     def _middle_solve(self, y, a, d) -> np.ndarray:
-        """(y - V t)/a + V (t/d) with t = V^T y: the middle term's inverse
-        for a = alpha, d = 1 + D, and its inverse square root for their
-        square roots.  y is a vector or an n x k block; the transposes make
-        d scale the rows of t in both cases."""
+        """y/a + V ((1/d - 1/a) t) with t = V^T y, which equals
+        (y - V t)/a + V (t/d): the middle term's inverse for a = alpha,
+        d = 1 + D, and its inverse square root for their square roots.
+        One pass over y, plus the rank-r update when r > 0.  y is a vector
+        or an n x k block; the transposes make the weights scale the rows
+        of t in both cases."""
+        z = y / a
         V = self.low_rank.V
-        t = V.T @ y
-        return (y - V @ t) / a + V @ (t.T / d).T
+        if V.shape[1]:
+            t = V.T @ y
+            z += V @ (t.T * (1.0 / d - 1.0 / a)).T
+        return z
 
     def apply_inverse(self, x) -> np.ndarray:
         """P_alpha^-1 x via two triangular solves and a rank-r update."""

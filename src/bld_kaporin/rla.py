@@ -65,8 +65,10 @@ class EstimateReport:
     """Estimates plus per-probe quadratic forms.
 
     per_probe_* store unit-vector-scale contributions, so every aggregate
-    is n * mean(per_probe_*).  logdet fields are None for estimators that
-    do not produce them.
+    is n * mean(per_probe_*), with standard error n * std(per_probe_*,
+    ddof=1) / sqrt(n_v) (None from a single probe).  logdet fields are
+    None for estimators that do not produce them.  breakdowns counts the
+    probes whose Lanczos run exhausted its Krylov space before m steps.
     """
 
     n: int
@@ -76,6 +78,21 @@ class EstimateReport:
     per_probe_logdet: np.ndarray | None
     probes_used: int
     config: ProbeConfig
+    breakdowns: int = 0
+
+    @property
+    def trace_stderr(self) -> float | None:
+        return _stderr(self.n, self.per_probe_trace)
+
+    @property
+    def logdet_stderr(self) -> float | None:
+        return None if self.per_probe_logdet is None else _stderr(self.n, self.per_probe_logdet)
+
+
+def _stderr(n: int, per_probe: np.ndarray) -> float | None:
+    if per_probe.size < 2:
+        return None
+    return n * float(np.std(per_probe, ddof=1)) / float(np.sqrt(per_probe.size))
 
 
 def _probe_rng(cfg: ProbeConfig, index: int) -> np.random.Generator:
@@ -113,12 +130,14 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
+    breakdowns = 0
     for i in range(cfg.n_v):
         z = _draw(_probe_rng(cfg, i), n, cfg.distribution)
         nz = np.linalg.norm(z)
         if nz == 0.0:
             raise DomainError("zero probe vector drawn")
         res = lanczos(apply, z / nz, cfg.m)
+        breakdowns += int(res.breakdown)
         ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
         if np.any(ritz <= 0.0):
             raise NotPositiveDefiniteError(
@@ -136,6 +155,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         per_probe_logdet=ld_contribs,
         probes_used=cfg.n_v,
         config=cfg,
+        breakdowns=breakdowns,
     )
 
 

@@ -42,6 +42,21 @@ class TestExitCodes:
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n9 9 1.0\n")
         assert run(["info", "--matrix", str(bad)]) == 2
 
+    @pytest.mark.parametrize("clusters", ["abc", "1:x", "1:2:3", "2:1.5"])
+    def test_malformed_clusters_is_usage_error(self, clusters, capsys):
+        rc = run(["precondition", "--synthetic", "clustered", "--n", "4", "--clusters", clusters])
+        assert rc == 1
+        assert "--clusters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log"])
+    def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = run(["sweep-alpha", "--synthetic", "network", "--n", "30", "--grid", grid,
+                  "--out", str(out)])
+        assert rc == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestInfo:
     def test_reports_matrix_facts(self, mtx_path, capsys):
@@ -102,6 +117,19 @@ class TestSolveVerifyEstimate:
         ])
         assert rc == 0
         assert "ln K exact" in capsys.readouterr().out
+
+    def test_estimate_csv_carries_spread_and_breakdowns(self, tmp_path, capsys):
+        out = tmp_path / "est.csv"
+        rc = run([
+            "estimate", "--synthetic", "network", "--n", "70", "--seed", "3",
+            "--rank", "7", "--m", "20", "--nv", "10", "--out", str(out),
+        ])
+        assert rc == 0
+        header, row = out.read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert float(cells["trace_stderr"]) > 0.0
+        assert float(cells["logdet_stderr"]) > 0.0
+        assert cells["breakdowns"] == "0"
 
     def test_precondition_summary(self, mtx_path, capsys):
         rc = run(["precondition", "--matrix", str(mtx_path), "--factor", "exact", "--rank", "1"])

@@ -175,6 +175,26 @@ class TestEstimatorStudy:
         assert row["rel_err_ln_k"] <= 1e-8 or row["ln_k_exact"] < 1e-10
         assert row["rel_err_alpha"] <= 1e-8
 
+    def test_rows_carry_spread_and_breakdowns(self):
+        # sign probes weight every eigenvalue of a diagonal operator by 1/n,
+        # so the probes agree to roundoff; m = n spans the whole space, so
+        # no probe breaks down
+        n = 12
+        A = SparseSymMatrix.from_dense(np.diag(np.linspace(0.5, 4.0, n)))
+        spec = ExperimentSpec(matrix=A, factor="identity", rank=0,
+                              probes=ProbeConfig(m=n, n_v=5, seed=3))
+        row = estimator_study(spec)[0][0]
+        assert row["breakdowns"] == 0
+        assert 0.0 <= row["trace_stderr"] <= 1e-10 * row["trace_exact"]
+        assert 0.0 <= row["logdet_stderr"] <= 1e-10 * abs(row["logdet_exact"])
+    def test_single_probe_has_no_standard_error(self):
+        spec = ExperimentSpec(
+            matrix=make_sparse_network(40, seed=16), factor="ic0", rank=4,
+            probes=ProbeConfig(m=10, n_v=1, seed=17),
+        )
+        rows, _ = estimator_study(spec)
+        assert rows[0]["trace_stderr"] is None and rows[0]["logdet_stderr"] is None
+
     def test_network_within_tolerances(self):
         spec = ExperimentSpec(
             matrix=make_sparse_network(150, seed=14),

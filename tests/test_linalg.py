@@ -253,6 +253,16 @@ class TestLanczos:
         assert ritz.min() >= lam.min() - delta
         assert ritz.max() <= lam.max() + delta
 
+    def test_basis_is_a_view_of_row_storage(self):
+        rng = np.random.default_rng(12)
+        M = random_spd(40, rng)
+        v0 = rng.standard_normal(40)
+        v0 /= np.linalg.norm(v0)
+        res = lanczos(lambda x: M @ x, v0, m=8)
+        assert res.basis.shape == (40, 8)
+        assert res.basis.base is not None and res.basis.flags.f_contiguous
+        np.testing.assert_array_equal(res.basis[:, 0], v0)
+
     def test_non_unit_start_rejected(self):
         with pytest.raises(ValueError):
             lanczos(lambda x: x, np.array([1.0, 1.0]), m=2)

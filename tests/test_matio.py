@@ -124,6 +124,28 @@ class TestRoundTrip:
             np.testing.assert_allclose(A.matvec(X), cols, rtol=1e-13,
                                        atol=1e-13 * np.abs(cols).max())
 
+    def test_matvec_with_empty_row_and_zero_diagonal(self):
+        # row 2 holds no entry at all; row 1 has off-diagonals but a zero
+        # diagonal, so neither triangle carries a (1, 1) entry
+        rows = [0, 1, 3, 3, 4, 4]
+        cols = [0, 0, 1, 3, 1, 4]
+        vals = [2.0, -1.5, 0.5, 3.0, 0.25, 1.0]
+        dense = np.zeros((5, 5))
+        for i, j, v in zip(rows, cols, vals):
+            dense[i, j] = dense[j, i] = v
+        A = SparseSymMatrix.from_coo(5, rows, cols, vals)
+        rng = np.random.default_rng(5)
+        for x in (rng.standard_normal(5), rng.standard_normal((5, 3))):
+            np.testing.assert_allclose(A.matvec(x), dense @ x, rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(A.to_dense(), dense)
+
+    def test_full_is_built_once(self):
+        A = SparseSymMatrix.from_dense(_random_sym(np.random.default_rng(6), 12))
+        full = A.full
+        A.matvec(np.ones(12))
+        assert A.full is full
+        assert full.nnz == 2 * A.nnz_lower - np.count_nonzero(A.diagonal())
+
 
 def _random_sym(rng, n, density=0.3):
     M = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)

@@ -5,6 +5,7 @@ import pytest
 
 from bld_kaporin.divergence import bregman_logdet, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, PcgBreakdownError
+from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.pcg import (
     SolveConfig,
     bound_3lnd,
@@ -55,6 +56,33 @@ class TestSolver:
         assert len(rep.res2) == rep.iterations + 1
         assert len(rep.res_pinv) == rep.iterations + 1
         assert len(rep.err_a) == rep.iterations + 1
+
+    def test_history_off_skips_error_matvecs(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        A = SparseSymMatrix.from_dense(random_spd(30, rng))
+        x_true = rng.standard_normal(30)
+        b = A.matvec(x_true)
+        calls = []
+        matvec = SparseSymMatrix.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(SparseSymMatrix, "matvec", counting)
+        runs = {}
+        for history in (True, False):
+            calls.clear()
+            cfg = SolveConfig(known_solution=x_true, record_history=history)
+            runs[history] = (pcg_solve(A, b, config=cfg), len(calls))
+        (full, full_calls), (lean, lean_calls) = runs[True], runs[False]
+        # one A product per iteration; the history adds one per A-norm error
+        assert lean_calls == lean.iterations
+        assert full_calls == 2 * full.iterations + 1
+        assert lean.res_pinv is None and lean.err_a is None
+        assert lean.iterations == full.iterations
+        np.testing.assert_array_equal(lean.x, full.x)
+        np.testing.assert_array_equal(lean.res2, full.res2)
 
     def test_a_norm_error_monotone(self):
         rng = np.random.default_rng(2)

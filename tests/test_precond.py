@@ -208,6 +208,35 @@ class TestPreconditionerApply:
         np.testing.assert_allclose(via_split, P.apply_inverse(x), rtol=1e-11, atol=1e-13)
 
 
+class TestMiddleSolve:
+    def test_rank_zero_is_a_plain_scaling(self):
+        P = Preconditioner(identity_factor(6), _empty_term(6), 2.5)
+        y = np.random.default_rng(20).standard_normal(6)
+        for a in (2.5, np.sqrt(2.5)):
+            np.testing.assert_array_equal(P._middle_solve(y, a, np.ones(0)), y / a)
+
+    def test_matches_the_two_term_form(self):
+        A = make_sparse_network(50, seed=21)
+        core = error_core(A, ic0(A))
+        term = bld_truncate(core, 4)
+        P = Preconditioner(core.factor, term, 1.7)
+        y = np.random.default_rng(22).standard_normal(50)
+        V, d = term.V, 1.0 + term.D
+        t = V.T @ y
+        np.testing.assert_allclose(P._middle_solve(y, 1.7, d), (y - V @ t) / 1.7 + V @ (t / d),
+                                   rtol=1e-13, atol=1e-14)
+
+    @pytest.mark.parametrize("r", [0, 5])
+    def test_inverse_undoes_apply(self, r):
+        A = make_sparse_network(50, seed=23)
+        core = error_core(A, ic0(A))
+        term = bld_truncate(core, r)
+        P = Preconditioner(core.factor, term, optimal_alpha(core, term))
+        x = np.random.default_rng(24).standard_normal(50)
+        back = P.apply_inverse(P.apply(x))
+        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+
+
 class TestBlockRightHandSides:
     def test_block_equals_columns(self):
         A = make_sparse_network(60, seed=18)

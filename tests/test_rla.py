@@ -12,7 +12,9 @@ from bld_kaporin.rla import (
     hutchinson_trace,
     slq_trace_logdet,
 )
-from bld_kaporin.synth import haar_orthogonal, make_dense_spd, random_spd
+from bld_kaporin.linalg import ic0
+from bld_kaporin.precond import Preconditioner, bld_truncate, error_core, sym_preconditioned_operator
+from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
 
 
 class TestHutchinson:
@@ -116,6 +118,36 @@ class TestSlq:
         assert r1.trace_est == r2.trace_est
         assert r1.logdet_est == r2.logdet_est
         np.testing.assert_array_equal(r1.per_probe_logdet, r2.per_probe_logdet)
+
+    def test_probe_zero_independent_of_batch_size(self):
+        # the (seed, i) contract on the package's own operator: probe 0 of a
+        # one-probe run is bit-identical to probe 0 of a seven-probe run
+        A = make_sparse_network(80, seed=19)
+        core = error_core(A, ic0(A))
+        term = bld_truncate(core, 4)
+        op = sym_preconditioned_operator(A, Preconditioner(core.factor, term, 1.0))
+        one = slq_trace_logdet(op, 80, ProbeConfig(m=12, n_v=1, seed=20))
+        seven = slq_trace_logdet(op, 80, ProbeConfig(m=12, n_v=7, seed=20))
+        assert one.per_probe_trace[0] == seven.per_probe_trace[0]
+        assert one.per_probe_logdet[0] == seven.per_probe_logdet[0]
+
+    def test_standard_errors(self):
+        A = random_spd(40, np.random.default_rng(21))
+        rep = slq_trace_logdet(lambda x: A @ x, 40, ProbeConfig(m=10, n_v=6, seed=22))
+        assert rep.breakdowns == 0
+        for stderr, per_probe in ((rep.trace_stderr, rep.per_probe_trace),
+                                  (rep.logdet_stderr, rep.per_probe_logdet)):
+            assert stderr == pytest.approx(40 * np.std(per_probe, ddof=1) / math.sqrt(6),
+                                           rel=1e-12)
+        single = slq_trace_logdet(lambda x: A @ x, 40, ProbeConfig(m=10, n_v=1, seed=22))
+        assert single.trace_stderr is None and single.logdet_stderr is None
+
+    def test_breakdowns_counted(self):
+        # every probe of a scaled identity exhausts its Krylov space at step 1
+        rep = slq_trace_logdet(lambda x: 2.0 * x, 12, ProbeConfig(m=5, n_v=3, seed=23))
+        assert rep.breakdowns == 3
+        hutch = hutchinson_trace(lambda x: 2.0 * x, 12, ProbeConfig(n_v=3, seed=23))
+        assert hutch.breakdowns == 0 and hutch.logdet_stderr is None
 
     def test_monotone_accuracy_in_m(self):
         spec = np.linspace(0.5, 5.0, 100)
