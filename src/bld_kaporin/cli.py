@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -51,9 +50,11 @@ def _add_matrix_flags(p):
 def _add_precond_flags(p):
     p.add_argument("--factor", choices=["ic0", "exact", "identity"], default="ic0")
     p.add_argument("--rank", type=int, default=None, help="low-rank correction size (default n/10)")
+
+
+def _add_alpha_flag(p):
     p.add_argument("--alpha", type=float, default=None,
                    help="complement scaling (default: the optimal value)")
-    p.add_argument("--truncation", choices=["bld", "tsvd"], default="bld")
 
 
 def build_parser() -> _Parser:
@@ -66,6 +67,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("precondition", help="build the low-rank corrected preconditioner")
     _add_matrix_flags(p)
     _add_precond_flags(p)
+    _add_alpha_flag(p)
+    p.add_argument("--truncation", choices=["bld", "tsvd"], default="bld")
     p.add_argument("--out", help="JSON summary path")
 
     p = sub.add_parser("sweep-alpha", help="tabulate kappa2/divergence/ln K over alpha")
@@ -79,6 +82,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run instrumented PCG and the bound overlay")
     _add_matrix_flags(p)
     _add_precond_flags(p)
+    _add_alpha_flag(p)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out", help="CSV output path for the per-iteration table")
@@ -89,8 +93,6 @@ def build_parser() -> _Parser:
     p.add_argument("--n-min", type=int, default=10)
     p.add_argument("--n-max", type=int, default=60)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None,
-                   help="trial parallelism (falls back to BLD_KAPORIN_THREADS)")
     p.add_argument("--out", help="JSON report path")
 
     p = sub.add_parser("estimate", help="randomized estimates vs exact quantities")
@@ -121,6 +123,8 @@ def _resolve_matrix(args):
     synthetic = getattr(args, "synthetic", None)
     if synthetic is None:
         raise UsageError("either --matrix or --synthetic is required")
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     if synthetic == "network":
         return make_sparse_network(args.n, seed=args.seed)
     if synthetic == "uniform":
@@ -135,6 +139,8 @@ def _resolve_matrix(args):
         except ValueError as exc:
             raise UsageError(f"--clusters expects value:multiplicity[,...], "
                              f"got {args.clusters!r}") from exc
+        if min(mults) < 0:
+            raise UsageError(f"--clusters multiplicities must be >= 0, got {args.clusters!r}")
         if sum(mults) != args.n:
             raise UsageError("cluster multiplicities must sum to --n")
         spec = SyntheticSpec(args.n, "clustered", (values, mults), basis_seed=args.seed)
@@ -237,12 +243,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("BLD_KAPORIN_THREADS", "1"))
-    report = harness.verify_theorems(
-        args.trials, (args.n_min, args.n_max), args.seed, threads=threads
-    )
+    report = harness.verify_theorems(args.trials, (args.n_min, args.n_max), args.seed)
     for name, res in report["results"].items():
         status = "pass" if res["pass"] else "FAIL"
         print(f"{status}  {name:32s} worst={res['worst']:.3e} tol={res['tol']:.1e}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,6 @@ class ExperimentSpec:
     pcg: pg.SolveConfig = field(default_factory=pg.SolveConfig)
     probes: rla.ProbeConfig = field(default_factory=rla.ProbeConfig)
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
         if self.factor not in ("ic0", "exact", "identity"):
@@ -87,10 +85,14 @@ def load_matrix(source) -> SparseSymMatrix:
 
 def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
                          alpha: float | None = None, truncation: str = "bld"):
-    """Factor A, eigendecompose the error core, truncate, and assemble P_alpha.
+    """Factor A, eigendecompose the error core, truncate by `truncation`
+    ("bld" or "tsvd"), and assemble P_alpha; alpha defaults to alpha_star.
 
     Returns (core, term, preconditioner, alpha_star).
     """
+    truncate = {"bld": pc.bld_truncate, "tsvd": pc.tsvd_truncate}.get(truncation)
+    if truncate is None:
+        raise DomainError(f"unknown truncation {truncation!r}")
     if factor == "ic0":
         Q = ic0(A)
     elif factor == "exact":
@@ -101,10 +103,9 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
         raise DomainError(f"unknown factor kind {factor!r}")
     core = pc.error_core(A, Q)
     r = rank if rank is not None else -(-A.n // 10)
-    truncate = pc.bld_truncate if truncation == "bld" else pc.tsvd_truncate
     term = truncate(core, r)
     alpha_star = pc.optimal_alpha(core, term)
-    P = pc.Preconditioner(Q, term, alpha if alpha is not None else 1.0)
+    P = pc.Preconditioner(Q, term, alpha if alpha is not None else alpha_star)
     return core, term, P, alpha_star
 
 
@@ -167,11 +168,13 @@ def _trial_matrices(rng: np.random.Generator, n: int):
     return A, P
 
 
-def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0, threads: int = 1):
+def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
     """Run every divergence/preconditioner invariant battery.
 
-    Failures are data: the report carries per-battery pass flags and the
-    worst violation magnitudes; nothing raises on a miss.
+    Trial t draws its order and matrices from SeedSequence([seed, t]) and
+    the trials run one after another.  Failures are data: the report
+    carries per-battery pass flags and the worst violation magnitudes;
+    nothing raises on a miss.
     """
     if trials < 1:
         raise DomainError("trials >= 1 required")
@@ -286,11 +289,7 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0, threads: int =
         worst["dense_vs_spectral_divergence"] = abs(dense_d - d_star) / max(d_star, 1e-12)
         return worst
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_trial, range(trials)))
-    else:
-        results = [one_trial(t) for t in range(trials)]
+    results = [one_trial(t) for t in range(trials)]
 
     worst_all = {k: max(r[k] for r in results) for k in tols}
     batteries = {
@@ -318,9 +317,8 @@ def bound_overlay(spec: ExperimentSpec):
     """
     A = load_matrix(spec.matrix)
     n = A.n
-    core, term, _, alpha_star = build_preconditioner(A, spec.factor, spec.rank)
-    alpha = spec.alpha if spec.alpha is not None else alpha_star
-    P = pc.Preconditioner(core.factor, term, alpha)
+    core, term, P, _ = build_preconditioner(A, spec.factor, spec.rank, spec.alpha)
+    alpha = P.alpha
 
     kap2 = pc.kappa2_alpha(core, term, alpha)
     ln_k = pc.ln_kaporin_alpha(core, term, alpha)
@@ -331,13 +329,7 @@ def bound_overlay(spec: ExperimentSpec):
     rng = np.random.default_rng(spec.seed)
     x_true = rng.standard_normal(n)
     b = A.matvec(x_true)
-    cfg = pg.SolveConfig(
-        tol=spec.pcg.tol,
-        max_iter=spec.pcg.max_iter,
-        track_pinv_norm=True,
-        known_solution=x_true,
-        record_history=True,
-    )
+    cfg = pg.SolveConfig(tol=spec.pcg.tol, max_iter=spec.pcg.max_iter, known_solution=x_true)
     report = pg.pcg_solve(A, b, P, cfg)
 
     rel2 = report.rel_res2()
@@ -539,7 +531,7 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
     n = A.n
     if n > 2000:
         raise DomainError("exact reference limited to n <= 2000")
-    core, term, P_one, alpha_star = build_preconditioner(A, spec.factor, spec.rank)
+    core, term, P_one, alpha_star = build_preconditioner(A, spec.factor, spec.rank, 1.0)
     r = term.r
     remaining = 1.0 + term.remaining(core)
     trace_exact = r + float(np.sum(remaining))

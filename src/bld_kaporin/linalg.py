@@ -205,12 +205,13 @@ def identity_factor(n: int) -> LowerTriFactor:
     return LowerTriFactor(n=n, kind="identity", values=sp.identity(n, format="csr"))
 
 
-def ic0(A: SparseSymMatrix, beta0=1e-3, beta_max=1.0) -> LowerTriFactor:
+def ic0(A: SparseSymMatrix) -> LowerTriFactor:
     """Zero-fill incomplete Cholesky on the lower-triangle pattern of A.
 
     On pivot breakdown the factorization restarts on A + beta*diag(A)
-    with beta doubling from `beta0`; the shift that succeeded is recorded
-    on the factor.  Persisting past `beta_max` raises FactorizationError.
+    with beta doubling from 1e-3; the shift that succeeded is recorded
+    on the factor.  Breakdown persisting past beta = 1 raises
+    FactorizationError.
     """
     if not isinstance(A, SparseSymMatrix):
         A = SparseSymMatrix.from_dense(A)
@@ -221,9 +222,9 @@ def ic0(A: SparseSymMatrix, beta0=1e-3, beta_max=1.0) -> LowerTriFactor:
         L = _ic0_attempt(A, beta)
         if L is not None:
             return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
-        beta = beta0 if beta == 0.0 else 2.0 * beta
-        if beta > beta_max:
-            raise FactorizationError(f"ic0 breakdown persists past shift {beta_max}")
+        beta = 1e-3 if beta == 0.0 else 2.0 * beta
+        if beta > 1.0:
+            raise FactorizationError("ic0 breakdown persists past shift 1.0")
 
 
 def _ic0_attempt(A: SparseSymMatrix, beta: float):
@@ -314,11 +315,11 @@ def tri_solve(L: LowerTriFactor, b, mode="forward"):
     return L._lu.solve(np.asarray(b, dtype=np.float64), trans="N" if mode == "forward" else "T")
 
 
-def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
+def lanczos(apply, v0, m) -> LanczosResult:
     """Symmetric Lanczos tridiagonalization from a unit starting vector.
 
-    `apply` must implement a symmetric operator on n-vectors.  Full
-    reorthogonalization is the default.  beta falling below
+    `apply` must implement a symmetric operator on n-vectors.  Every step
+    runs full reorthogonalization against the kept basis.  beta falling below
     1e-12 * (running norm estimate) truncates the run and sets the
     breakdown flag; a non-finite alpha or beta raises DomainError.
 
@@ -355,11 +356,10 @@ def lanczos(apply, v0, m, reorthogonalize=True) -> LanczosResult:
         # out of place first: apply may return its argument or an array it keeps
         w = w - alpha * vk
         w -= beta_prev * v_prev
-        if reorthogonalize:
-            # two classical Gram-Schmidt sweeps against the kept rows
-            kept = basis[: k + 1]
-            for _ in range(2):
-                w -= (kept @ w) @ kept
+        # two classical Gram-Schmidt sweeps against the kept rows
+        kept = basis[: k + 1]
+        for _ in range(2):
+            w -= (kept @ w) @ kept
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)
         k_done = k + 1

@@ -45,17 +45,13 @@ class SolveConfig:
     """Knobs for one PCG run.
 
     max_iter defaults to 10n.  known_solution enables A-norm error
-    tracking.  record_history=False keeps the iteration count, the final
-    iterate and the 2-norm residuals the stopping test computes anyway;
-    the P^-1-norm residuals and the A-norm errors (one extra A product
-    per iteration) are then not computed at all.
+    tracking, at one extra A product per iteration (and one at the
+    start); without it a run spends exactly one A product per iteration.
     """
 
     tol: float = 1e-10
     max_iter: int | None = None
-    track_pinv_norm: bool = True
     known_solution: np.ndarray | None = None
-    record_history: bool = True
 
     def __post_init__(self):
         if self.tol <= 0.0:
@@ -66,21 +62,23 @@ class SolveConfig:
 
 @dataclass
 class SolveReport:
-    """History of one PCG run; index k = 0 holds the initial norms."""
+    """History of one PCG run; index k = 0 holds the initial norms.
+
+    res2 and res_pinv (the P^-1-norm residuals) are always recorded;
+    err_a (the A-norm errors) only when a known solution was supplied.
+    """
 
     iterations: int
     converged: bool
     x: np.ndarray
     res2: np.ndarray
-    res_pinv: np.ndarray | None = None
+    res_pinv: np.ndarray
     err_a: np.ndarray | None = None
 
     def rel_res2(self) -> np.ndarray:
         return self.res2 / self.res2[0] if self.res2[0] != 0 else self.res2
 
     def rel_res_pinv(self) -> np.ndarray:
-        if self.res_pinv is None:
-            raise ValueError("P^-1 norm was not tracked")
         return self.res_pinv / self.res_pinv[0] if self.res_pinv[0] != 0 else self.res_pinv
 
     def rel_err_a(self) -> np.ndarray:
@@ -135,13 +133,11 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     stop = cfg.tol * norm_b
 
     res2 = [float(np.linalg.norm(r))]
-    res_pinv = err_a = None
-    if cfg.record_history:
-        if cfg.track_pinv_norm:
-            res_pinv = [math.sqrt(max(rho, 0.0))]
-        if cfg.known_solution is not None:
-            xs = np.asarray(cfg.known_solution, dtype=np.float64)
-            err_a = [_a_norm(matvec, xs - x)]
+    res_pinv = [math.sqrt(max(rho, 0.0))]
+    err_a = None
+    if cfg.known_solution is not None:
+        xs = np.asarray(cfg.known_solution, dtype=np.float64)
+        err_a = [_a_norm(matvec, xs - x)]
 
     converged = res2[0] <= stop
     k = 0
@@ -163,8 +159,7 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
             err_a.append(_a_norm(matvec, xs - x))
         z = apply_h(r)
         rho_next = float(r @ z)
-        if res_pinv is not None:
-            res_pinv.append(math.sqrt(max(rho_next, 0.0)))
+        res_pinv.append(math.sqrt(max(rho_next, 0.0)))
         converged = res2[-1] <= stop
         if not converged:
             beta = rho_next / rho
@@ -184,7 +179,7 @@ def _finish(x, k, converged, res2, res_pinv, err_a) -> SolveReport:
         converged=converged,
         x=x,
         res2=np.asarray(res2),
-        res_pinv=None if res_pinv is None else np.asarray(res_pinv),
+        res_pinv=np.asarray(res_pinv),
         err_a=None if err_a is None else np.asarray(err_a),
     )
 

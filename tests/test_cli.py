@@ -48,6 +48,30 @@ class TestExitCodes:
         assert rc == 1
         assert "--clusters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["network", "--n", "0"], "--n"),
+        (["network", "--n", "-5"], "--n"),
+        (["clustered", "--n", "4", "--clusters", "1:-2,2:6"], "--clusters"),
+    ])
+    def test_synthetic_size_out_of_range_is_usage_error(self, flags, named, capsys):
+        assert run(["precondition", "--synthetic", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert named in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-alpha", "--alpha", "2.0"],
+        ["estimate", "--alpha", "2.0"],
+        ["sweep-alpha", "--truncation", "tsvd"],
+        ["solve", "--truncation", "tsvd"],
+        ["estimate", "--truncation", "tsvd"],
+        ["verify", "--threads", "2"],
+    ])
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, argv, capsys):
+        matrix = [] if argv[0] == "verify" else ["--synthetic", "network", "--n", "30"]
+        assert run([*argv, *matrix]) == 1
+        assert argv[1] in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log"])
     def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -145,9 +169,14 @@ class TestSolveVerifyEstimate:
         assert rc == 0
         assert json.loads(out.read_text())["truncation"] == "tsvd"
 
-    def test_threads_env_fallback(self, monkeypatch, capsys):
-        monkeypatch.setenv("BLD_KAPORIN_THREADS", "2")
-        assert run(["verify", "--trials", "3", "--seed", "4"]) == 0
+    def test_precondition_alpha_defaults_to_alpha_star(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["precondition", "--synthetic", "network", "--n", "60", "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["alpha"] == summary["alpha_star"] != 1.0
+        assert run(["precondition", "--synthetic", "network", "--n", "60", "--alpha", "2.5",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["alpha"] == 2.5
 
     def test_spec_json_overrides_flags(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -190,6 +219,15 @@ class TestSpec:
         for bad in ({"n": "thirty"}, {"factor": "lu"}):
             spec.write_text(json.dumps({"synthetic": "network", **bad}))
             assert run(["precondition", "--spec", str(spec)]) == 1
+
+    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"truncation": "tsvd"}))
+        out = tmp_path / "s.csv"
+        assert run(["solve", "--synthetic", "network", "--n", "60", "--spec", str(spec),
+                    "--out", str(out)]) == 1
+        assert "--truncation" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_object_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

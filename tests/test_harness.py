@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     ExperimentSpec,
     alpha_sensitivity,
     bound_overlay,
+    build_preconditioner,
     emit,
     error_order_study,
     estimator_study,
@@ -17,6 +19,19 @@ from bld_kaporin.harness import (
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.rla import ProbeConfig
 from bld_kaporin.synth import SyntheticSpec, make_sparse_network
+
+
+class TestBuildPreconditioner:
+    def test_alpha_defaults_to_alpha_star(self):
+        A = make_sparse_network(60, seed=2)
+        _, _, P, alpha_star = build_preconditioner(A, "ic0", 6)
+        assert P.alpha == alpha_star != 1.0
+        assert build_preconditioner(A, "ic0", 6, 1.0)[2].alpha == 1.0
+
+    @pytest.mark.parametrize("truncation", ["BLD", "svd", ""])
+    def test_unknown_truncation_rejected(self, truncation):
+        with pytest.raises(DomainError, match="truncation"):
+            build_preconditioner(make_sparse_network(30, seed=2), "ic0", 3, truncation=truncation)
 
 
 class TestSweepAlpha:
@@ -83,11 +98,6 @@ class TestVerifyTheorems:
             "bld_beats_tsvd",
             "dual_identity",
         }
-
-    def test_threaded_matches_serial(self):
-        serial = verify_theorems(6, (10, 25), seed=6, threads=1)
-        threaded = verify_theorems(6, (10, 25), seed=6, threads=4)
-        assert serial["results"] == threaded["results"]
 
     def test_trials_domain(self):
         with pytest.raises(Exception):

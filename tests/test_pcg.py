@@ -71,18 +71,19 @@ class TestSolver:
 
         monkeypatch.setattr(SparseSymMatrix, "matvec", counting)
         runs = {}
-        for history in (True, False):
+        for known in (x_true, None):
             calls.clear()
-            cfg = SolveConfig(known_solution=x_true, record_history=history)
-            runs[history] = (pcg_solve(A, b, config=cfg), len(calls))
+            rep = pcg_solve(A, b, config=SolveConfig(known_solution=known))
+            runs[known is not None] = (rep, len(calls))
         (full, full_calls), (lean, lean_calls) = runs[True], runs[False]
-        # one A product per iteration; the history adds one per A-norm error
+        # one A product per iteration; a known solution adds one per A-norm error
         assert lean_calls == lean.iterations
         assert full_calls == 2 * full.iterations + 1
-        assert lean.res_pinv is None and lean.err_a is None
+        assert lean.err_a is None
         assert lean.iterations == full.iterations
         np.testing.assert_array_equal(lean.x, full.x)
         np.testing.assert_array_equal(lean.res2, full.res2)
+        np.testing.assert_array_equal(lean.res_pinv, full.res_pinv)
 
     def test_a_norm_error_monotone(self):
         rng = np.random.default_rng(2)
