@@ -14,7 +14,6 @@ import sys
 
 import numpy as np
 
-from . import divergence as dv
 from . import harness, pcg, precond, rla
 from .errors import DomainError
 from .linalg import cholesky
@@ -48,8 +47,9 @@ def _add_matrix_flags(p):
 
 
 def _add_precond_flags(p):
-    p.add_argument("--factor", choices=["ic0", "exact", "identity"], default="ic0")
-    p.add_argument("--rank", type=int, default=None, help="low-rank correction size (default n/10)")
+    p.add_argument("--factor", choices=list(harness.FACTORS), default="ic0")
+    p.add_argument("--rank", type=int, default=None,
+                   help="low-rank correction size (default ceil(n/10), at most n - 1)")
 
 
 def _add_alpha_flag(p):
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     _add_matrix_flags(p)
     _add_precond_flags(p)
     _add_alpha_flag(p)
-    p.add_argument("--truncation", choices=["bld", "tsvd"], default="bld")
+    p.add_argument("--truncation", choices=list(harness.TRUNCATIONS), default="bld")
     p.add_argument("--out", help="JSON summary path")
 
     p = sub.add_parser("sweep-alpha", help="tabulate kappa2/divergence/ln K over alpha")

@@ -38,15 +38,18 @@ __all__ = [
 
 EPS_LEVELS = (1e-2, 1e-6, 1e-10)
 
+FACTORS = {"ic0": ic0, "exact": cholesky, "identity": lambda A: identity_factor(A.n)}
+TRUNCATIONS = {"bld": pc.bld_truncate, "tsvd": pc.tsvd_truncate}
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One experiment: matrix source, factor kind, rank, alpha grid, seeds.
 
     matrix may be a Matrix Market path, a SyntheticSpec, or an assembled
-    SparseSymMatrix.  rank defaults to ceil(n/10).  alpha_grid is
-    (min, max, count, "log"|"linear"); None derives the default grid
-    around alpha_star.
+    SparseSymMatrix; factor a key of FACTORS.  rank defaults to ceil(n/10),
+    at most n - 1.  alpha_grid is (min, max, count, "log"|"linear"); None
+    derives the default grid around alpha_star.
     """
 
     matrix: object
@@ -59,7 +62,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.factor not in ("ic0", "exact", "identity"):
+        if self.factor not in FACTORS:
             raise DomainError(f"unknown factor kind {self.factor!r}")
         if self.alpha_grid is not None:
             amin, amax, count, scale = self.alpha_grid
@@ -85,27 +88,21 @@ def load_matrix(source) -> SparseSymMatrix:
 
 def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
                          alpha: float | None = None, truncation: str = "bld"):
-    """Factor A, eigendecompose the error core, truncate by `truncation`
-    ("bld" or "tsvd"), and assemble P_alpha; alpha defaults to alpha_star.
+    """Factor A by FACTORS[factor], eigendecompose the error core, keep
+    rank (default ceil(n/10), at most n - 1) eigenpairs by
+    TRUNCATIONS[truncation], and assemble P_alpha (alpha default alpha_star).
 
     Returns (core, term, preconditioner, alpha_star).
     """
-    truncate = {"bld": pc.bld_truncate, "tsvd": pc.tsvd_truncate}.get(truncation)
-    if truncate is None:
+    if truncation not in TRUNCATIONS:
         raise DomainError(f"unknown truncation {truncation!r}")
-    if factor == "ic0":
-        Q = ic0(A)
-    elif factor == "exact":
-        Q = cholesky(A)
-    elif factor == "identity":
-        Q = identity_factor(A.n)
-    else:
+    if factor not in FACTORS:
         raise DomainError(f"unknown factor kind {factor!r}")
-    core = pc.error_core(A, Q)
-    r = rank if rank is not None else -(-A.n // 10)
-    term = truncate(core, r)
+    core = pc.error_core(A, FACTORS[factor](A))
+    r = rank if rank is not None else min(-(-A.n // 10), A.n - 1)
+    term = TRUNCATIONS[truncation](core, r)
     alpha_star = pc.optimal_alpha(core, term)
-    P = pc.Preconditioner(Q, term, alpha if alpha is not None else alpha_star)
+    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else alpha_star)
     return core, term, P, alpha_star
 
 
@@ -162,12 +159,6 @@ def sweep_alpha(spec: ExperimentSpec):
 # Theorem verification
 
 
-def _trial_matrices(rng: np.random.Generator, n: int):
-    A = random_spd(n, rng)
-    P = random_spd(n, rng)
-    return A, P
-
-
 def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
     """Run every divergence/preconditioner invariant battery.
 
@@ -202,7 +193,7 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         worst = {k: 0.0 for k in tols}
-        A, P = _trial_matrices(rng, n)
+        A, P = random_spd(n, rng), random_spd(n, rng)
 
         d = dv.bregman_logdet(A, P)
         worst["nonnegativity"] = max(worst["nonnegativity"], -d)
@@ -323,7 +314,7 @@ def bound_overlay(spec: ExperimentSpec):
     kap2 = pc.kappa2_alpha(core, term, alpha)
     ln_k = pc.ln_kaporin_alpha(core, term, alpha)
     d_ld = pc.divergence_alpha(core, term, alpha)
-    trace_m = term.r + float(np.sum(1.0 + term.remaining(core))) / alpha
+    trace_m, _ = core.rest(term).trace_logdet(alpha)
     trace_normalized = abs(trace_m - n) <= 1e-8 * n
 
     rng = np.random.default_rng(spec.seed)
@@ -533,9 +524,7 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
         raise DomainError("exact reference limited to n <= 2000")
     core, term, P_one, alpha_star = build_preconditioner(A, spec.factor, spec.rank, 1.0)
     r = term.r
-    remaining = 1.0 + term.remaining(core)
-    trace_exact = r + float(np.sum(remaining))
-    logdet_exact = float(np.sum(np.log(remaining)))
+    trace_exact, logdet_exact = core.rest(term).trace_logdet(1.0)
     ln_k_exact = pc.ln_kaporin_alpha(core, term, 1.0)
     d_exact = pc.divergence_alpha(core, term, alpha_star)
 

@@ -16,6 +16,7 @@ Kaporin condition number of the preconditioned matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .matio import SparseSymMatrix
 
 __all__ = [
     "ErrorCore",
+    "RestStats",
     "LowRankTerm",
     "Preconditioner",
     "error_core",
@@ -61,6 +63,32 @@ class ErrorCore:
     def thetas(self) -> np.ndarray:
         return self.eig.values
 
+    def rest(self, term: LowRankTerm) -> RestStats:
+        """Statistics of the 1 + theta that term leaves unselected."""
+        rest = 1.0 + np.delete(self.thetas, term.selection)
+        if rest.size == 0:
+            raise RankError("rank equals the order: no remaining spectrum")
+        return RestStats(self.n, self.n - rest.size, float(np.sum(rest)),
+                         float(np.sum(np.log(rest))), float(rest.min()), float(rest.max()))
+
+
+@dataclass(frozen=True)
+class RestStats:
+    """Count n - r, sum, log-sum, min and max of a core's unselected 1 + theta."""
+
+    n: int
+    r: int
+    total: float
+    logsum: float
+    lo: float
+    hi: float
+
+    def trace_logdet(self, alpha: float) -> tuple[float, float]:
+        """Trace and log det of P_alpha^-1 A: eigenvalues 1 (r times), (1 + theta)/alpha."""
+        if alpha <= 0.0:
+            raise DomainError("alpha must be positive")
+        return self.r + self.total / alpha, self.logsum - (self.n - self.r) * math.log(alpha)
+
 
 @dataclass(frozen=True)
 class LowRankTerm:
@@ -74,12 +102,6 @@ class LowRankTerm:
     V: np.ndarray
     D: np.ndarray
     selection: np.ndarray
-
-    def remaining(self, core: ErrorCore) -> np.ndarray:
-        """Unselected eigenvalues of the core, in eigendecomposition order."""
-        mask = np.ones(core.n, dtype=bool)
-        mask[self.selection] = False
-        return core.thetas[mask]
 
 
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
@@ -103,7 +125,11 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     return ErrorCore(n=n, eig=eig, gamma_order=order, factor=Q)
 
 
-def _take(core: ErrorCore, selection: np.ndarray, r: int) -> LowRankTerm:
+def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
+    r = int(r)
+    if not 0 <= r < core.n:
+        raise RankError(f"rank must satisfy 0 <= r < {core.n}")
+    selection = order[:r]
     return LowRankTerm(
         r=r,
         V=core.eig.vectors_at(selection),
@@ -114,10 +140,7 @@ def _take(core: ErrorCore, selection: np.ndarray, r: int) -> LowRankTerm:
 
 def bld_truncate(core: ErrorCore, r: int) -> LowRankTerm:
     """Keep the r eigenpairs whose eigenvalues are largest under gamma."""
-    r = int(r)
-    if not 0 <= r < core.n:
-        raise RankError(f"rank must satisfy 0 <= r < {core.n}")
-    return _take(core, core.gamma_order[:r], r)
+    return _take(core, core.gamma_order, r)
 
 
 def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
@@ -125,19 +148,14 @@ def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
 
     Ties break toward the positive eigenvalue, then the lower index.
     """
-    r = int(r)
-    if not 0 <= r < core.n:
-        raise RankError(f"rank must satisfy 0 <= r < {core.n}")
     th = core.thetas
-    order = np.lexsort((np.arange(core.n), -np.sign(th), -np.abs(th)))
-    return _take(core, order[:r], r)
+    return _take(core, np.lexsort((np.arange(core.n), -np.sign(th), -np.abs(th))), r)
 
 
 def optimal_alpha(core: ErrorCore, term: LowRankTerm) -> float:
     """Divergence-minimizing complement scaling: mean of unselected 1+theta."""
-    if term.r >= core.n:
-        raise RankError("rank must be below the order")
-    return float(np.mean(1.0 + term.remaining(core)))
+    rest = core.rest(term)
+    return rest.total / (rest.n - rest.r)
 
 
 @dataclass(frozen=True)
@@ -218,29 +236,23 @@ class Preconditioner:
 
 
 def divergence_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
-    """Divergence of (A, P_alpha): sum of gamma((1+theta_i)/alpha - 1) over
-    the unselected indices.  Selected indices contribute zero."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    ratios = (1.0 + term.remaining(core)) / alpha
-    # each summand is >= 0; the sum can round to -1e-16 near an exact factor
-    return max(0.0, float(np.sum(ratios - np.log(ratios) - 1.0)))
+    """Divergence of (A, P_alpha): trace - log det - n of P_alpha^-1 A, the
+    sum of gamma((1+theta_i)/alpha - 1) over the unselected indices."""
+    tr, ld = core.rest(term).trace_logdet(alpha)
+    # the divergence is >= 0; the difference can round to -1e-16 near an exact factor
+    return max(0.0, tr - ld - core.n)
 
 
 def ln_kaporin_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
-    """ln K of P_alpha^-1 A from its exact spectrum {1 (x r)} u {(1+theta)/alpha}."""
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    spec = np.concatenate((np.ones(term.r), (1.0 + term.remaining(core)) / alpha))
-    return max(0.0, ln_kaporin_k(float(np.sum(spec)), float(np.sum(np.log(spec))), core.n))
+    """ln K of P_alpha^-1 A from its trace and log det."""
+    tr, ld = core.rest(term).trace_logdet(alpha)
+    return max(0.0, ln_kaporin_k(tr, ld, core.n))
 
 
 def flat_interval(core: ErrorCore, term: LowRankTerm) -> tuple[float, float]:
     """[min, max] of the unselected 1+theta: the kappa2-flat alpha range."""
-    rem = 1.0 + term.remaining(core)
-    if rem.size == 0:
-        raise RankError("rank equals the order: no remaining spectrum")
-    return float(rem.min()), float(rem.max())
+    rest = core.rest(term)
+    return rest.lo, rest.hi
 
 
 def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:

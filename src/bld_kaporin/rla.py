@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .divergence import ln_kaporin_k as approx_ln_kaporin  # n ln(tr_hat/n) - Gamma
 from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
 
@@ -157,13 +158,6 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         config=cfg,
         breakdowns=breakdowns,
     )
-
-
-def approx_ln_kaporin(trace_est: float, logdet_est: float, n: int) -> float:
-    """Plug-in surrogate n ln(tr_hat/n) - Gamma for ln K(M)."""
-    if trace_est <= 0.0:
-        raise DomainError("trace estimate must be positive")
-    return float(n * np.log(trace_est / n) - logdet_est)
 
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:

@@ -289,9 +289,10 @@ def test_criterion_07_bld_beats_tsvd():
         for r in range(n):
             bld = pc.bld_truncate(core, r)
             tsvd = pc.tsvd_truncate(core, r)
-            # with aligned eigenspaces each unselected index contributes
-            # exactly gamma(theta_i), so this evaluation carries no rounding
-            # beyond the core itself
+            # with aligned eigenspaces the divergence is the sum of
+            # gamma(theta_i) over the unselected indices, read here as
+            # trace - log det - n from the sums of the unselected 1 + theta;
+            # beyond the core it carries only the rounding of those two sums
             worst = max(
                 worst,
                 pc.divergence_alpha(core, bld, 1.0) - pc.divergence_alpha(core, tsvd, 1.0),

@@ -72,6 +72,14 @@ class TestExitCodes:
         assert run([*argv, *matrix]) == 1
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["precondition", "--factor", "ic1"],
+        ["precondition", "--truncation", "svd"],
+    ])
+    def test_unknown_factor_or_truncation_is_usage_error(self, argv, capsys):
+        assert run([*argv, "--synthetic", "network", "--n", "30"]) == 1
+        assert argv[1] in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log"])
     def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -177,6 +185,17 @@ class TestSolveVerifyEstimate:
         assert run(["precondition", "--synthetic", "network", "--n", "60", "--alpha", "2.5",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["alpha"] == 2.5
+
+    def test_precondition_order_one_defaults_to_rank_zero(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["precondition", "--synthetic", "network", "--n", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rank"] == 0
+
+    def test_precondition_identity_factor(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        assert run(["precondition", "--synthetic", "network", "--n", "30", "--factor", "identity",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["factor"] == "identity"
 
     def test_spec_json_overrides_flags(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

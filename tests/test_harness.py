@@ -6,6 +6,7 @@ import pytest
 
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
+    FACTORS,
     ExperimentSpec,
     alpha_sensitivity,
     bound_overlay,
@@ -32,6 +33,24 @@ class TestBuildPreconditioner:
     def test_unknown_truncation_rejected(self, truncation):
         with pytest.raises(DomainError, match="truncation"):
             build_preconditioner(make_sparse_network(30, seed=2), "ic0", 3, truncation=truncation)
+
+
+    @pytest.mark.parametrize("factor", sorted(FACTORS))
+    def test_every_factor_kind_builds(self, factor):
+        core, term, P, alpha_star = build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
+        assert term.r == 3 and P.factor is core.factor and alpha_star > 0.0
+
+    @pytest.mark.parametrize("factor", ["IC0", "ic1", ""])
+    def test_unknown_factor_rejected(self, factor):
+        with pytest.raises(DomainError, match="factor"):
+            build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
+        with pytest.raises(DomainError, match="factor"):
+            ExperimentSpec(matrix=make_sparse_network(30, seed=2), factor=factor)
+
+    @pytest.mark.parametrize("n, rank", [(1, 0), (2, 1), (10, 1), (11, 2)])
+    def test_default_rank_is_below_the_order(self, n, rank):
+        _, term, _, _ = build_preconditioner(make_sparse_network(n, seed=2), "ic0", None)
+        assert term.r == rank
 
 
 class TestSweepAlpha:

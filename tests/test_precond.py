@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bld_kaporin.divergence import bregman_logdet, gamma_map
+from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor
 from bld_kaporin.precond import (
+    LowRankTerm,
     Preconditioner,
+    RestStats,
     bld_truncate,
     divergence_alpha,
     error_core,
@@ -317,6 +319,79 @@ class TestAlphaFunctionals:
             divergence_alpha(self.core, self.term, 0.0)
         with pytest.raises(DomainError):
             ln_kaporin_alpha(self.core, self.term, -1.0)
+
+
+def _masked_rest(core, term):
+    """The unselected 1 + theta by an explicit mask, the reference for rest()."""
+    mask = np.ones(core.n, dtype=bool)
+    mask[term.selection] = False
+    return 1.0 + core.thetas[mask]
+
+
+def _per_index_functionals(core, term, alpha):
+    """alpha*, D, ln K, [l, L] and kappa2 summed index by index over the
+    masked spectrum: the evaluation the closed forms over RestStats replace."""
+    rem = _masked_rest(core, term)
+    ratios = rem / alpha
+    spec = np.concatenate((np.ones(term.r), ratios))
+    lo, hi = float(rem.min()), float(rem.max())
+    return {
+        "alpha_star": float(np.mean(rem)),
+        "d_ld": max(0.0, float(np.sum(ratios - np.log(ratios) - 1.0))),
+        "ln_k": max(0.0, ln_kaporin_k(float(np.sum(spec)), float(np.sum(np.log(spec))), core.n)),
+        "interval": (lo, hi),
+        "kappa2": max(1.0, hi / alpha) / min(1.0, lo / alpha),
+    }
+
+
+class TestRestStats:
+    def setup_method(self):
+        A = make_sparse_network(80, seed=23)
+        self.core = error_core(A, ic0(A))
+
+    @pytest.mark.parametrize("truncate", [bld_truncate, tsvd_truncate])
+    @pytest.mark.parametrize("r", [0, 79])
+    def test_matches_masked_eigenvalues(self, truncate, r):
+        term = truncate(self.core, r)
+        rest = self.core.rest(term)
+        oracle = _masked_rest(self.core, term)
+        assert isinstance(rest, RestStats)
+        assert (rest.n, rest.r) == (80, r) and oracle.size == 80 - r
+        assert rest.total == pytest.approx(float(np.sum(oracle)), rel=1e-12)
+        assert rest.logsum == pytest.approx(float(np.sum(np.log(oracle))), rel=1e-12)
+        assert (rest.lo, rest.hi) == (oracle.min(), oracle.max())
+
+    def test_nothing_unselected_is_rank_error(self):
+        n = self.core.n
+        every = LowRankTerm(r=n, V=np.zeros((n, n)), D=np.zeros(n), selection=np.arange(n))
+        with pytest.raises(RankError):
+            self.core.rest(every)
+        with pytest.raises(RankError):
+            optimal_alpha(self.core, every)
+
+    def test_alpha_star_gives_trace_n(self):
+        for r in (0, 8, 40, 79):
+            term = bld_truncate(self.core, r)
+            tr, _ = self.core.rest(term).trace_logdet(optimal_alpha(self.core, term))
+            assert abs(tr - 80) <= 1e-12 * 80
+
+    def test_trace_logdet_rejects_nonpositive_alpha(self):
+        rest = self.core.rest(bld_truncate(self.core, 8))
+        for alpha in (0.0, -1.0):
+            with pytest.raises(DomainError):
+                rest.trace_logdet(alpha)
+
+    def test_functionals_match_per_index_sums(self):
+        for r in (0, 8, 20):
+            term = bld_truncate(self.core, r)
+            a_star = optimal_alpha(self.core, term)
+            for alpha in (0.5 * a_star, a_star, 1.0, 2.0 * a_star):
+                ref = _per_index_functionals(self.core, term, alpha)
+                assert a_star == pytest.approx(ref["alpha_star"], rel=1e-12)
+                assert divergence_alpha(self.core, term, alpha) == pytest.approx(ref["d_ld"], rel=1e-12)
+                assert ln_kaporin_alpha(self.core, term, alpha) == pytest.approx(ref["ln_k"], rel=1e-12)
+                assert flat_interval(self.core, term) == ref["interval"]
+                assert kappa2_alpha(self.core, term, alpha) == pytest.approx(ref["kappa2"], rel=1e-12)
 
 
 class TestInvariantsOnRandomInstances:

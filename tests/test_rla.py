@@ -198,6 +198,24 @@ class TestDerivedQuantities:
         with pytest.raises(DomainError):
             approx_divergence(0.0, 0.0, 4, 2)
 
+    def test_surrogates_reproduce_exact_functionals_from_exact_inputs(self):
+        from bld_kaporin.precond import divergence_alpha, ln_kaporin_alpha, optimal_alpha
+
+        A = make_sparse_network(120, seed=19)
+        core = error_core(A, ic0(A))
+        for r in (0, 12, 60):
+            term = bld_truncate(core, r)
+            tr, ld = core.rest(term).trace_logdet(1.0)
+            a_star = optimal_alpha(core, term)
+            a_hat = approx_alpha(tr, 120, r)
+            assert a_hat == pytest.approx(a_star, rel=1e-12)
+            assert approx_divergence(ld, a_hat, 120, r) == pytest.approx(
+                divergence_alpha(core, term, a_star), rel=1e-12
+            )
+            assert approx_ln_kaporin(tr, ld, 120) == pytest.approx(
+                ln_kaporin_alpha(core, term, 1.0), rel=1e-12
+            )
+
     def test_pipeline_against_exact_on_factored_instance(self):
         from bld_kaporin.linalg import ic0
         from bld_kaporin.precond import (
