@@ -117,14 +117,20 @@ def _spec_flags(path) -> list[str]:
     return [tok for key, val in blob.items() for tok in (f"--{key.replace('_', '-')}", str(val))]
 
 
+def _require_positive(*flags) -> None:
+    """UsageError naming the first (flag, value) pair whose value is below 1."""
+    for flag, value in flags:
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _resolve_matrix(args):
     if getattr(args, "matrix", None):
         return read_matrix_market(args.matrix)
     synthetic = getattr(args, "synthetic", None)
     if synthetic is None:
         raise UsageError("either --matrix or --synthetic is required")
-    if args.n < 1:
-        raise UsageError(f"--n must be at least 1, got {args.n}")
+    _require_positive(("--n", args.n))
     if synthetic == "network":
         return make_sparse_network(args.n, seed=args.seed)
     if synthetic == "uniform":
@@ -243,6 +249,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require_positive(("--trials", args.trials), ("--n-min", args.n_min))
+    if args.n_max < args.n_min:
+        raise UsageError(f"--n-max must be at least --n-min ({args.n_min}), got {args.n_max}")
     report = harness.verify_theorems(args.trials, (args.n_min, args.n_max), args.seed)
     for name, res in report["results"].items():
         status = "pass" if res["pass"] else "FAIL"
@@ -256,6 +265,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    _require_positive(("--m", args.m), ("--nv", args.nv))
     A = _resolve_matrix(args)
     spec = _experiment_spec(args, A)
     rows, summary = harness.estimator_study(spec)

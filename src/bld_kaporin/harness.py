@@ -94,16 +94,22 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
 
     Returns (core, term, preconditioner, alpha_star).
     """
+    core, term = _select(A, factor, rank, truncation)
+    alpha_star = pc.optimal_alpha(core, term)
+    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else alpha_star)
+    return core, term, P, alpha_star
+
+
+def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str = "bld"):
+    """The error core of FACTORS[factor] and its rank-r term: the part of
+    build_preconditioner that precedes alpha."""
     if truncation not in TRUNCATIONS:
         raise DomainError(f"unknown truncation {truncation!r}")
     if factor not in FACTORS:
         raise DomainError(f"unknown factor kind {factor!r}")
     core = pc.error_core(A, FACTORS[factor](A))
     r = rank if rank is not None else min(-(-A.n // 10), A.n - 1)
-    term = TRUNCATIONS[truncation](core, r)
-    alpha_star = pc.optimal_alpha(core, term)
-    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else alpha_star)
-    return core, term, P, alpha_star
+    return core, TRUNCATIONS[truncation](core, r)
 
 
 def _alpha_grid(spec: ExperimentSpec, alpha_star, lo, hi) -> np.ndarray:
@@ -128,15 +134,17 @@ def sweep_alpha(spec: ExperimentSpec):
     divergence, and whether alpha_star sits inside the interval.
     """
     A = load_matrix(spec.matrix)
-    core, term, _, alpha_star = build_preconditioner(A, spec.factor, spec.rank)
-    lo, hi = pc.flat_interval(core, term)
+    core, term = _select(A, spec.factor, spec.rank)
+    # the statistics do not depend on alpha: one pass serves the whole grid
+    rest = core.rest(term)
+    alpha_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
     grid = _alpha_grid(spec, alpha_star, lo, hi)
     rows = [
         {
             "alpha": float(a),
-            "kappa2": pc.kappa2_alpha(core, term, float(a)),
-            "d_ld": pc.divergence_alpha(core, term, float(a)),
-            "ln_k": pc.ln_kaporin_alpha(core, term, float(a)),
+            "kappa2": rest.kappa2(float(a)),
+            "d_ld": rest.divergence(float(a)),
+            "ln_k": rest.ln_kaporin(float(a)),
         }
         for a in grid
     ]
@@ -148,7 +156,7 @@ def sweep_alpha(spec: ExperimentSpec):
         "factor_shift": core.factor.shift,
         "alpha_star": alpha_star,
         "interval": [lo, hi],
-        "d_ld_at_alpha_star": pc.divergence_alpha(core, term, alpha_star),
+        "d_ld_at_alpha_star": rest.divergence(alpha_star),
         "alpha_star_in_interval": bool(lo <= alpha_star <= hi),
     }
     _validate_rows(rows, ("alpha", "kappa2", "d_ld", "ln_k"), monotone="alpha")
@@ -169,6 +177,8 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
     """
     if trials < 1:
         raise DomainError("trials >= 1 required")
+    if not 1 <= n_range[0] <= n_range[1]:
+        raise DomainError(f"order range needs 1 <= low <= high, got {tuple(n_range)}")
     tols = {
         "nonnegativity": 1e-10,
         "identity_of_indiscernibles": 1e-9,
@@ -243,14 +253,15 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
         # factored batteries on a sparse instance
         ns = max(12, n)
         As = make_sparse_network(ns, seed=int(rng.integers(0, 2**31)))
-        core, term, _, a_star = build_preconditioner(As, "ic0", max(1, ns // 5))
-        lo, hi = pc.flat_interval(core, term)
-        d_star = pc.divergence_alpha(core, term, a_star)
+        core, term = _select(As, "ic0", max(1, ns // 5))
+        rest = core.rest(term)
+        a_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
+        d_star = rest.divergence(a_star)
         grid = np.geomspace(a_star / 4.0, a_star * 4.0, 101)
-        dvals = np.array([pc.divergence_alpha(core, term, a) for a in grid])
+        dvals = np.array([rest.divergence(a) for a in grid])
         worst["alpha_star_grid_minimum"] = max(0.0, d_star - dvals.min())
 
-        ln_k_star = pc.ln_kaporin_alpha(core, term, a_star)
+        ln_k_star = rest.ln_kaporin(a_star)
         P_star = pc.Preconditioner(core.factor, term, a_star)
         neg_logdet = -pc.preconditioned_logdet(As, P_star)
         P_one = pc.Preconditioner(core.factor, term, 1.0)
@@ -259,10 +270,9 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
         ref = max(abs(d_star), 1e-30)
         worst["four_way_identity"] = (max(four) - min(four)) / ref
 
-        kvals = [pc.kappa2_alpha(core, term, a) for a in np.linspace(lo, hi, 20)]
+        kvals = [rest.kappa2(a) for a in np.linspace(lo, hi, 20)]
         worst["kappa2_flat_interval"] = (max(kvals) - min(kvals)) / max(kvals)
-        outside_ok = (pc.kappa2_alpha(core, term, 2.0 * hi) > hi / lo
-                      and pc.kappa2_alpha(core, term, lo / 2.0) > hi / lo)
+        outside_ok = rest.kappa2(2.0 * hi) > hi / lo and rest.kappa2(lo / 2.0) > hi / lo
         if not outside_ok:
             worst["kappa2_flat_interval"] = max(worst["kappa2_flat_interval"], 1.0)
 
@@ -311,10 +321,11 @@ def bound_overlay(spec: ExperimentSpec):
     core, term, P, _ = build_preconditioner(A, spec.factor, spec.rank, spec.alpha)
     alpha = P.alpha
 
-    kap2 = pc.kappa2_alpha(core, term, alpha)
-    ln_k = pc.ln_kaporin_alpha(core, term, alpha)
-    d_ld = pc.divergence_alpha(core, term, alpha)
-    trace_m, _ = core.rest(term).trace_logdet(alpha)
+    rest = core.rest(term)
+    kap2 = rest.kappa2(alpha)
+    ln_k = rest.ln_kaporin(alpha)
+    d_ld = rest.divergence(alpha)
+    trace_m, _ = rest.trace_logdet(alpha)
     trace_normalized = abs(trace_m - n) <= 1e-8 * n
 
     rng = np.random.default_rng(spec.seed)
@@ -514,8 +525,9 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
 
     schedules is an iterable of (m, n_v); defaults to the spec's probe
     config.  Each row also carries the standard errors of the trace and
-    log-det estimates (empty for n_v = 1) and the number of probes whose
-    Lanczos run broke down.  Requires the order to stay small enough for
+    log-det estimates (empty for n_v = 1), the number of probes whose
+    Lanczos run broke down, and the number of Lanczos steps that
+    reorthogonalized.  Requires the order to stay small enough for
     the dense reference (n <= 2000).
     """
     A = load_matrix(spec.matrix)
@@ -524,9 +536,10 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
         raise DomainError("exact reference limited to n <= 2000")
     core, term, P_one, alpha_star = build_preconditioner(A, spec.factor, spec.rank, 1.0)
     r = term.r
-    trace_exact, logdet_exact = core.rest(term).trace_logdet(1.0)
-    ln_k_exact = pc.ln_kaporin_alpha(core, term, 1.0)
-    d_exact = pc.divergence_alpha(core, term, alpha_star)
+    rest = core.rest(term)
+    trace_exact, logdet_exact = rest.trace_logdet(1.0)
+    ln_k_exact = rest.ln_kaporin(1.0)
+    d_exact = rest.divergence(alpha_star)
 
     op = pc.sym_preconditioned_operator(A, P_one)
     if schedules is None:
@@ -560,6 +573,7 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
                 "trace_stderr": est.trace_stderr,
                 "logdet_stderr": est.logdet_stderr,
                 "breakdowns": est.breakdowns,
+                "reorthogonalized": est.reorthogonalized,
             }
         )
     summary = {
@@ -574,7 +588,7 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
         ("m", "n_v", "trace_exact", "trace_hat", "logdet_exact", "logdet_hat",
          "ln_k_exact", "ln_k_hat", "alpha_exact", "alpha_hat", "d_ld_exact", "d_ld_hat",
          "rel_err_ln_k", "rel_err_alpha", "rel_err_d_ld", "sign_ln_k_gap",
-         "trace_stderr", "logdet_stderr", "breakdowns"),
+         "trace_stderr", "logdet_stderr", "breakdowns", "reorthogonalized"),
         allow_none=("trace_stderr", "logdet_stderr"),
     )
     return rows, summary

@@ -74,7 +74,8 @@ class ErrorCore:
 
 @dataclass(frozen=True)
 class RestStats:
-    """Count n - r, sum, log-sum, min and max of a core's unselected 1 + theta."""
+    """Count n - r, sum, log-sum, min and max of a core's unselected 1 + theta,
+    and the alpha functionals of P_alpha as closed forms over them."""
 
     n: int
     r: int
@@ -83,11 +84,34 @@ class RestStats:
     lo: float
     hi: float
 
+    @property
+    def alpha_star(self) -> float:
+        """Divergence-minimizing complement scaling: the mean of the 1 + theta."""
+        return self.total / (self.n - self.r)
+
     def trace_logdet(self, alpha: float) -> tuple[float, float]:
         """Trace and log det of P_alpha^-1 A: eigenvalues 1 (r times), (1 + theta)/alpha."""
         if alpha <= 0.0:
             raise DomainError("alpha must be positive")
         return self.r + self.total / alpha, self.logsum - (self.n - self.r) * math.log(alpha)
+
+    def divergence(self, alpha: float) -> float:
+        """Divergence of (A, P_alpha): trace - log det - n of P_alpha^-1 A."""
+        tr, ld = self.trace_logdet(alpha)
+        # the divergence is >= 0; the difference can round to -1e-16 near an exact factor
+        return max(0.0, tr - ld - self.n)
+
+    def ln_kaporin(self, alpha: float) -> float:
+        """ln K of P_alpha^-1 A from its trace and log det."""
+        tr, ld = self.trace_logdet(alpha)
+        return max(0.0, ln_kaporin_k(tr, ld, self.n))
+
+    def kappa2(self, alpha: float) -> float:
+        """Spectral condition number of P_alpha^-1 A: max(1, hi/alpha)/min(1, lo/alpha),
+        constant (= hi/lo) for alpha in [lo, hi]."""
+        if alpha <= 0.0:
+            raise DomainError("alpha must be positive")
+        return float(max(1.0, self.hi / alpha) / min(1.0, self.lo / alpha))
 
 
 @dataclass(frozen=True)
@@ -154,8 +178,7 @@ def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
 
 def optimal_alpha(core: ErrorCore, term: LowRankTerm) -> float:
     """Divergence-minimizing complement scaling: mean of unselected 1+theta."""
-    rest = core.rest(term)
-    return rest.total / (rest.n - rest.r)
+    return core.rest(term).alpha_star
 
 
 @dataclass(frozen=True)
@@ -238,15 +261,12 @@ class Preconditioner:
 def divergence_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """Divergence of (A, P_alpha): trace - log det - n of P_alpha^-1 A, the
     sum of gamma((1+theta_i)/alpha - 1) over the unselected indices."""
-    tr, ld = core.rest(term).trace_logdet(alpha)
-    # the divergence is >= 0; the difference can round to -1e-16 near an exact factor
-    return max(0.0, tr - ld - core.n)
+    return core.rest(term).divergence(alpha)
 
 
 def ln_kaporin_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """ln K of P_alpha^-1 A from its trace and log det."""
-    tr, ld = core.rest(term).trace_logdet(alpha)
-    return max(0.0, ln_kaporin_k(tr, ld, core.n))
+    return core.rest(term).ln_kaporin(alpha)
 
 
 def flat_interval(core: ErrorCore, term: LowRankTerm) -> tuple[float, float]:
@@ -261,10 +281,7 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     Equals max(1, L/alpha)/min(1, l/alpha) with [l, L] the flat interval;
     constant (= L/l) for alpha inside it.
     """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    lo, hi = flat_interval(core, term)
-    return float(max(1.0, hi / alpha) / min(1.0, lo / alpha))
+    return core.rest(term).kappa2(alpha)
 
 
 def scale_to_unit_trace(A, P):

@@ -9,14 +9,19 @@ Two estimators:
     Lanczos steps from a unit random vector, eigendecomposes the
     tridiagonal T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k)
     with tau the first row of V, for f = identity and f = log.  The
-    estimates are n times the probe mean.
+    estimates are n times the probe mean.  Lanczos keeps its basis
+    orthogonal by partial reorthogonalization (linalg.lanczos), which
+    the quadrature needs and no more (Ubaru, Chen and Saad, SIMAX 2017);
+    the report counts the steps that swept.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
 surrogate -Gamma + (n - r) ln(alpha).
 
-Determinism: probe i draws from a generator seeded by (seed, i), so a
-config reproduces bit-identical estimates regardless of probe batching.
+Determinism: probe i draws from a generator seeded by (seed, i), and
+its Lanczos run decides when to reorthogonalize from its own recurrence
+alone, so a config reproduces bit-identical estimates regardless of probe
+batching.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ class EstimateReport:
     is n * mean(per_probe_*), with standard error n * std(per_probe_*,
     ddof=1) / sqrt(n_v) (None from a single probe).  logdet fields are
     None for estimators that do not produce them.  breakdowns counts the
-    probes whose Lanczos run exhausted its Krylov space before m steps.
+    probes whose Lanczos run exhausted its Krylov space before m steps,
+    reorthogonalized the Lanczos steps, summed over probes, that swept the
+    new vector against the kept basis (both 0 for Hutchinson).
     """
 
     n: int
@@ -80,6 +87,7 @@ class EstimateReport:
     probes_used: int
     config: ProbeConfig
     breakdowns: int = 0
+    reorthogonalized: int = 0
 
     @property
     def trace_stderr(self) -> float | None:
@@ -131,7 +139,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
-    breakdowns = 0
+    breakdowns = reorthogonalized = 0
     for i in range(cfg.n_v):
         z = _draw(_probe_rng(cfg, i), n, cfg.distribution)
         nz = np.linalg.norm(z)
@@ -139,6 +147,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
             raise DomainError("zero probe vector drawn")
         res = lanczos(apply, z / nz, cfg.m)
         breakdowns += int(res.breakdown)
+        reorthogonalized += res.reorthogonalized
         ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
         if np.any(ritz <= 0.0):
             raise NotPositiveDefiniteError(
@@ -157,6 +166,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         probes_used=cfg.n_v,
         config=cfg,
         breakdowns=breakdowns,
+        reorthogonalized=reorthogonalized,
     )
 
 

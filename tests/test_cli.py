@@ -80,6 +80,19 @@ class TestExitCodes:
         assert run([*argv, "--synthetic", "network", "--n", "30"]) == 1
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["verify", "--n-min", "0", "--n-max", "0"], "--n-min"),
+        (["verify", "--n-min", "5", "--n-max", "2"], "--n-max"),
+        (["verify", "--trials", "0"], "--trials"),
+        (["estimate", "--synthetic", "network", "--n", "30", "--m", "0"], "--m"),
+        (["estimate", "--synthetic", "network", "--n", "30", "--nv", "0"], "--nv"),
+    ])
+    def test_count_flag_below_one_is_usage_error(self, argv, named, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err
+        assert named in err
+
     @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log"])
     def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

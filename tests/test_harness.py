@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bld_kaporin import precond
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     FACTORS,
@@ -94,6 +95,19 @@ class TestSweepAlpha:
         for r in rows:
             assert r["d_ld"] >= r["ln_k"] - 1e-10
 
+    def test_one_rest_pass_per_sweep(self, monkeypatch):
+        calls = []
+        rest = precond.ErrorCore.rest
+
+        def counted(core, term):
+            calls.append(term.r)
+            return rest(core, term)
+
+        monkeypatch.setattr(precond.ErrorCore, "rest", counted)
+        rows, _ = sweep_alpha(ExperimentSpec(matrix=make_sparse_network(60, seed=4), rank=6))
+        assert len(rows) > 100
+        assert calls == [6]
+
     def test_reproducible_bytes(self, tmp_path):
         spec = ExperimentSpec(matrix=make_sparse_network(60, seed=4), factor="ic0", rank=6)
         paths = []
@@ -121,6 +135,11 @@ class TestVerifyTheorems:
     def test_trials_domain(self):
         with pytest.raises(Exception):
             verify_theorems(0)
+
+    @pytest.mark.parametrize("n_range", [(0, 0), (0, 5), (5, 2), (-3, 4)])
+    def test_order_range_domain(self, n_range):
+        with pytest.raises(DomainError, match="order range"):
+            verify_theorems(1, n_range)
 
 
 class TestBoundOverlay:
@@ -236,3 +255,6 @@ class TestEstimatorStudy:
         assert row["rel_err_alpha"] <= 0.05
         assert row["rel_err_d_ld"] <= 0.1
         assert row["sign_ln_k_gap"] in (-1, 0, 1)
+        # Ritz values of the IC(0)-preconditioned network converge within 30
+        # steps, so each probe's basis needs some sweeps, not one per step
+        assert 0 < row["reorthogonalized"] < 30 * 29

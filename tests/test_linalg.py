@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 
+from bld_kaporin import rla
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
-from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor, lanczos, sym_eig, tri_solve
+from bld_kaporin.linalg import (
+    LanczosResult,
+    LowerTriFactor,
+    cholesky,
+    ic0,
+    identity_factor,
+    lanczos,
+    sym_eig,
+    tri_solve,
+)
 from bld_kaporin.matio import SparseSymMatrix
+from bld_kaporin.precond import LowRankTerm, Preconditioner, sym_preconditioned_operator
 from bld_kaporin.synth import haar_orthogonal, make_sparse_network, random_spd
 
 
@@ -266,3 +277,110 @@ class TestLanczos:
     def test_non_unit_start_rejected(self):
         with pytest.raises(ValueError):
             lanczos(lambda x: x, np.array([1.0, 1.0]), m=2)
+
+
+def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
+    """Reference Lanczos: two classical Gram-Schmidt sweeps at every step."""
+    n = v0.shape[0]
+    m = min(int(m), n)
+    basis = np.empty((m, n))
+    alphas = np.zeros(m)
+    betas = np.zeros(max(m - 1, 0))
+    basis[0] = v0
+    v_prev = np.zeros(n)
+    beta_prev = norm_est = 0.0
+    k_done = 0
+    breakdown = False
+    for k in range(m):
+        vk = basis[k]
+        w = np.asarray(apply(vk), dtype=np.float64)
+        alpha = float(vk @ w)
+        w = w - alpha * vk - beta_prev * v_prev
+        kept = basis[: k + 1]
+        for _ in range(2):
+            w -= (kept @ w) @ kept
+        alphas[k] = alpha
+        norm_est = max(norm_est, abs(alpha) + beta_prev)
+        k_done = k + 1
+        if k == m - 1:
+            break
+        beta = float(np.linalg.norm(w))
+        norm_est = max(norm_est, beta)
+        if beta <= 1e-12 * norm_est:
+            breakdown = True
+            break
+        betas[k] = beta
+        v_prev = vk
+        basis[k + 1] = w / beta
+        beta_prev = beta
+    return LanczosResult(m=k_done, alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
+                         basis=basis[:k_done].T, breakdown=breakdown,
+                         reorthogonalized=max(k_done - 1, 0))
+
+
+@pytest.fixture(scope="module")
+def network_operator():
+    """IC(0)-preconditioned network matrix at n = 2000: rank-0 P = QQ'."""
+    n = 2000
+    A = make_sparse_network(n, seed=0)
+    term = LowRankTerm(r=0, V=np.empty((n, 0)), D=np.empty(0), selection=np.empty(0, dtype=int))
+    return n, sym_preconditioned_operator(A, Preconditioner(ic0(A), term, 1.0))
+
+
+def _unit(n, seed):
+    v = np.random.default_rng(seed).standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+class TestPartialReorthogonalization:
+    def test_matches_full_reorthogonalization_on_network(self, network_operator):
+        # the Ritz values converge within 30 steps: the unswept three-term
+        # recurrence loses orthogonality to 1e-2 here, so sweeps are needed,
+        # but only at some steps
+        n, op = network_operator
+        v0 = _unit(n, 1)
+        res, ref = lanczos(op, v0, 30), full_reorth_lanczos(op, v0, 30)
+        assert res.m == ref.m == 30 and not res.breakdown
+        assert 0 < res.reorthogonalized < res.m - 1
+        np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
+        np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
+        U = res.basis
+        assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
+
+    def test_no_sweep_while_orthogonality_holds(self):
+        # an evenly spread spectrum keeps the Ritz values unconverged, so the
+        # estimate stays below the threshold and the plain recurrence matches
+        n = 2000
+        d = np.linspace(0.01, 1.0, n)
+        v0 = _unit(n, 2)
+        res, ref = lanczos(lambda x: d * x, v0, 30), full_reorth_lanczos(lambda x: d * x, v0, 30)
+        assert res.reorthogonalized == 0
+        np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
+        np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
+
+    def test_forced_loss_of_orthogonality(self):
+        n = 300
+        lam = np.geomspace(1.0, 1e-6, n)
+        W = haar_orthogonal(n, np.random.default_rng(3))
+        M = (W * lam) @ W.T
+        M = 0.5 * (M + M.T)
+        res = lanczos(lambda x: M @ x, _unit(n, 4), 150)
+        assert res.m == 150 and res.reorthogonalized > 0
+        U = res.basis
+        assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
+        norm = np.linalg.norm(M, 2)
+        assert np.abs(U.T @ (M @ U) - res.tridiagonal()).max() <= 1e-8 * norm
+        ritz = np.linalg.eigvalsh(res.tridiagonal())
+        assert ritz.min() >= lam.min() - 1e-8 * norm
+        assert ritz.max() <= lam.max() + 1e-8 * norm
+
+    def test_slq_per_probe_values_match_full_reorthogonalization(self, network_operator,
+                                                                 monkeypatch):
+        n, op = network_operator
+        cfg = rla.ProbeConfig(m=30, n_v=4, seed=5)
+        est = rla.slq_trace_logdet(op, n, cfg)
+        monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
+        ref = rla.slq_trace_logdet(op, n, cfg)
+        np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)
+        np.testing.assert_allclose(est.per_probe_logdet, ref.per_probe_logdet, rtol=1e-12)
+        assert 0 < est.reorthogonalized < ref.reorthogonalized

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bld_kaporin import linalg, rla
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
 from bld_kaporin.rla import (
     ProbeConfig,
@@ -148,6 +149,23 @@ class TestSlq:
         assert rep.breakdowns == 3
         hutch = hutchinson_trace(lambda x: 2.0 * x, 12, ProbeConfig(n_v=3, seed=23))
         assert hutch.breakdowns == 0 and hutch.logdet_stderr is None
+
+    def test_reorthogonalized_summed_over_probes(self, monkeypatch):
+        counts = []
+        lanczos = linalg.lanczos
+
+        def recorded(apply, v0, m):
+            res = lanczos(apply, v0, m)
+            counts.append(res.reorthogonalized)
+            return res
+
+        monkeypatch.setattr(rla, "lanczos", recorded)
+        A = make_sparse_network(200, seed=24).to_dense()
+        rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=40, n_v=4, seed=25))
+        assert len(counts) == 4 and sum(counts) > 0
+        assert rep.reorthogonalized == sum(counts)
+        hutch = hutchinson_trace(lambda x: A @ x, 200, ProbeConfig(n_v=4, seed=25))
+        assert hutch.reorthogonalized == 0
 
     def test_monotone_accuracy_in_m(self):
         spec = np.linspace(0.5, 5.0, 100)
