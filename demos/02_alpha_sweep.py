@@ -14,7 +14,7 @@ Writes the table to out/alpha_sweep.csv for external plotting.
 
 import os
 
-from bld_kaporin import ExperimentSpec, make_sparse_network, sweep_alpha
+from bld_kaporin import make_sparse_network, sweep_alpha
 from bld_kaporin.harness import emit
 
 os.makedirs("out", exist_ok=True)
@@ -22,9 +22,8 @@ os.makedirs("out", exist_ok=True)
 # A network-structured sparse SPD matrix of the same order as the
 # classic 494-bus power system; zero-fill incomplete Cholesky, rank 49.
 A = make_sparse_network(494, seed=494)
-spec = ExperimentSpec(matrix=A, factor="ic0", rank=49)
 
-rows, summary = sweep_alpha(spec)
+rows, summary = sweep_alpha(A, factor="ic0", rank=49)
 emit(rows, summary, "out/alpha_sweep.csv", "out/alpha_sweep.json")
 
 lo, hi = summary["interval"]

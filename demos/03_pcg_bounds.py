@@ -15,13 +15,12 @@ happened at three tolerance levels.
 
 import os
 
-from bld_kaporin import ExperimentSpec, bound_overlay, make_sparse_network
+from bld_kaporin import bound_overlay, make_sparse_network
 from bld_kaporin.harness import emit
 
 os.makedirs("out", exist_ok=True)
 
-spec = ExperimentSpec(matrix=make_sparse_network(300, seed=7), factor="ic0", rank=30)
-rows, summary = bound_overlay(spec)
+rows, summary = bound_overlay(make_sparse_network(300, seed=7), factor="ic0", rank=30)
 emit(rows, summary, "out/pcg_bounds.csv", "out/pcg_bounds.json")
 
 print(f"n = {summary['n']}, rank = {summary['rank']}, alpha = {summary['alpha']:.6f}")

@@ -13,16 +13,15 @@ This demo compares them with the exact values on an instance small
 enough to solve densely, across a few probe budgets.
 """
 
-from bld_kaporin import ExperimentSpec, ProbeConfig, estimator_study, make_sparse_network
+from bld_kaporin import ProbeConfig, estimator_study, make_sparse_network
 
-spec = ExperimentSpec(
-    matrix=make_sparse_network(400, seed=21),
+rows, _ = estimator_study(
+    make_sparse_network(400, seed=21),
     factor="ic0",
     rank=40,
     probes=ProbeConfig(seed=99),
+    schedules=[(10, 5), (20, 10), (40, 30)],
 )
-
-rows, _ = estimator_study(spec, schedules=[(10, 5), (20, 10), (40, 30)])
 
 print(f"{'m':>4} {'n_v':>4} {'ln K exact':>12} {'ln K hat':>12} "
       f"{'alpha exact':>12} {'alpha hat':>12} {'D exact':>10} {'D hat':>10} {'sign':>5}")

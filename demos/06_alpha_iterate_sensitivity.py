@@ -8,10 +8,9 @@ and reports iteration counts and the distance of each final iterate
 from the first run.  Purely observational: nothing is asserted.
 """
 
-from bld_kaporin import ExperimentSpec, alpha_sensitivity, make_sparse_network
+from bld_kaporin import alpha_sensitivity, make_sparse_network
 
-spec = ExperimentSpec(matrix=make_sparse_network(250, seed=33), factor="ic0", rank=25)
-rows, summary = alpha_sensitivity(spec)
+rows, summary = alpha_sensitivity(make_sparse_network(250, seed=33), factor="ic0", rank=25)
 
 print(f"n = {summary['n']}, rank = {summary['rank']}, alpha* = {summary['alpha_star']:.6f}\n")
 print(f"{'alpha':>10} {'iterations':>11} {'final rel res':>15} {'gap vs first run':>18}")

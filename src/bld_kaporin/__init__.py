@@ -21,7 +21,6 @@ from .divergence import (
     ln_kaporin_k,
 )
 from .harness import (
-    ExperimentSpec,
     alpha_sensitivity,
     bound_overlay,
     error_order_study,

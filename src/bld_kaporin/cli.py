@@ -14,10 +14,10 @@ import sys
 
 import numpy as np
 
-from . import harness, pcg, precond, rla
+from . import harness, rla
 from .errors import DomainError
 from .linalg import cholesky
-from .matio import read_matrix_market, write_json
+from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .synth import SyntheticSpec, make_sparse_network
 
 
@@ -150,35 +150,20 @@ def _resolve_matrix(args):
         if sum(mults) != args.n:
             raise UsageError("cluster multiplicities must sum to --n")
         spec = SyntheticSpec(args.n, "clustered", (values, mults), basis_seed=args.seed)
-    return harness.load_matrix(spec)
+    return SparseSymMatrix.from_dense(spec.build()[0])
 
 
-def _experiment_spec(args, A) -> harness.ExperimentSpec:
-    grid = None
-    if getattr(args, "grid", None):
-        try:
-            amin, amax, count, scale = args.grid.split(",")
-            grid = (float(amin), float(amax), int(count), scale)
-        except ValueError as exc:
-            raise UsageError(f"--grid expects min,max,count,log|linear, got {args.grid!r}") from exc
-    return harness.ExperimentSpec(
-        matrix=A,
-        factor=args.factor,
-        rank=args.rank,
-        alpha=getattr(args, "alpha", None),
-        alpha_grid=grid,
-        pcg=pcg.SolveConfig(
-            tol=getattr(args, "tol", 1e-10),
-            max_iter=getattr(args, "max_iter", None),
-        ),
-        probes=rla.ProbeConfig(
-            m=getattr(args, "m", 30),
-            n_v=getattr(args, "nv", 10),
-            seed=args.seed,
-            distribution=getattr(args, "dist", "rademacher"),
-        ),
-        seed=args.seed,
-    )
+def _parse_grid(text):
+    """--grid min,max,count,log|linear as the tuple sweep_alpha takes."""
+    if text is None:
+        return None
+    try:
+        amin, amax, count, scale = text.split(",")
+        grid = (float(amin), float(amax), int(count), scale)
+        harness.check_grid(grid)
+    except (ValueError, DomainError) as exc:
+        raise UsageError(f"--grid expects min,max,count,log|linear, got {text!r}: {exc}") from exc
+    return grid
 
 
 def _cmd_info(args) -> int:
@@ -201,7 +186,7 @@ def _cmd_precondition(args) -> int:
     core, term, P, alpha_star = harness.build_preconditioner(
         A, args.factor, args.rank, args.alpha, truncation=args.truncation
     )
-    lo, hi = precond.flat_interval(core, term)
+    rest = core.rest(term)
     summary = {
         "n": A.n,
         "factor": args.factor,
@@ -210,10 +195,10 @@ def _cmd_precondition(args) -> int:
         "rank": term.r,
         "alpha": P.alpha,
         "alpha_star": alpha_star,
-        "interval": [lo, hi],
-        "d_ld_at_alpha_star": precond.divergence_alpha(core, term, alpha_star),
-        "ln_k_at_alpha_star": precond.ln_kaporin_alpha(core, term, alpha_star),
-        "kappa2_in_interval": precond.kappa2_alpha(core, term, alpha_star),
+        "interval": [rest.lo, rest.hi],
+        "d_ld_at_alpha_star": rest.divergence(alpha_star),
+        "ln_k_at_alpha_star": rest.ln_kaporin(alpha_star),
+        "kappa2_in_interval": rest.kappa2(alpha_star),
     }
     for key, val in summary.items():
         print(f"{key:22s} {val}")
@@ -223,9 +208,9 @@ def _cmd_precondition(args) -> int:
 
 
 def _cmd_sweep_alpha(args) -> int:
+    grid = _parse_grid(args.grid)
     A = _resolve_matrix(args)
-    spec = _experiment_spec(args, A)
-    rows, summary = harness.sweep_alpha(spec)
+    rows, summary = harness.sweep_alpha(A, args.factor, args.rank, grid)
     print(f"alpha* = {summary['alpha_star']:.12g}  interval = "
           f"[{summary['interval'][0]:.12g}, {summary['interval'][1]:.12g}]  "
           f"D_LD(alpha*) = {summary['d_ld_at_alpha_star']:.12g}")
@@ -236,8 +221,8 @@ def _cmd_sweep_alpha(args) -> int:
 
 def _cmd_solve(args) -> int:
     A = _resolve_matrix(args)
-    spec = _experiment_spec(args, A)
-    rows, summary = harness.bound_overlay(spec)
+    rows, summary = harness.bound_overlay(A, args.factor, args.rank, args.alpha,
+                                          args.tol, args.max_iter, args.seed)
     print(f"iterations = {summary['iterations']}  converged = {summary['converged']}  "
           f"kappa2 = {summary['kappa2']:.6g}  ln K = {summary['ln_k']:.6g}  "
           f"D_LD = {summary['d_ld']:.6g}")
@@ -266,9 +251,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_positive(("--m", args.m), ("--nv", args.nv))
+    probes = rla.ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, distribution=args.dist)
     A = _resolve_matrix(args)
-    spec = _experiment_spec(args, A)
-    rows, summary = harness.estimator_study(spec)
+    rows, summary = harness.estimator_study(A, args.factor, args.rank, probes)
     for row in rows:
         print(f"m={row['m']} nv={row['n_v']}  ln K exact={row['ln_k_exact']:.6g} "
               f"hat={row['ln_k_hat']:.6g}  alpha exact={row['alpha_exact']:.6g} "

@@ -1,16 +1,14 @@
 """Reproducible experiments: alpha sweeps, theorem-verification batteries,
 bound-vs-residual overlays, error-order and estimator-accuracy studies.
 
-Every operation is a pure function of its spec (seeds included) returning
-plain rows/summary structures; CSV/JSON emission goes through matio so
-identical specs produce byte-identical files.
+Every operation is a pure function of its arguments (seeds included)
+returning plain rows/summary structures; CSV/JSON emission goes through
+matio so identical arguments produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +18,10 @@ from . import precond as pc
 from . import rla
 from .errors import DomainError
 from .linalg import cholesky, ic0, identity_factor
-from .matio import SparseSymMatrix, read_matrix_market, write_json, write_table
-from .synth import SyntheticSpec, make_sparse_network, random_spd
+from .matio import SparseSymMatrix, write_json, write_table
+from .synth import make_sparse_network, random_spd
 
 __all__ = [
-    "ExperimentSpec",
     "sweep_alpha",
     "verify_theorems",
     "bound_overlay",
@@ -32,7 +29,7 @@ __all__ = [
     "error_order_study",
     "estimator_study",
     "build_preconditioner",
-    "load_matrix",
+    "check_grid",
     "emit",
 ]
 
@@ -40,50 +37,6 @@ EPS_LEVELS = (1e-2, 1e-6, 1e-10)
 
 FACTORS = {"ic0": ic0, "exact": cholesky, "identity": lambda A: identity_factor(A.n)}
 TRUNCATIONS = {"bld": pc.bld_truncate, "tsvd": pc.tsvd_truncate}
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One experiment: matrix source, factor kind, rank, alpha grid, seeds.
-
-    matrix may be a Matrix Market path, a SyntheticSpec, or an assembled
-    SparseSymMatrix; factor a key of FACTORS.  rank defaults to ceil(n/10),
-    at most n - 1.  alpha_grid is (min, max, count, "log"|"linear"); None
-    derives the default grid around alpha_star.
-    """
-
-    matrix: object
-    factor: str = "ic0"
-    rank: int | None = None
-    alpha: float | None = None
-    alpha_grid: tuple | None = None
-    pcg: pg.SolveConfig = field(default_factory=pg.SolveConfig)
-    probes: rla.ProbeConfig = field(default_factory=rla.ProbeConfig)
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.factor not in FACTORS:
-            raise DomainError(f"unknown factor kind {self.factor!r}")
-        if self.alpha_grid is not None:
-            amin, amax, count, scale = self.alpha_grid
-            if count < 2:
-                raise DomainError("alpha grid needs at least 2 points")
-            if not 0 < amin < amax:
-                raise DomainError("alpha grid needs 0 < min < max")
-            if scale not in ("log", "linear"):
-                raise DomainError(f"unknown grid scale {scale!r}")
-
-
-def load_matrix(source) -> SparseSymMatrix:
-    """Resolve a matrix source (path / SyntheticSpec / matrix) to assembled form."""
-    if isinstance(source, SparseSymMatrix):
-        return source
-    if isinstance(source, SyntheticSpec):
-        A, _ = source.build()
-        return SparseSymMatrix.from_dense(A)
-    if isinstance(source, (str, os.PathLike)):
-        return read_matrix_market(source)
-    return SparseSymMatrix.from_dense(np.asarray(source, dtype=np.float64))
 
 
 def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
@@ -112,33 +65,51 @@ def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str =
     return core, TRUNCATIONS[truncation](core, r)
 
 
-def _alpha_grid(spec: ExperimentSpec, alpha_star, lo, hi) -> np.ndarray:
-    if spec.alpha_grid is None:
-        grid = np.geomspace(alpha_star / 10.0, alpha_star * 10.0, 101)
+def check_grid(grid) -> None:
+    """DomainError unless grid is (min, max, count, "log"|"linear") with
+    0 < min < max and count >= 2."""
+    amin, amax, count, scale = grid
+    if count < 2:
+        raise DomainError("alpha grid needs at least 2 points")
+    if not 0 < amin < amax:
+        raise DomainError("alpha grid needs 0 < min < max")
+    if scale not in ("log", "linear"):
+        raise DomainError(f"unknown grid scale {scale!r}")
+
+
+def _alpha_grid(grid, alpha_star, lo, hi) -> np.ndarray:
+    if grid is None:
+        points = np.geomspace(alpha_star / 10.0, alpha_star * 10.0, 101)
     else:
-        amin, amax, count, scale = spec.alpha_grid
-        grid = np.geomspace(amin, amax, count) if scale == "log" else np.linspace(amin, amax, count)
+        amin, amax, count, scale = grid
+        points = np.geomspace(amin, amax, count) if scale == "log" else np.linspace(amin, amax, count)
     # the exact minimizer and the flat-interval endpoints are always sampled;
     # grid points within roundoff of them are dropped (the center of the
     # default grid reproduces alpha_star up to an ulp or two)
     inserted = np.array([alpha_star, lo, hi])
-    near = np.min(np.abs(grid[:, None] - inserted[None, :]) / inserted[None, :], axis=1)
-    return np.unique(np.concatenate((grid[near > 1e-12], inserted)))
+    near = np.min(np.abs(points[:, None] - inserted[None, :]) / inserted[None, :], axis=1)
+    return np.unique(np.concatenate((points[near > 1e-12], inserted)))
 
 
-def sweep_alpha(spec: ExperimentSpec):
+def sweep_alpha(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None, grid=None):
     """Tabulate kappa2, the divergence, and ln K along an alpha grid.
+
+    factor is a key of FACTORS; rank defaults to ceil(n/10), at most
+    n - 1; grid is (min, max, count, "log"|"linear"), checked by
+    check_grid, and None samples 101 log-spaced points from alpha_star/10
+    to 10 alpha_star.  alpha_star and the flat-interval endpoints are
+    always added.
 
     Returns (rows, summary): rows have columns alpha/kappa2/d_ld/ln_k,
     the summary records alpha_star, the flat interval, the minimum
     divergence, and whether alpha_star sits inside the interval.
     """
-    A = load_matrix(spec.matrix)
-    core, term = _select(A, spec.factor, spec.rank)
+    if grid is not None:
+        check_grid(grid)
+    core, term = _select(A, factor, rank)
     # the statistics do not depend on alpha: one pass serves the whole grid
     rest = core.rest(term)
     alpha_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
-    grid = _alpha_grid(spec, alpha_star, lo, hi)
     rows = [
         {
             "alpha": float(a),
@@ -146,13 +117,13 @@ def sweep_alpha(spec: ExperimentSpec):
             "d_ld": rest.divergence(float(a)),
             "ln_k": rest.ln_kaporin(float(a)),
         }
-        for a in grid
+        for a in _alpha_grid(grid, alpha_star, lo, hi)
     ]
     summary = {
         "experiment": "sweep_alpha",
         "n": A.n,
         "rank": term.r,
-        "factor": spec.factor,
+        "factor": factor,
         "factor_shift": core.factor.shift,
         "alpha_star": alpha_star,
         "interval": [lo, hi],
@@ -309,16 +280,25 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
 # Bound overlays
 
 
-def bound_overlay(spec: ExperimentSpec):
+def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
+                  alpha: float | None = None, tol: float = pg.SolveConfig.tol,
+                  max_iter: int | None = None, seed: int = 0):
     """Solve one instrumented system and tabulate every bound curve.
+
+    factor, rank and alpha build P_alpha as build_preconditioner does.
+    The right-hand side is A x for a standard normal x drawn from seed,
+    and PCG runs to tol (max_iter default 10n) tracking the A-norm error
+    against that known x.
 
     Returns (rows, summary); rows carry per-iteration residual/error
     ratios, the four bound values, and violation flags; the summary holds
     the iteration estimates against the observed counts.
     """
-    A = load_matrix(spec.matrix)
     n = A.n
-    core, term, P, _ = build_preconditioner(A, spec.factor, spec.rank, spec.alpha)
+    rng = np.random.default_rng(seed)
+    x_true = rng.standard_normal(n)
+    cfg = pg.SolveConfig(tol=tol, max_iter=max_iter, known_solution=x_true)
+    core, term, P, _ = build_preconditioner(A, factor, rank, alpha)
     alpha = P.alpha
 
     rest = core.rest(term)
@@ -328,11 +308,7 @@ def bound_overlay(spec: ExperimentSpec):
     trace_m, _ = rest.trace_logdet(alpha)
     trace_normalized = abs(trace_m - n) <= 1e-8 * n
 
-    rng = np.random.default_rng(spec.seed)
-    x_true = rng.standard_normal(n)
-    b = A.matvec(x_true)
-    cfg = pg.SolveConfig(tol=spec.pcg.tol, max_iter=spec.pcg.max_iter, known_solution=x_true)
-    report = pg.pcg_solve(A, b, P, cfg)
+    report = pg.pcg_solve(A, A.matvec(x_true), P, cfg)
 
     rel2 = report.rel_res2()
     relp = report.rel_res_pinv()
@@ -394,7 +370,7 @@ def bound_overlay(spec: ExperimentSpec):
     summary = {
         "experiment": "bound_overlay",
         "n": n,
-        "factor": spec.factor,
+        "factor": factor,
         "rank": term.r,
         "alpha": alpha,
         "kappa2": kap2,
@@ -424,26 +400,31 @@ def bound_overlay(spec: ExperimentSpec):
     return rows, summary
 
 
-def alpha_sensitivity(spec: ExperimentSpec, alphas=None):
+def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
+                      alphas=None, solve: pg.SolveConfig = pg.SolveConfig(), seed: int = 0):
     """Observe how the complement scaling changes actual PCG behavior.
+
+    factor and rank select the correction as build_preconditioner does;
+    alphas defaults to alpha_star times 1/4, 1/2, 1, 2 and 4.  Every
+    alpha solves the same system, b = A x for a standard normal x drawn
+    from seed, under the solve config.
 
     In exact arithmetic the preconditioned iterates are expected to be
     insensitive to the scaling; this experiment reports what finite
     precision actually does: per-alpha iteration counts and the distance
-    of each final iterate from the reference at the optimal scaling.
+    of each final iterate from the first alpha's.
     Nothing here is asserted, the table is observational.
     """
-    A = load_matrix(spec.matrix)
-    core, term, _, alpha_star = build_preconditioner(A, spec.factor, spec.rank)
+    core, term, _, alpha_star = build_preconditioner(A, factor, rank)
     if alphas is None:
         alphas = [alpha_star / 4.0, alpha_star / 2.0, alpha_star, 2.0 * alpha_star, 4.0 * alpha_star]
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     b = A.matvec(rng.standard_normal(A.n))
     reference = None
     rows = []
     for alpha in alphas:
         P = pc.Preconditioner(core.factor, term, float(alpha))
-        report = pg.pcg_solve(A, b, P, spec.pcg)
+        report = pg.pcg_solve(A, b, P, solve)
         if reference is None:
             reference = report.x
         rows.append(
@@ -520,21 +501,23 @@ def _unit_norm_symmetric(n: int, seed: int) -> np.ndarray:
 # Estimator accuracy study
 
 
-def estimator_study(spec: ExperimentSpec, schedules=None):
+def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
+                    probes: rla.ProbeConfig = rla.ProbeConfig(), schedules=None):
     """Compare SLQ-derived surrogates with their exact counterparts.
 
-    schedules is an iterable of (m, n_v); defaults to the spec's probe
-    config.  Each row also carries the standard errors of the trace and
-    log-det estimates (empty for n_v = 1), the number of probes whose
-    Lanczos run broke down, and the number of Lanczos steps that
-    reorthogonalized.  Requires the order to stay small enough for
+    factor and rank select the correction as build_preconditioner does.
+    schedules is an iterable of (m, n_v) and defaults to probes' own;
+    every schedule draws its probes with probes.seed and
+    probes.distribution.  Each row also carries the standard errors of
+    the trace and log-det estimates (empty for n_v = 1), the number of
+    probes whose Lanczos run broke down, and the number of Lanczos steps
+    that reorthogonalized.  Requires the order to stay small enough for
     the dense reference (n <= 2000).
     """
-    A = load_matrix(spec.matrix)
     n = A.n
     if n > 2000:
         raise DomainError("exact reference limited to n <= 2000")
-    core, term, P_one, alpha_star = build_preconditioner(A, spec.factor, spec.rank, 1.0)
+    core, term, P_one, alpha_star = build_preconditioner(A, factor, rank, 1.0)
     r = term.r
     rest = core.rest(term)
     trace_exact, logdet_exact = rest.trace_logdet(1.0)
@@ -543,11 +526,10 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
 
     op = pc.sym_preconditioned_operator(A, P_one)
     if schedules is None:
-        schedules = [(spec.probes.m, spec.probes.n_v)]
+        schedules = [(probes.m, probes.n_v)]
     rows = []
     for m, n_v in schedules:
-        cfg = rla.ProbeConfig(m=m, n_v=n_v, seed=spec.probes.seed,
-                              distribution=spec.probes.distribution)
+        cfg = rla.ProbeConfig(m=m, n_v=n_v, seed=probes.seed, distribution=probes.distribution)
         est = rla.slq_trace_logdet(op, n, cfg)
         ln_k_hat = rla.approx_ln_kaporin(est.trace_est, est.logdet_est, n)
         alpha_hat = rla.approx_alpha(est.trace_est, n, r)
@@ -580,8 +562,8 @@ def estimator_study(spec: ExperimentSpec, schedules=None):
         "experiment": "estimator_study",
         "n": n,
         "rank": r,
-        "factor": spec.factor,
-        "seed": spec.probes.seed,
+        "factor": factor,
+        "seed": probes.seed,
     }
     _validate_rows(
         rows,

@@ -108,9 +108,12 @@ class RestStats:
 
     def kappa2(self, alpha: float) -> float:
         """Spectral condition number of P_alpha^-1 A: max(1, hi/alpha)/min(1, lo/alpha),
-        constant (= hi/lo) for alpha in [lo, hi]."""
+        constant (= hi/lo) for alpha in [lo, hi].  At r = 0 no unit eigenvalue
+        is left, so it is hi/lo for every alpha."""
         if alpha <= 0.0:
             raise DomainError("alpha must be positive")
+        if self.r == 0:
+            return self.hi / self.lo
         return float(max(1.0, self.hi / alpha) / min(1.0, self.lo / alpha))
 
 
@@ -279,7 +282,7 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """Spectral condition number of the P_alpha-preconditioned matrix.
 
     Equals max(1, L/alpha)/min(1, l/alpha) with [l, L] the flat interval;
-    constant (= L/l) for alpha inside it.
+    constant (= L/l) for alpha inside it, and for every alpha at rank 0.
     """
     return core.rest(term).kappa2(alpha)
 

@@ -93,7 +93,8 @@ class TestExitCodes:
         assert "usage error" in err
         assert named in err
 
-    @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log"])
+    @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log",
+                                      "1,2,1,log", "2,1,5,log", "0,2,5,log", "0.5,2,5,cubic"])
     def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = run(["sweep-alpha", "--synthetic", "network", "--n", "30", "--grid", grid,

@@ -8,7 +8,6 @@ from bld_kaporin import precond
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     FACTORS,
-    ExperimentSpec,
     alpha_sensitivity,
     bound_overlay,
     build_preconditioner,
@@ -21,6 +20,10 @@ from bld_kaporin.harness import (
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.rla import ProbeConfig
 from bld_kaporin.synth import SyntheticSpec, make_sparse_network
+
+
+def _assembled(spec: SyntheticSpec) -> SparseSymMatrix:
+    return SparseSymMatrix.from_dense(spec.build()[0])
 
 
 class TestBuildPreconditioner:
@@ -46,7 +49,7 @@ class TestBuildPreconditioner:
         with pytest.raises(DomainError, match="factor"):
             build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
         with pytest.raises(DomainError, match="factor"):
-            ExperimentSpec(matrix=make_sparse_network(30, seed=2), factor=factor)
+            sweep_alpha(make_sparse_network(30, seed=2), factor=factor)
 
     @pytest.mark.parametrize("n, rank", [(1, 0), (2, 1), (10, 1), (11, 2)])
     def test_default_rank_is_below_the_order(self, n, rank):
@@ -58,12 +61,8 @@ class TestSweepAlpha:
     def test_three_by_three_constructed_case(self):
         # identity factor on spectrum (4, 1.5, 0.5): the error eigenvalues are
         # (3, 0.5, -0.5); rank 1 keeps 3, leaving the (1.5, 0.5) complement
-        spec = ExperimentSpec(
-            matrix=SyntheticSpec(3, "explicit", ([4.0, 1.5, 0.5],), basis_seed=1),
-            factor="identity",
-            rank=1,
-        )
-        rows, summary = sweep_alpha(spec)
+        A = _assembled(SyntheticSpec(3, "explicit", ([4.0, 1.5, 0.5],), basis_seed=1))
+        rows, summary = sweep_alpha(A, factor="identity", rank=1)
         assert summary["alpha_star"] == pytest.approx(1.0, rel=1e-9)
         assert summary["interval"][0] == pytest.approx(0.5, rel=1e-9)
         assert summary["interval"][1] == pytest.approx(1.5, rel=1e-9)
@@ -77,12 +76,8 @@ class TestSweepAlpha:
         assert k_min["alpha"] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_error_core(self):
-        spec = ExperimentSpec(
-            matrix=SyntheticSpec(8, "uniform", (0.5, 3.0), basis_seed=2),
-            factor="exact",
-            rank=2,
-        )
-        rows, summary = sweep_alpha(spec)
+        A = _assembled(SyntheticSpec(8, "uniform", (0.5, 3.0), basis_seed=2))
+        rows, summary = sweep_alpha(A, factor="exact", rank=2)
         assert summary["alpha_star"] == pytest.approx(1.0, abs=1e-10)
         assert summary["d_ld_at_alpha_star"] <= 1e-12
         for r in rows:
@@ -90,10 +85,15 @@ class TestSweepAlpha:
             assert r["d_ld"] == pytest.approx(expected, rel=1e-6, abs=1e-9)
 
     def test_divergence_dominates_ln_k_on_grid(self):
-        spec = ExperimentSpec(matrix=make_sparse_network(90, seed=3), factor="ic0", rank=9)
-        rows, _ = sweep_alpha(spec)
+        rows, _ = sweep_alpha(make_sparse_network(90, seed=3), factor="ic0", rank=9)
         for r in rows:
             assert r["d_ld"] >= r["ln_k"] - 1e-10
+
+    @pytest.mark.parametrize("grid", [(1.0, 2.0, 1, "log"), (2.0, 1.0, 5, "log"),
+                                      (0.0, 2.0, 5, "log"), (0.5, 2.0, 5, "cubic")])
+    def test_out_of_range_grid_rejected(self, grid):
+        with pytest.raises(DomainError, match="grid"):
+            sweep_alpha(make_sparse_network(30, seed=2), grid=grid)
 
     def test_one_rest_pass_per_sweep(self, monkeypatch):
         calls = []
@@ -104,15 +104,15 @@ class TestSweepAlpha:
             return rest(core, term)
 
         monkeypatch.setattr(precond.ErrorCore, "rest", counted)
-        rows, _ = sweep_alpha(ExperimentSpec(matrix=make_sparse_network(60, seed=4), rank=6))
+        rows, _ = sweep_alpha(make_sparse_network(60, seed=4), rank=6)
         assert len(rows) > 100
         assert calls == [6]
 
     def test_reproducible_bytes(self, tmp_path):
-        spec = ExperimentSpec(matrix=make_sparse_network(60, seed=4), factor="ic0", rank=6)
+        A = make_sparse_network(60, seed=4)
         paths = []
         for tag in ("a", "b"):
-            rows, summary = sweep_alpha(spec)
+            rows, summary = sweep_alpha(A, factor="ic0", rank=6)
             csv = tmp_path / f"{tag}.csv"
             js = tmp_path / f"{tag}.json"
             emit(rows, summary, csv, js)
@@ -144,31 +144,21 @@ class TestVerifyTheorems:
 
 class TestBoundOverlay:
     def test_exact_preconditioner_trivial(self):
-        spec = ExperimentSpec(
-            matrix=SyntheticSpec(40, "uniform", (0.5, 5.0), basis_seed=7),
-            factor="exact",
-            rank=0,
-        )
-        rows, summary = bound_overlay(spec)
+        A = _assembled(SyntheticSpec(40, "uniform", (0.5, 5.0), basis_seed=7))
+        rows, summary = bound_overlay(A, factor="exact", rank=0)
         assert summary["iterations"] == 1
         assert summary["violations"] == []
 
     def test_identity_factor_geometric(self):
-        spec = ExperimentSpec(
-            matrix=SyntheticSpec(120, "geometric", (1e4,), basis_seed=8),
-            factor="identity",
-            rank=12,
-            pcg=__import__("bld_kaporin.pcg", fromlist=["SolveConfig"]).SolveConfig(tol=1e-9),
-        )
-        rows, summary = bound_overlay(spec)
+        A = _assembled(SyntheticSpec(120, "geometric", (1e4,), basis_seed=8))
+        rows, summary = bound_overlay(A, factor="identity", rank=12, tol=1e-9)
         assert summary["violations"] == []
         assert summary["converged"]
         # k = 0 row carries the initial ratios and empty bound cells
         assert rows[0]["rel_res_2"] == 1.0 and rows[0]["bound_kaporin"] is None
 
     def test_ic0_network_with_estimates(self):
-        spec = ExperimentSpec(matrix=make_sparse_network(150, seed=9), factor="ic0", rank=15)
-        rows, summary = bound_overlay(spec)
+        rows, summary = bound_overlay(make_sparse_network(150, seed=9), factor="ic0", rank=15)
         assert summary["violations"] == []
         assert summary["trace_normalized"]  # alpha defaults to alpha*
         for entry in summary["estimates"]:
@@ -183,8 +173,7 @@ class TestBoundOverlay:
 
 class TestAlphaSensitivity:
     def test_observational_table(self):
-        spec = ExperimentSpec(matrix=make_sparse_network(70, seed=10), factor="ic0", rank=7)
-        rows, summary = alpha_sensitivity(spec)
+        rows, summary = alpha_sensitivity(make_sparse_network(70, seed=10), factor="ic0", rank=7)
         assert len(rows) == 5
         assert all(r["converged"] for r in rows)
         star_rows = [r for r in rows if r["alpha"] == pytest.approx(summary["alpha_star"])]
@@ -212,11 +201,8 @@ class TestEstimatorStudy:
         n = 16
         diag = np.linspace(0.5, 4.0, n)
         A = SparseSymMatrix.from_dense(np.diag(diag))
-        spec = ExperimentSpec(
-            matrix=A, factor="identity", rank=0,
-            probes=ProbeConfig(m=n, n_v=4, seed=13),
-        )
-        rows, _ = estimator_study(spec, schedules=[(n, 4)])
+        rows, _ = estimator_study(A, factor="identity", rank=0,
+                                  probes=ProbeConfig(m=n, n_v=4, seed=13), schedules=[(n, 4)])
         row = rows[0]
         assert row["trace_hat"] == pytest.approx(row["trace_exact"], rel=1e-8)
         assert row["logdet_hat"] == pytest.approx(row["logdet_exact"], rel=1e-8, abs=1e-8)
@@ -229,28 +215,19 @@ class TestEstimatorStudy:
         # no probe breaks down
         n = 12
         A = SparseSymMatrix.from_dense(np.diag(np.linspace(0.5, 4.0, n)))
-        spec = ExperimentSpec(matrix=A, factor="identity", rank=0,
-                              probes=ProbeConfig(m=n, n_v=5, seed=3))
-        row = estimator_study(spec)[0][0]
+        row = estimator_study(A, factor="identity", rank=0,
+                              probes=ProbeConfig(m=n, n_v=5, seed=3))[0][0]
         assert row["breakdowns"] == 0
         assert 0.0 <= row["trace_stderr"] <= 1e-10 * row["trace_exact"]
         assert 0.0 <= row["logdet_stderr"] <= 1e-10 * abs(row["logdet_exact"])
     def test_single_probe_has_no_standard_error(self):
-        spec = ExperimentSpec(
-            matrix=make_sparse_network(40, seed=16), factor="ic0", rank=4,
-            probes=ProbeConfig(m=10, n_v=1, seed=17),
-        )
-        rows, _ = estimator_study(spec)
+        rows, _ = estimator_study(make_sparse_network(40, seed=16), factor="ic0", rank=4,
+                                  probes=ProbeConfig(m=10, n_v=1, seed=17))
         assert rows[0]["trace_stderr"] is None and rows[0]["logdet_stderr"] is None
 
     def test_network_within_tolerances(self):
-        spec = ExperimentSpec(
-            matrix=make_sparse_network(150, seed=14),
-            factor="ic0",
-            rank=15,
-            probes=ProbeConfig(m=30, n_v=30, seed=15),
-        )
-        rows, _ = estimator_study(spec)
+        rows, _ = estimator_study(make_sparse_network(150, seed=14), factor="ic0", rank=15,
+                                  probes=ProbeConfig(m=30, n_v=30, seed=15))
         row = rows[0]
         assert row["rel_err_alpha"] <= 0.05
         assert row["rel_err_d_ld"] <= 0.1

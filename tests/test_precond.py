@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k
+from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor
 from bld_kaporin.precond import (
@@ -340,14 +340,14 @@ def _per_index_functionals(core, term, alpha):
         "d_ld": max(0.0, float(np.sum(ratios - np.log(ratios) - 1.0))),
         "ln_k": max(0.0, ln_kaporin_k(float(np.sum(spec)), float(np.sum(np.log(spec))), core.n)),
         "interval": (lo, hi),
-        "kappa2": max(1.0, hi / alpha) / min(1.0, lo / alpha),
+        "kappa2": float(spec.max() / spec.min()),
     }
 
 
 class TestRestStats:
     def setup_method(self):
-        A = make_sparse_network(80, seed=23)
-        self.core = error_core(A, ic0(A))
+        self.A = make_sparse_network(80, seed=23)
+        self.core = error_core(self.A, ic0(self.A))
 
     @pytest.mark.parametrize("truncate", [bld_truncate, tsvd_truncate])
     @pytest.mark.parametrize("r", [0, 79])
@@ -374,6 +374,17 @@ class TestRestStats:
             term = bld_truncate(self.core, r)
             tr, _ = self.core.rest(term).trace_logdet(optimal_alpha(self.core, term))
             assert abs(tr - 80) <= 1e-12 * 80
+
+    def test_rank_zero_kappa2_matches_dense_spectrum(self):
+        # with no correction P_alpha = alpha QQ', and rescaling P leaves the
+        # condition number alone, also for alpha outside the flat interval
+        term = bld_truncate(self.core, 0)
+        rest = self.core.rest(term)
+        for alpha in (rest.lo / 3.0, 3.0 * rest.hi):
+            P = Preconditioner(self.core.factor, term, alpha)
+            spec = preconditioned_spectrum(self.A, P.dense())
+            assert kappa2_alpha(self.core, term, alpha) == pytest.approx(
+                spec.max() / spec.min(), rel=1e-12)
 
     def test_trace_logdet_rejects_nonpositive_alpha(self):
         rest = self.core.rest(bld_truncate(self.core, 8))
