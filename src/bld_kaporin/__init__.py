@@ -68,6 +68,6 @@ from .rla import (
     hutchinson_trace,
     slq_trace_logdet,
 )
-from .synth import SyntheticSpec, make_dense_spd, make_sparse_network, make_spectrum, random_spd
+from .synth import make_dense_spd, make_sparse_network, make_spectrum, random_spd
 
 __version__ = "0.1.0"

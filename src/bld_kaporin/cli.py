@@ -18,7 +18,7 @@ from . import harness, rla
 from .errors import DomainError
 from .linalg import cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
-from .synth import SyntheticSpec, make_sparse_network
+from .synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
 class UsageError(Exception):
@@ -32,17 +32,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# The matrix flags' defaults, and the ones each --synthetic generator reads;
+# --matrix reads none of them.
+_MATRIX_DEFAULTS = {"n": 200, "cond": 100.0, "lo": 0.5, "hi": 5.0, "clusters": "1:1"}
+_SYNTHETIC_READS = {"uniform": ("n", "lo", "hi"), "geometric": ("n", "cond"),
+                    "clustered": ("n", "clusters"), "network": ("n",)}
+
+
 def _add_matrix_flags(p):
-    p.add_argument("--matrix", help="Matrix Market file with the system matrix")
-    p.add_argument("--synthetic", choices=["uniform", "geometric", "clustered", "network"],
-                   help="generate the matrix instead of reading one")
-    p.add_argument("--n", type=int, default=200, help="order of a synthetic matrix")
-    p.add_argument("--cond", type=float, default=100.0,
-                   help="condition number for --synthetic geometric")
-    p.add_argument("--lo", type=float, default=0.5, help="lower eigenvalue for uniform spectra")
-    p.add_argument("--hi", type=float, default=5.0, help="upper eigenvalue for uniform spectra")
-    p.add_argument("--clusters", default="1:1",
-                   help="value:multiplicity[,value:multiplicity...] for clustered spectra")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--matrix", help="Matrix Market file with the system matrix")
+    source.add_argument("--synthetic", choices=list(_SYNTHETIC_READS),
+                        help="generate the matrix instead of reading one")
+    # no parser defaults: _resolve_matrix tells a flag given from one left out
+    p.add_argument("--n", type=int, help="order of a synthetic matrix (default 200)")
+    p.add_argument("--cond", type=float, help="condition number, geometric (default 100)")
+    p.add_argument("--lo", type=float, help="lower eigenvalue, uniform (default 0.5)")
+    p.add_argument("--hi", type=float, help="upper eigenvalue, uniform (default 5)")
+    p.add_argument("--clusters", help="value:multiplicity[,...], clustered (default 1:1)")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -111,7 +118,10 @@ def build_parser() -> _Parser:
 def _spec_flags(path) -> list[str]:
     """The --spec JSON object as flags: {"max_iter": 50} -> --max-iter 50."""
     with open(path) as fh:
-        blob = json.load(fh)
+        try:
+            blob = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"--spec {path} is not valid JSON: {exc}") from exc
     if not isinstance(blob, dict):
         raise UsageError(f"--spec {path} must hold a JSON object")
     return [tok for key, val in blob.items() for tok in (f"--{key.replace('_', '-')}", str(val))]
@@ -125,18 +135,24 @@ def _require_positive(*flags) -> None:
 
 
 def _resolve_matrix(args):
-    if getattr(args, "matrix", None):
-        return read_matrix_market(args.matrix)
-    synthetic = getattr(args, "synthetic", None)
-    if synthetic is None:
+    synthetic = args.synthetic
+    if not args.matrix and synthetic is None:
         raise UsageError("either --matrix or --synthetic is required")
+    for name, default in _MATRIX_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in _SYNTHETIC_READS.get(synthetic, ()):
+            source = "--matrix" if args.matrix else f"--synthetic {synthetic}"
+            raise UsageError(f"--{name} is not read by {source}")
+    if args.matrix:
+        return read_matrix_market(args.matrix)
     _require_positive(("--n", args.n))
     if synthetic == "network":
         return make_sparse_network(args.n, seed=args.seed)
     if synthetic == "uniform":
-        spec = SyntheticSpec(args.n, "uniform", (args.lo, args.hi), basis_seed=args.seed)
+        params = (args.lo, args.hi)
     elif synthetic == "geometric":
-        spec = SyntheticSpec(args.n, "geometric", (args.cond,), basis_seed=args.seed)
+        params = (args.cond,)
     else:
         try:
             pairs = [item.split(":") for item in args.clusters.split(",")]
@@ -149,8 +165,9 @@ def _resolve_matrix(args):
             raise UsageError(f"--clusters multiplicities must be >= 0, got {args.clusters!r}")
         if sum(mults) != args.n:
             raise UsageError("cluster multiplicities must sum to --n")
-        spec = SyntheticSpec(args.n, "clustered", (values, mults), basis_seed=args.seed)
-    return SparseSymMatrix.from_dense(spec.build()[0])
+        params = (values, mults)
+    return SparseSymMatrix.from_dense(make_dense_spd(make_spectrum(args.n, synthetic, params),
+                                                     args.seed))
 
 
 def _parse_grid(text):

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .matio import SparseSymMatrix
+from .matio import SparseSymMatrix, as_dense
 
 __all__ = [
     "ConditionReport",
@@ -87,8 +87,8 @@ def gamma_map(lam):
 
 
 def spd_cholesky(X, what="matrix") -> np.ndarray:
-    """Cholesky factor of a dense SPD matrix, used as the SPD validator."""
-    X = np.asarray(X, dtype=np.float64)
+    """Cholesky factor of an SPD matrix, used as the SPD validator."""
+    X = as_dense(X)
     try:
         return np.linalg.cholesky(0.5 * (X + X.T))
     except np.linalg.LinAlgError as exc:
@@ -101,14 +101,6 @@ def logdet_spd(X) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def _as_dense(P) -> np.ndarray:
-    if hasattr(P, "dense") and callable(P.dense):
-        return np.asarray(P.dense(), dtype=np.float64)
-    if isinstance(P, SparseSymMatrix):
-        return P.to_dense()
-    return np.asarray(P, dtype=np.float64)
-
-
 def bregman_logdet(A, P, method="dense-direct") -> float:
     """Log-determinant matrix divergence between SPD matrices A and P.
 
@@ -118,8 +110,8 @@ def bregman_logdet(A, P, method="dense-direct") -> float:
     eigensystems; it is cubic with large constants and exists as an
     independent cross-check.
     """
-    A = _as_dense(A)
-    P = _as_dense(P)
+    A = as_dense(A)
+    P = as_dense(P)
     n = A.shape[0]
     if P.shape != A.shape:
         raise ValueError("A and P must have matching shape")
@@ -146,7 +138,7 @@ def bregman_logdet(A, P, method="dense-direct") -> float:
 
 def dual_coords(X) -> np.ndarray:
     """Dual coordinates -X^-1 of an SPD matrix (negative definite)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = as_dense(X)
     L = spd_cholesky(X)
     inv = sla.cho_solve((L, True), np.eye(X.shape[0]))
     inv = 0.5 * (inv + inv.T)
@@ -160,8 +152,8 @@ def dual_divergence(theta, sigma) -> float:
     phi*(theta) - phi*(sigma) - trace(-sigma^-1 (theta - sigma)).
     Equals bregman_logdet(A, B) at theta = B*, sigma = A*.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
+    theta = as_dense(theta)
+    sigma = as_dense(sigma)
     n = theta.shape[0]
     Lt = spd_cholesky(-theta, "first argument (negated)")
     Ls = spd_cholesky(-sigma, "second argument (negated)")
@@ -196,7 +188,7 @@ def jacobi_scale(A):
         coo = A.lower.tocoo()
         vals = coo.data * s[coo.row] * s[coo.col]
         return SparseSymMatrix.from_coo(A.n, coo.row, coo.col, vals)
-    A = np.asarray(A, dtype=np.float64)
+    A = as_dense(A)
     d = np.diag(A).copy()
     if np.any(d <= 0.0):
         raise DomainError("jacobi scaling requires a positive diagonal")
@@ -212,8 +204,8 @@ def preconditioned_spectrum(A, P) -> np.ndarray:
     """
     from .linalg import sym_eig
 
-    A = _as_dense(A)
-    Lp = spd_cholesky(_as_dense(P), "P")
+    A = as_dense(A)
+    Lp = spd_cholesky(P, "P")
     Y = sla.solve_triangular(Lp, A, lower=True)
     M = sla.solve_triangular(Lp, Y.T, lower=True).T
     return sym_eig(0.5 * (M + M.T)).values
@@ -240,7 +232,7 @@ class ConditionReport:
 
 def condition_report(A, P=None) -> ConditionReport:
     """Evaluate every conditioning functional for M = P^-1 A (P = I default)."""
-    A = _as_dense(A)
+    A = as_dense(A)
     n = A.shape[0]
     if P is None:
         spec = np.sort(np.linalg.eigvalsh(0.5 * (A + A.T)))[::-1]

@@ -34,7 +34,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularFactorError,
 )
-from .matio import SparseSymMatrix
+from .matio import SparseSymMatrix, as_dense
 
 # Estimated loss of orthogonality at which lanczos reorthogonalizes.
 REORTH_TOL = 1e-11
@@ -183,21 +183,12 @@ class LanczosResult:
         return T
 
 
-def _as_dense_sym(A) -> np.ndarray:
-    if isinstance(A, SparseSymMatrix):
-        return A.to_dense()
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("square matrix required")
-    return A
-
-
 def cholesky(A) -> LowerTriFactor:
     """Exact dense Cholesky factor of an SPD matrix.
 
     Raises NotPositiveDefiniteError on a nonpositive pivot.
     """
-    Ad = _as_dense_sym(A)
+    Ad = as_dense(A)
     scale = max(np.abs(Ad).max(), 1.0)
     if np.abs(Ad - Ad.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
@@ -289,13 +280,8 @@ def sym_eig(S) -> EigenDecomposition:
     asymmetric input raises ValueError, a tridiagonal solve that fails to
     converge ConvergenceError.
     """
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("square matrix required")
-    scale = np.abs(S).max()
-    if not np.isfinite(scale):
-        raise ValueError("matrix has non-finite entries")
-    if np.abs(S - S.T).max() > 1e-10 * max(scale, 1.0):
+    S = as_dense(S)
+    if np.abs(S - S.T).max() > 1e-10 * max(np.abs(S).max(), 1.0):
         raise ValueError("matrix is not symmetric to 1e-10 relative")
     n = S.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)

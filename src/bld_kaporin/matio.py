@@ -1,10 +1,11 @@
-"""Matrix Market ingestion, symmetric sparse containers, CSV emission.
+"""Matrix Market ingestion, symmetric sparse containers, the one reader
+of matrix arguments (as_dense, as_matvec), CSV emission.
 
 The on-disk format is the coordinate Matrix Market exchange format
 (`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
 matrix is held as its lower triangle; both triangles are assembled into
 one CSR matrix the first time a product or a dense copy asks for them,
-and kept for every later one.
+and kept for every later one.  Its entries are finite by construction.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from .errors import MatrixMarketError, SchemaError, SymmetryError
 
 __all__ = [
     "SparseSymMatrix",
+    "as_dense",
+    "as_matvec",
     "read_matrix_market",
     "write_json",
     "write_matrix_market",
@@ -36,8 +39,8 @@ class SparseSymMatrix:
     """Symmetric real matrix stored as its lower triangle in CSR form.
 
     Only entries with row >= col are stored; products go through `full`,
-    both triangles as one CSR matrix built on first use.  Positive
-    definiteness is not checked here.
+    both triangles as one CSR matrix built on first use.  Both builders
+    reject a non-finite entry; positive definiteness is not checked here.
     """
 
     n: int
@@ -48,7 +51,8 @@ class SparseSymMatrix:
         """Assemble from coordinate triplets (0-based, duplicates summed).
 
         Entries may address either triangle; each is folded onto the lower
-        one.  Duplicate coordinates are summed, Matrix Market style.
+        one.  Duplicate coordinates are summed, Matrix Market style, and a
+        sum that is not finite raises MatrixMarketError.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -59,6 +63,9 @@ class SparseSymMatrix:
         lo_c = np.minimum(rows, cols)
         lower = sp.coo_matrix((vals, (lo_r, lo_c)), shape=(n, n)).tocsr()
         lower.sum_duplicates()
+        # after assembly, so duplicates summing to inf + -inf are caught
+        if not np.isfinite(lower.data).all():
+            raise MatrixMarketError("matrix has a non-finite entry")
         lower.eliminate_zeros()
         return SparseSymMatrix(n=n, lower=lower)
 
@@ -67,6 +74,8 @@ class SparseSymMatrix:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("square matrix required")
+        if not np.isfinite(a).all():
+            raise MatrixMarketError("matrix has a non-finite entry")
         scale = max(np.abs(a).max(), 1.0)
         if np.abs(a - a.T).max() > tol * scale:
             raise SymmetryError("dense input is not symmetric")
@@ -105,6 +114,35 @@ class SparseSymMatrix:
         coo = self.lower.tocoo()
         order = np.lexsort((coo.col, coo.row))
         return coo.row[order], coo.col[order], coo.data[order]
+
+
+def as_dense(A) -> np.ndarray:
+    """A matrix argument as a square float64 array: a SparseSymMatrix's
+    dense copy (finite by construction, so not scanned), the dense() of an
+    object that has one (a Preconditioner), or what numpy reads.
+    ValueError unless the array is square with finite entries."""
+    if isinstance(A, SparseSymMatrix):
+        return A.to_dense()
+    if callable(getattr(A, "dense", None)):
+        A = A.dense()
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"square matrix required, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix has non-finite entries")
+    return A
+
+
+def as_matvec(A):
+    """(product, n) for a matrix argument: a SparseSymMatrix's own matvec,
+    looked up at this call, else the product with as_dense(A).  A callable
+    is rejected with TypeError, since its order is unknown."""
+    if isinstance(A, SparseSymMatrix):
+        return A.matvec, A.n
+    if callable(A):
+        raise TypeError("pass (apply, n) operators as SparseSymMatrix or ndarray")
+    A = as_dense(A)
+    return (lambda x: A @ x), A.shape[0]
 
 
 def _parse_banner(line: str):

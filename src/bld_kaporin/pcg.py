@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PcgBreakdownError
-from .matio import SparseSymMatrix
+from .matio import as_dense, as_matvec
 
 __all__ = [
     "SolveConfig",
@@ -87,15 +87,6 @@ class SolveReport:
         return self.err_a / self.err_a[0] if self.err_a[0] != 0 else self.err_a
 
 
-def _as_matvec(A):
-    if isinstance(A, SparseSymMatrix):
-        return A.matvec, A.n
-    if callable(A):
-        raise TypeError("pass (apply, n) operators as SparseSymMatrix or ndarray")
-    A = np.asarray(A, dtype=np.float64)
-    return (lambda x: A @ x), A.shape[0]
-
-
 def _as_apply_inverse(H):
     if H is None:
         return lambda x: x
@@ -103,7 +94,7 @@ def _as_apply_inverse(H):
         return H.apply_inverse
     if callable(H):
         return H
-    Hm = np.asarray(H, dtype=np.float64)
+    Hm = as_dense(H)
     return lambda x: Hm @ x
 
 
@@ -117,7 +108,7 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     nonpositive before convergence.
     """
     cfg = config or SolveConfig()
-    matvec, n = _as_matvec(A)
+    matvec, n = as_matvec(A)
     apply_h = _as_apply_inverse(H)
     b = np.asarray(b, dtype=np.float64)
     if not np.all(np.isfinite(b)):

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from .divergence import gamma_map, ln_kaporin_k, logdet_spd, spd_cholesky
 from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import EigenDecomposition, LowerTriFactor, sym_eig, tri_solve
-from .matio import SparseSymMatrix
+from .matio import as_dense, as_matvec
 
 __all__ = [
     "ErrorCore",
@@ -137,7 +137,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     Fails with NotPositiveDefiniteError when any eigenvalue of E is at or
     below -1, i.e. when A is not SPD relative to the factor.
     """
-    Ad = A.to_dense() if isinstance(A, SparseSymMatrix) else np.asarray(A, dtype=np.float64)
+    Ad = as_dense(A)
     n = Ad.shape[0]
     if Q.n != n:
         raise ValueError("factor order does not match the matrix")
@@ -209,10 +209,10 @@ class Preconditioner:
     def _middle_solve(self, y, a, d) -> np.ndarray:
         """y/a + V ((1/d - 1/a) t) with t = V^T y, which equals
         (y - V t)/a + V (t/d): the middle term's inverse for a = alpha,
-        d = 1 + D, and its inverse square root for their square roots.
-        One pass over y, plus the rank-r update when r > 0.  y is a vector
-        or an n x k block; the transposes make the weights scale the rows
-        of t in both cases."""
+        d = 1 + D, its inverse square root for their square roots, and the
+        term itself for their reciprocals.  One pass over y, plus the
+        rank-r update when r > 0.  y is a vector or an n x k block; the
+        transposes make the weights scale the rows of t in both cases."""
         z = y / a
         V = self.low_rank.V
         if V.shape[1]:
@@ -229,9 +229,7 @@ class Preconditioner:
     def apply(self, x) -> np.ndarray:
         """P_alpha x, the inverse of apply_inverse."""
         z = self.factor.matvec(np.asarray(x, dtype=np.float64), "adjoint")
-        V, D = self.low_rank.V, self.low_rank.D
-        t = V.T @ z
-        w = self.alpha * (z - V @ t) + V @ ((1.0 + D) * t.T).T
+        w = self._middle_solve(z, 1.0 / self.alpha, 1.0 / (1.0 + self.low_rank.D))
         return self.factor.matvec(w, "forward")
 
     def apply_inv_sqrt(self, x) -> np.ndarray:
@@ -288,9 +286,9 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
 
 
 def scale_to_unit_trace(A, P):
-    """Rescale P so trace((cP)^-1 A) = n; returns (c, cP) for dense inputs."""
-    A = np.asarray(A, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
+    """Rescale P so trace((cP)^-1 A) = n; returns (c, cP), cP dense."""
+    A = as_dense(A)
+    P = as_dense(P)
     n = A.shape[0]
     Lp = spd_cholesky(P, "P")
     Z = sla.solve_triangular(Lp, spd_cholesky(A, "A"), lower=True)
@@ -304,7 +302,7 @@ def sym_preconditioned_operator(A, P: Preconditioner):
     Applies S^-1 Q^-1 A Q^-T S^-1 where Q S is a square factor of
     P_alpha; trace and log-det match those of P_alpha^-1 A exactly.
     """
-    matvec = A.matvec if isinstance(A, SparseSymMatrix) else (lambda x: np.asarray(A) @ x)
+    matvec, _ = as_matvec(A)
 
     def op(x):
         return P.apply_inv_sqrt(matvec(P.apply_inv_sqrt_t(x)))
@@ -314,5 +312,4 @@ def sym_preconditioned_operator(A, P: Preconditioner):
 
 def preconditioned_logdet(A, P: Preconditioner) -> float:
     """Exact log det(P_alpha^-1 A) via dense Cholesky of A and P's structure."""
-    Ad = A.to_dense() if isinstance(A, SparseSymMatrix) else np.asarray(A, dtype=np.float64)
-    return logdet_spd(Ad) - P.logdet()
+    return logdet_spd(A) - P.logdet()

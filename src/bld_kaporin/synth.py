@@ -2,14 +2,14 @@
 
 Dense instances are A = W diag(spectrum) W' with W drawn Haar-like from
 the QR of a seeded Gaussian matrix, so the exact spectrum doubles as an
-oracle.  Sparse instances mimic network matrices: a random tree plus
-extra chords, symmetric diagonally dominant, for exercising zero-fill
-factorizations at a given order and density.
+oracle: make_spectrum names the spectrum (uniform, geometric or
+clustered), make_dense_spd(spectrum, basis_seed) builds the matrix, and
+random_spd draws both from a generator.  Sparse instances mimic network
+matrices: a random tree plus extra chords, symmetric diagonally dominant,
+for exercising zero-fill factorizations at a given order and density.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +18,6 @@ from .errors import DomainError
 from .matio import SparseSymMatrix
 
 __all__ = [
-    "SyntheticSpec",
     "haar_orthogonal",
     "make_spectrum",
     "make_dense_spd",
@@ -27,33 +26,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for a dense SPD instance with a known spectrum.
-
-    generator is one of uniform / geometric / clustered / explicit with
-    matching params:
-      uniform:   (a, b) eigenvalue range
-      geometric: (kappa,) eigenvalues kappa^(-j/(n-1)), j = 0..n-1
-      clustered: (values, multiplicities)
-      explicit:  (list_of_eigenvalues,)
-    """
-
-    n: int
-    generator: str = "uniform"
-    params: tuple = (0.5, 5.0)
-    basis_seed: int = 0
-
-    def spectrum(self) -> np.ndarray:
-        return make_spectrum(self.n, self.generator, self.params)
-
-    def build(self):
-        """Returns (dense A, exact non-increasing spectrum)."""
-        spec = self.spectrum()
-        return make_dense_spd(spec, self.basis_seed), spec
-
-
 def make_spectrum(n: int, generator: str, params) -> np.ndarray:
+    """Non-increasing spectrum of order n: generator uniform with params
+    (a, b), geometric with (kappa,) or clustered with (values, mults)."""
     if generator == "uniform":
         a, b = params
         if not 0.0 < a <= b:
@@ -70,11 +45,6 @@ def make_spectrum(n: int, generator: str, params) -> np.ndarray:
         if spec.size != n:
             raise DomainError("clustered multiplicities must sum to n")
         spec = np.sort(spec)[::-1]
-    elif generator == "explicit":
-        (values,) = params
-        spec = np.sort(np.asarray(values, dtype=np.float64))[::-1]
-        if spec.size != n:
-            raise DomainError("explicit spectrum length must equal n")
     else:
         raise DomainError(f"unknown spectrum generator {generator!r}")
     if np.any(spec <= 0.0):
@@ -103,9 +73,7 @@ def random_spd(n: int, rng: np.random.Generator, kappa: float | None = None) -> 
         spec = rng.uniform(0.5, 5.0, size=n)
     else:
         spec = np.exp(rng.uniform(-np.log(kappa), 0.0, size=n))
-    W = haar_orthogonal(n, int(rng.integers(0, 2**31)))
-    A = (W * spec) @ W.T
-    return 0.5 * (A + A.T)
+    return make_dense_spd(spec, int(rng.integers(0, 2**31)))
 
 
 def make_sparse_network(n: int, seed: int = 0, extra_edges: int | None = None) -> SparseSymMatrix:

@@ -104,6 +104,50 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestMatrixSource:
+    @pytest.mark.parametrize("flags, named", [
+        (["--synthetic", "uniform", "--n", "50"], "--synthetic"),
+        (["--n", "50"], "--n"),
+        (["--cond", "7"], "--cond"),
+        (["--lo", "3"], "--lo"),
+        (["--hi", "3"], "--hi"),
+        (["--clusters", "9:9"], "--clusters"),
+    ])
+    def test_flag_the_file_does_not_read_is_usage_error(self, mtx_path, flags, named, capsys):
+        assert run(["info", "--matrix", str(mtx_path), *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and named in err
+
+    @pytest.mark.parametrize("flags, named", [
+        (["network", "--n", "30", "--cond", "7", "--lo", "3", "--clusters", "9:9"], "--cond"),
+        (["network", "--lo", "3"], "--lo"),
+        (["network", "--clusters", "9:9"], "--clusters"),
+        (["uniform", "--cond", "7"], "--cond"),
+        (["geometric", "--hi", "7"], "--hi"),
+        (["clustered", "--n", "2", "--clusters", "1:2", "--lo", "1"], "--lo"),
+    ])
+    def test_flag_the_generator_does_not_read_is_usage_error(self, flags, named, capsys):
+        assert run(["info", "--synthetic", *flags]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and named in err
+
+    @pytest.mark.parametrize("flags", [
+        ["--synthetic", "uniform", "--n", "20", "--lo", "1", "--hi", "3"],
+        ["--synthetic", "geometric", "--n", "20", "--cond", "50"],
+        ["--synthetic", "clustered", "--n", "5", "--clusters", "1:2,4:3"],
+        ["--synthetic", "network", "--n", "20"],
+    ])
+    def test_each_generator_reads_its_own_flags(self, flags, capsys):
+        assert run(["info", *flags]) == 0
+        assert "positive definite True" in capsys.readouterr().out
+
+    def test_file_holding_inf_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "inf.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 inf\n2 2 1\n")
+        assert run(["info", "--matrix", str(bad)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestInfo:
     def test_reports_matrix_facts(self, mtx_path, capsys):
         assert run(["info", "--matrix", str(mtx_path)]) == 0
@@ -261,6 +305,12 @@ class TestSpec:
                     "--out", str(out)]) == 1
         assert "--truncation" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_invalid_json_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n": ')
+        assert run(["info", "--synthetic", "network", "--spec", str(spec)]) == 1
+        assert "--spec" in capsys.readouterr().err
 
     def test_non_object_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -19,11 +19,11 @@ from bld_kaporin.harness import (
 )
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.rla import ProbeConfig
-from bld_kaporin.synth import SyntheticSpec, make_sparse_network
+from bld_kaporin.synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
-def _assembled(spec: SyntheticSpec) -> SparseSymMatrix:
-    return SparseSymMatrix.from_dense(spec.build()[0])
+def _assembled(spectrum, seed: int) -> SparseSymMatrix:
+    return SparseSymMatrix.from_dense(make_dense_spd(spectrum, seed))
 
 
 class TestBuildPreconditioner:
@@ -61,7 +61,7 @@ class TestSweepAlpha:
     def test_three_by_three_constructed_case(self):
         # identity factor on spectrum (4, 1.5, 0.5): the error eigenvalues are
         # (3, 0.5, -0.5); rank 1 keeps 3, leaving the (1.5, 0.5) complement
-        A = _assembled(SyntheticSpec(3, "explicit", ([4.0, 1.5, 0.5],), basis_seed=1))
+        A = _assembled([4.0, 1.5, 0.5], 1)
         rows, summary = sweep_alpha(A, factor="identity", rank=1)
         assert summary["alpha_star"] == pytest.approx(1.0, rel=1e-9)
         assert summary["interval"][0] == pytest.approx(0.5, rel=1e-9)
@@ -76,7 +76,7 @@ class TestSweepAlpha:
         assert k_min["alpha"] == pytest.approx(1.0, rel=1e-12)
 
     def test_zero_error_core(self):
-        A = _assembled(SyntheticSpec(8, "uniform", (0.5, 3.0), basis_seed=2))
+        A = _assembled(make_spectrum(8, "uniform", (0.5, 3.0)), 2)
         rows, summary = sweep_alpha(A, factor="exact", rank=2)
         assert summary["alpha_star"] == pytest.approx(1.0, abs=1e-10)
         assert summary["d_ld_at_alpha_star"] <= 1e-12
@@ -144,13 +144,13 @@ class TestVerifyTheorems:
 
 class TestBoundOverlay:
     def test_exact_preconditioner_trivial(self):
-        A = _assembled(SyntheticSpec(40, "uniform", (0.5, 5.0), basis_seed=7))
+        A = _assembled(make_spectrum(40, "uniform", (0.5, 5.0)), 7)
         rows, summary = bound_overlay(A, factor="exact", rank=0)
         assert summary["iterations"] == 1
         assert summary["violations"] == []
 
     def test_identity_factor_geometric(self):
-        A = _assembled(SyntheticSpec(120, "geometric", (1e4,), basis_seed=8))
+        A = _assembled(make_spectrum(120, "geometric", (1e4,)), 8)
         rows, summary = bound_overlay(A, factor="identity", rank=12, tol=1e-9)
         assert summary["violations"] == []
         assert summary["converged"]

@@ -4,14 +4,36 @@ import os
 import numpy as np
 import pytest
 
+from bld_kaporin.divergence import (
+    bregman_logdet,
+    condition_report,
+    dual_coords,
+    dual_divergence,
+    jacobi_scale,
+    logdet_spd,
+    preconditioned_spectrum,
+    spd_cholesky,
+)
 from bld_kaporin.errors import MatrixMarketError, SchemaError, SymmetryError
+from bld_kaporin.linalg import cholesky, ic0, sym_eig
 from bld_kaporin.matio import (
     SparseSymMatrix,
+    as_dense,
     read_matrix_market,
     write_json,
     write_matrix_market,
     write_table,
 )
+from bld_kaporin.pcg import pcg_solve
+from bld_kaporin.precond import (
+    Preconditioner,
+    bld_truncate,
+    error_core,
+    preconditioned_logdet,
+    scale_to_unit_trace,
+    sym_preconditioned_operator,
+)
+from bld_kaporin.synth import make_sparse_network
 
 
 def _write(tmp_path, text, name="m.mtx"):
@@ -218,3 +240,93 @@ class TestWriteJson:
         text = path.read_text()
         assert text == json.dumps({"a": [0.5, None], "b": 1}, indent=2) + "\n"
         assert os.listdir(tmp_path) == ["s.json"]
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_coo_rejects(self, bad):
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            SparseSymMatrix.from_coo(2, [0, 1], [0, 1], [1.0, bad])
+
+    def test_from_coo_rejects_duplicates_summing_to_nan(self):
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            SparseSymMatrix.from_coo(2, [0, 1, 1], [0, 1, 1], [1.0, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_dense_rejects(self, bad):
+        a = np.eye(3)
+        a[2, 2] = bad
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            SparseSymMatrix.from_dense(a)
+
+    def test_file_holding_inf_rejected(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 inf\n2 2 1.0\n",
+        )
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            read_matrix_market(path)
+
+
+def _reader_inputs():
+    """A sparse SPD A, a Preconditioner P for it and a sparse negative
+    definite N, each with its dense copy."""
+    A = make_sparse_network(8, seed=5)
+    core = error_core(A, ic0(A))
+    P = Preconditioner(core.factor, bld_truncate(core, 2), 1.3)
+    coo = A.lower.tocoo()
+    N = SparseSymMatrix.from_coo(A.n, coo.row, coo.col, -coo.data)
+    return (A, P, N), (A.to_dense(), P.dense(), N.to_dense())
+
+
+(_A, _P, _N), _ = _reader_inputs()
+_b = np.linspace(1.0, 2.0, _A.n)
+
+# Every function that reads a matrix argument through as_dense or
+# as_matvec, as f(A, P, N) with P a Preconditioner or its dense copy.
+READERS = {
+    "spd_cholesky": lambda A, P, N: spd_cholesky(A),
+    "logdet_spd": lambda A, P, N: logdet_spd(A),
+    "dual_coords": lambda A, P, N: dual_coords(A),
+    "dual_divergence": lambda A, P, N: dual_divergence(N, -2.0 * np.eye(_A.n)),
+    "scale_to_unit_trace": lambda A, P, N: scale_to_unit_trace(A, P)[1],
+    "bregman_logdet": lambda A, P, N: bregman_logdet(A, P),
+    "preconditioned_spectrum": lambda A, P, N: preconditioned_spectrum(A, P),
+    "condition_report": lambda A, P, N: condition_report(A, P).d_ld,
+    "cholesky": lambda A, P, N: cholesky(A).to_dense(),
+    "jacobi_scale": lambda A, P, N: as_dense(jacobi_scale(A)),
+    "sym_eig": lambda A, P, N: sym_eig(A).values,
+    "error_core": lambda A, P, N: error_core(A, ic0(_A)).thetas,
+    "preconditioned_logdet": lambda A, P, N: preconditioned_logdet(A, _P),
+    "pcg_solve": lambda A, P, N: pcg_solve(A, _b).x,
+    "pcg_solve_dense_inverse": lambda A, P, N: pcg_solve(_A, _b, A).x,
+    "sym_preconditioned_operator": lambda A, P, N: sym_preconditioned_operator(A, _P)(_b),
+}
+
+
+class TestMatrixReader:
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_sparse_and_preconditioner_match_their_dense_copies(self, name):
+        sparse, dense = _reader_inputs()
+        # sparse and dense products round differently; every dense copy is exact
+        np.testing.assert_allclose(READERS[name](*sparse), READERS[name](*dense),
+                                   rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_non_square_rejected(self, name):
+        bad = np.ones((2, 3))
+        with pytest.raises(ValueError, match="square matrix required"):
+            READERS[name](bad, bad, bad)
+
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_nan_rejected(self, name):
+        bad = np.eye(_A.n)
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            READERS[name](bad, bad, bad)
+
+    def test_callable_operator_rejected(self):
+        with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):
+            pcg_solve(lambda x: x, _b)
+        with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):
+            sym_preconditioned_operator(lambda x: x, _P)
