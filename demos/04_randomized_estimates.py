@@ -19,8 +19,7 @@ rows, _ = estimator_study(
     make_sparse_network(400, seed=21),
     factor="ic0",
     rank=40,
-    probes=ProbeConfig(seed=99),
-    schedules=[(10, 5), (20, 10), (40, 30)],
+    probes=[ProbeConfig(m=m, n_v=n_v, seed=99) for m, n_v in ((10, 5), (20, 10), (40, 30))],
 )
 
 print(f"{'m':>4} {'n_v':>4} {'ln K exact':>12} {'ln K hat':>12} "

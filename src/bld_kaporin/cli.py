@@ -14,10 +14,12 @@ import sys
 
 import numpy as np
 
-from . import harness, rla
-from .errors import DomainError
+from . import harness
+from .errors import DomainError, NotPositiveDefiniteError
 from .linalg import cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
+from .pcg import SolveConfig
+from .rla import DISTRIBUTIONS, ProbeConfig
 from .synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
@@ -90,7 +92,7 @@ def build_parser() -> _Parser:
     _add_matrix_flags(p)
     _add_precond_flags(p)
     _add_alpha_flag(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=SolveConfig.tol)
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--out", help="CSV output path for the per-iteration table")
     p.add_argument("--out-json", help="summary JSON path")
@@ -105,9 +107,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="randomized estimates vs exact quantities")
     _add_matrix_flags(p)
     _add_precond_flags(p)
-    p.add_argument("--m", type=int, default=30, help="Lanczos steps per probe")
-    p.add_argument("--nv", type=int, default=10, help="number of probe vectors")
-    p.add_argument("--dist", choices=["rademacher", "gaussian"], default="rademacher")
+    p.add_argument("--m", type=int, default=ProbeConfig.m, help="Lanczos steps per probe")
+    p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
+    p.add_argument("--dist", choices=DISTRIBUTIONS, default=ProbeConfig.distribution)
     p.add_argument("--out", help="CSV output path")
 
     for sp in sub.choices.values():
@@ -192,7 +194,7 @@ def _cmd_info(args) -> int:
     spd = True
     try:
         cholesky(A)
-    except Exception:
+    except NotPositiveDefiniteError:
         spd = False
     print(f"positive definite {spd}")
     return 0
@@ -200,10 +202,8 @@ def _cmd_info(args) -> int:
 
 def _cmd_precondition(args) -> int:
     A = _resolve_matrix(args)
-    core, term, P, alpha_star = harness.build_preconditioner(
-        A, args.factor, args.rank, args.alpha, truncation=args.truncation
-    )
-    rest = core.rest(term)
+    core, term, rest, P = harness.build_preconditioner(A, args.factor, args.rank, args.alpha,
+                                                       args.truncation)
     summary = {
         "n": A.n,
         "factor": args.factor,
@@ -211,11 +211,11 @@ def _cmd_precondition(args) -> int:
         "truncation": args.truncation,
         "rank": term.r,
         "alpha": P.alpha,
-        "alpha_star": alpha_star,
+        "alpha_star": rest.alpha_star,
         "interval": [rest.lo, rest.hi],
-        "d_ld_at_alpha_star": rest.divergence(alpha_star),
-        "ln_k_at_alpha_star": rest.ln_kaporin(alpha_star),
-        "kappa2_in_interval": rest.kappa2(alpha_star),
+        "d_ld_at_alpha_star": rest.divergence(rest.alpha_star),
+        "ln_k_at_alpha_star": rest.ln_kaporin(rest.alpha_star),
+        "kappa2_in_interval": rest.kappa2(rest.alpha_star),
     }
     for key, val in summary.items():
         print(f"{key:22s} {val}")
@@ -268,9 +268,9 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_positive(("--m", args.m), ("--nv", args.nv))
-    probes = rla.ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, distribution=args.dist)
+    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, distribution=args.dist)
     A = _resolve_matrix(args)
-    rows, summary = harness.estimator_study(A, args.factor, args.rank, probes)
+    rows, summary = harness.estimator_study(A, args.factor, args.rank, (probes,))
     for row in rows:
         print(f"m={row['m']} nv={row['n_v']}  ln K exact={row['ln_k_exact']:.6g} "
               f"hat={row['ln_k_hat']:.6g}  alpha exact={row['alpha_exact']:.6g} "

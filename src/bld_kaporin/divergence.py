@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .matio import SparseSymMatrix, as_dense
+from .matio import SparseSymMatrix, as_dense, as_dense_pair
 
 __all__ = [
     "ConditionReport",
@@ -110,11 +110,8 @@ def bregman_logdet(A, P, method="dense-direct") -> float:
     eigensystems; it is cubic with large constants and exists as an
     independent cross-check.
     """
-    A = as_dense(A)
-    P = as_dense(P)
+    A, P = as_dense_pair(A, P)
     n = A.shape[0]
-    if P.shape != A.shape:
-        raise ValueError("A and P must have matching shape")
     if method == "dense-direct":
         La = spd_cholesky(A, "A")
         Lp = spd_cholesky(P, "P")
@@ -152,8 +149,7 @@ def dual_divergence(theta, sigma) -> float:
     phi*(theta) - phi*(sigma) - trace(-sigma^-1 (theta - sigma)).
     Equals bregman_logdet(A, B) at theta = B*, sigma = A*.
     """
-    theta = as_dense(theta)
-    sigma = as_dense(sigma)
+    theta, sigma = as_dense_pair(theta, sigma)
     n = theta.shape[0]
     Lt = spd_cholesky(-theta, "first argument (negated)")
     Ls = spd_cholesky(-sigma, "second argument (negated)")
@@ -204,7 +200,7 @@ def preconditioned_spectrum(A, P) -> np.ndarray:
     """
     from .linalg import sym_eig
 
-    A = as_dense(A)
+    A, P = as_dense_pair(A, P)
     Lp = spd_cholesky(P, "P")
     Y = sla.solve_triangular(Lp, A, lower=True)
     M = sla.solve_triangular(Lp, Y.T, lower=True).T

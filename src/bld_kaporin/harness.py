@@ -45,24 +45,25 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
     rank (default ceil(n/10), at most n - 1) eigenpairs by
     TRUNCATIONS[truncation], and assemble P_alpha (alpha default alpha_star).
 
-    Returns (core, term, preconditioner, alpha_star).
+    Returns (core, term, rest, preconditioner): rest is the RestStats
+    that every alpha functional, alpha_star included, is read from.
     """
-    core, term = _select(A, factor, rank, truncation)
-    alpha_star = pc.optimal_alpha(core, term)
-    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else alpha_star)
-    return core, term, P, alpha_star
+    core, term, rest = _select(A, factor, rank, truncation)
+    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else rest.alpha_star)
+    return core, term, rest, P
 
 
 def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str = "bld"):
-    """The error core of FACTORS[factor] and its rank-r term: the part of
-    build_preconditioner that precedes alpha."""
+    """The error core of FACTORS[factor], its rank-r term and the RestStats
+    of what the term leaves: the part of build_preconditioner before alpha."""
     if truncation not in TRUNCATIONS:
         raise DomainError(f"unknown truncation {truncation!r}")
     if factor not in FACTORS:
         raise DomainError(f"unknown factor kind {factor!r}")
     core = pc.error_core(A, FACTORS[factor](A))
     r = rank if rank is not None else min(-(-A.n // 10), A.n - 1)
-    return core, TRUNCATIONS[truncation](core, r)
+    term = TRUNCATIONS[truncation](core, r)
+    return core, term, core.rest(term)
 
 
 def check_grid(grid) -> None:
@@ -106,9 +107,7 @@ def sweep_alpha(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None
     """
     if grid is not None:
         check_grid(grid)
-    core, term = _select(A, factor, rank)
-    # the statistics do not depend on alpha: one pass serves the whole grid
-    rest = core.rest(term)
+    core, term, rest = _select(A, factor, rank)
     alpha_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
     rows = [
         {
@@ -224,8 +223,7 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
         # factored batteries on a sparse instance
         ns = max(12, n)
         As = make_sparse_network(ns, seed=int(rng.integers(0, 2**31)))
-        core, term = _select(As, "ic0", max(1, ns // 5))
-        rest = core.rest(term)
+        core, term, rest = _select(As, "ic0", max(1, ns // 5))
         a_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
         d_star = rest.divergence(a_star)
         grid = np.geomspace(a_star / 4.0, a_star * 4.0, 101)
@@ -298,10 +296,9 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(n)
     cfg = pg.SolveConfig(tol=tol, max_iter=max_iter, known_solution=x_true)
-    core, term, P, _ = build_preconditioner(A, factor, rank, alpha)
+    _, term, rest, P = build_preconditioner(A, factor, rank, alpha)
     alpha = P.alpha
 
-    rest = core.rest(term)
     kap2 = rest.kappa2(alpha)
     ln_k = rest.ln_kaporin(alpha)
     d_ld = rest.divergence(alpha)
@@ -397,13 +394,13 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
 
 
 def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
-                      alphas=None, solve: pg.SolveConfig = pg.SolveConfig(), seed: int = 0):
+                      alphas=None, seed: int = 0):
     """Observe how the complement scaling changes actual PCG behavior.
 
     factor and rank select the correction as build_preconditioner does;
     alphas defaults to alpha_star times 1/4, 1/2, 1, 2 and 4.  Every
     alpha solves the same system, b = A x for a standard normal x drawn
-    from seed, under the solve config.
+    from seed, under the default SolveConfig.
 
     In exact arithmetic the preconditioned iterates are expected to be
     insensitive to the scaling; this experiment reports what finite
@@ -411,7 +408,8 @@ def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None 
     of each final iterate from the first alpha's.
     Nothing here is asserted, the table is observational.
     """
-    core, term, _, alpha_star = build_preconditioner(A, factor, rank)
+    core, term, rest = _select(A, factor, rank)
+    alpha_star = rest.alpha_star
     if alphas is None:
         alphas = [alpha_star / 4.0, alpha_star / 2.0, alpha_star, 2.0 * alpha_star, 4.0 * alpha_star]
     rng = np.random.default_rng(seed)
@@ -420,7 +418,7 @@ def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None 
     rows = []
     for alpha in alphas:
         P = pc.Preconditioner(core.factor, term, float(alpha))
-        report = pg.pcg_solve(A, b, P, solve)
+        report = pg.pcg_solve(A, b, P)
         if reference is None:
             reference = report.x
         rows.append(
@@ -495,42 +493,38 @@ def _unit_norm_symmetric(n: int, seed: int) -> np.ndarray:
 
 
 def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
-                    probes: rla.ProbeConfig = rla.ProbeConfig(), schedules=None):
+                    probes=(rla.ProbeConfig(),)):
     """Compare SLQ-derived surrogates with their exact counterparts.
 
     factor and rank select the correction as build_preconditioner does.
-    schedules is an iterable of (m, n_v) and defaults to probes' own;
-    every schedule draws its probes with probes.seed and
-    probes.distribution.  Each row also carries the standard errors of
-    the trace and log-det estimates (empty for n_v = 1), the number of
-    probes whose Lanczos run broke down, and the number of Lanczos steps
-    that reorthogonalized.  Requires the order to stay small enough for
-    the dense reference (n <= 2000).
+    probes is an iterable of ProbeConfig, one row each, carrying the
+    config's m and n_v, the estimates of a one-config call, the standard
+    errors of the trace and log-det estimates (empty for n_v = 1), the
+    number of probes whose Lanczos run broke down, and the number of
+    Lanczos steps that reorthogonalized.  Requires n <= 2000, for the
+    dense reference.
     """
     n = A.n
     if n > 2000:
         raise DomainError("exact reference limited to n <= 2000")
-    core, term, P_one, alpha_star = build_preconditioner(A, factor, rank, 1.0)
-    r = term.r
-    rest = core.rest(term)
+    _, term, rest, P_one = build_preconditioner(A, factor, rank, 1.0)
+    r, alpha_star = term.r, rest.alpha_star
     trace_exact, logdet_exact = rest.trace_logdet(1.0)
     ln_k_exact = rest.ln_kaporin(1.0)
     d_exact = rest.divergence(alpha_star)
 
+    probes = tuple(probes)
     op = pc.sym_preconditioned_operator(A, P_one)
-    if schedules is None:
-        schedules = [(probes.m, probes.n_v)]
     rows = []
-    for m, n_v in schedules:
-        cfg = rla.ProbeConfig(m=m, n_v=n_v, seed=probes.seed, distribution=probes.distribution)
+    for cfg in probes:
         est = rla.slq_trace_logdet(op, n, cfg)
         ln_k_hat = rla.approx_ln_kaporin(est.trace_est, est.logdet_est, n)
         alpha_hat = rla.approx_alpha(est.trace_est, n, r)
         d_hat = rla.approx_divergence(est.logdet_est, alpha_hat, n, r)
         rows.append(
             {
-                "m": m,
-                "n_v": n_v,
+                "m": cfg.m,
+                "n_v": cfg.n_v,
                 "trace_exact": trace_exact,
                 "trace_hat": est.trace_est,
                 "logdet_exact": logdet_exact,
@@ -556,7 +550,7 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
         "n": n,
         "rank": r,
         "factor": factor,
-        "seed": probes.seed,
+        "seeds": [cfg.seed for cfg in probes],
     }
     _validate_rows(rows, allow_none=("trace_stderr", "logdet_stderr"))
     return rows, summary

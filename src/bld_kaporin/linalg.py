@@ -162,17 +162,17 @@ class LanczosResult:
     """Tridiagonal reduction after m steps.
 
     alphas has length m, betas length m-1 (strictly positive up to any
-    breakdown).  basis, when retained, has the m Lanczos vectors as
-    columns; it is an n x m view of row-major storage, so not
-    C-contiguous.  breakdown is True when the recurrence exhausted the
-    Krylov space before the requested step count.  reorthogonalized
-    counts the steps whose new vector was swept against the kept basis.
+    breakdown).  basis has the m Lanczos vectors as columns; it is an
+    n x m view of row-major storage, so not C-contiguous.  breakdown is
+    True when the recurrence exhausted the Krylov space before the
+    requested step count.  reorthogonalized counts the steps whose new
+    vector was swept against the kept basis.
     """
 
     m: int
     alphas: np.ndarray
     betas: np.ndarray
-    basis: np.ndarray | None
+    basis: np.ndarray
     breakdown: bool
     reorthogonalized: int
 

@@ -1,5 +1,5 @@
 """Matrix Market ingestion, symmetric sparse containers, the one reader
-of matrix arguments (as_dense, as_matvec), CSV emission.
+of matrix arguments (as_dense, as_dense_pair, as_matvec), CSV emission.
 
 The on-disk format is the coordinate Matrix Market exchange format
 (`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
@@ -26,6 +26,7 @@ from .errors import MatrixMarketError, SchemaError, SymmetryError
 __all__ = [
     "SparseSymMatrix",
     "as_dense",
+    "as_dense_pair",
     "as_matvec",
     "read_matrix_market",
     "write_json",
@@ -70,14 +71,14 @@ class SparseSymMatrix:
         return SparseSymMatrix(n=n, lower=lower)
 
     @staticmethod
-    def from_dense(a, tol=1e-12) -> "SparseSymMatrix":
+    def from_dense(a) -> "SparseSymMatrix":
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("square matrix required")
         if not np.isfinite(a).all():
             raise MatrixMarketError("matrix has a non-finite entry")
         scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > tol * scale:
+        if np.abs(a - a.T).max() > 1e-12 * scale:
             raise SymmetryError("dense input is not symmetric")
         lower = sp.csr_matrix(np.tril(a))
         return SparseSymMatrix(n=a.shape[0], lower=lower)
@@ -131,6 +132,14 @@ def as_dense(A) -> np.ndarray:
     if not np.isfinite(A).all():
         raise ValueError("matrix has non-finite entries")
     return A
+
+
+def as_dense_pair(A, P):
+    """as_dense of A and P; ValueError unless their orders match."""
+    A, P = as_dense(A), as_dense(P)
+    if A.shape != P.shape:
+        raise ValueError(f"A and P must have matching shape, got {A.shape} and {P.shape}")
+    return A, P
 
 
 def as_matvec(A):

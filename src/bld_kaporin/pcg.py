@@ -111,6 +111,8 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     matvec, n = as_matvec(A)
     apply_h = _as_apply_inverse(H)
     b = np.asarray(b, dtype=np.float64)
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side must have shape {(n,)}, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n

@@ -25,7 +25,7 @@ import scipy.linalg as sla
 from .divergence import gamma_map, ln_kaporin_k, logdet_spd, spd_cholesky
 from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import EigenDecomposition, LowerTriFactor, sym_eig, tri_solve
-from .matio import as_dense, as_matvec
+from .matio import as_dense, as_dense_pair, as_matvec
 
 __all__ = [
     "ErrorCore",
@@ -287,8 +287,7 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
 
 def scale_to_unit_trace(A, P):
     """Rescale P so trace((cP)^-1 A) = n; returns (c, cP), cP dense."""
-    A = as_dense(A)
-    P = as_dense(P)
+    A, P = as_dense_pair(A, P)
     n = A.shape[0]
     Lp = spd_cholesky(P, "P")
     Z = sla.solve_triangular(Lp, spd_cholesky(A, "A"), lower=True)
@@ -302,7 +301,9 @@ def sym_preconditioned_operator(A, P: Preconditioner):
     Applies S^-1 Q^-1 A Q^-T S^-1 where Q S is a square factor of
     P_alpha; trace and log-det match those of P_alpha^-1 A exactly.
     """
-    matvec, _ = as_matvec(A)
+    matvec, n = as_matvec(A)
+    if P.n != n:
+        raise ValueError(f"A and P must have matching order, got {n} and {P.n}")
 
     def op(x):
         return P.apply_inv_sqrt(matvec(P.apply_inv_sqrt_t(x)))

@@ -36,6 +36,7 @@ from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
 
 __all__ = [
+    "DISTRIBUTIONS",
     "ProbeConfig",
     "EstimateReport",
     "hutchinson_trace",
@@ -46,12 +47,15 @@ __all__ = [
 ]
 
 
+DISTRIBUTIONS = ("rademacher", "gaussian")
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Probe schedule: m Lanczos steps for each of n_v start vectors.
 
-    distribution picks the probe law; SLQ normalizes every probe to unit
-    2-norm, Hutchinson uses the raw vectors.
+    distribution, one of DISTRIBUTIONS, picks the probe law; SLQ
+    normalizes every probe to unit 2-norm, Hutchinson uses the raw vectors.
     """
 
     m: int = 30
@@ -62,7 +66,7 @@ class ProbeConfig:
     def __post_init__(self):
         if self.m < 1 or self.n_v < 1:
             raise DomainError("m >= 1 and n_v >= 1 required")
-        if self.distribution not in ("rademacher", "gaussian"):
+        if self.distribution not in DISTRIBUTIONS:
             raise DomainError(f"unknown distribution {self.distribution!r}")
 
 
@@ -70,13 +74,14 @@ class ProbeConfig:
 class EstimateReport:
     """Estimates plus per-probe quadratic forms.
 
-    per_probe_* store unit-vector-scale contributions, so every aggregate
-    is n * mean(per_probe_*), with standard error n * std(per_probe_*,
-    ddof=1) / sqrt(n_v) (None from a single probe).  logdet fields are
-    None for estimators that do not produce them.  breakdowns counts the
-    probes whose Lanczos run exhausted its Krylov space before m steps,
-    reorthogonalized the Lanczos steps, summed over probes, that swept the
-    new vector against the kept basis (both 0 for Hutchinson).
+    per_probe_* store unit-vector-scale contributions; the estimators set
+    each estimate to n * mean(per_probe_*), with standard error
+    n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
+    probe), and probes_used is the number of probes.  The logdet fields
+    are None for estimators that do not produce them.  breakdowns counts
+    the probes whose Lanczos run exhausted its Krylov space before m
+    steps, reorthogonalized the Lanczos steps, summed over probes, that
+    swept the new vector against the kept basis (both 0 for Hutchinson).
     """
 
     n: int
@@ -84,10 +89,12 @@ class EstimateReport:
     logdet_est: float | None
     per_probe_trace: np.ndarray
     per_probe_logdet: np.ndarray | None
-    probes_used: int
-    config: ProbeConfig
     breakdowns: int = 0
     reorthogonalized: int = 0
+
+    @property
+    def probes_used(self) -> int:
+        return self.per_probe_trace.size
 
     @property
     def trace_stderr(self) -> float | None:
@@ -120,15 +127,7 @@ def hutchinson_trace(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     for i in range(cfg.n_v):
         z = _draw(_probe_rng(cfg, i), n, cfg.distribution)
         contribs[i] = float(z @ apply(z)) / n
-    return EstimateReport(
-        n=n,
-        trace_est=n * float(np.mean(contribs)),
-        logdet_est=None,
-        per_probe_trace=contribs,
-        per_probe_logdet=None,
-        probes_used=cfg.n_v,
-        config=cfg,
-    )
+    return EstimateReport(n, n * float(np.mean(contribs)), None, contribs, None)
 
 
 def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
@@ -157,17 +156,8 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         tau2 = vecs[0, :] ** 2
         tr_contribs[i] = float(tau2 @ ritz)
         ld_contribs[i] = float(tau2 @ np.log(ritz))
-    return EstimateReport(
-        n=n,
-        trace_est=n * float(np.mean(tr_contribs)),
-        logdet_est=n * float(np.mean(ld_contribs)),
-        per_probe_trace=tr_contribs,
-        per_probe_logdet=ld_contribs,
-        probes_used=cfg.n_v,
-        config=cfg,
-        breakdowns=breakdowns,
-        reorthogonalized=reorthogonalized,
-    )
+    return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
+                          tr_contribs, ld_contribs, breakdowns, reorthogonalized)
 
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:

@@ -76,16 +76,16 @@ def random_spd(n: int, rng: np.random.Generator, kappa: float | None = None) -> 
     return make_dense_spd(spec, int(rng.integers(0, 2**31)))
 
 
-def make_sparse_network(n: int, seed: int = 0, extra_edges: int | None = None) -> SparseSymMatrix:
+def make_sparse_network(n: int, seed: int = 0) -> SparseSymMatrix:
     """Sparse SPD matrix shaped like a power-network Laplacian plus mass.
 
-    A random spanning tree keeps it connected; `extra_edges` chords
-    (default ~1.4 per node) add irregular fill.  Off-diagonals are
-    negative weights, the diagonal dominates, so IC(0) runs shift-free.
+    A random spanning tree keeps it connected; int(1.4 n) extra chords
+    add irregular fill (fewer when the order has too few free pairs).
+    Off-diagonals are negative weights, the diagonal dominates, so IC(0)
+    runs shift-free.
     """
     rng = np.random.default_rng(seed)
-    if extra_edges is None:
-        extra_edges = int(1.4 * n)
+    chords = int(1.4 * n)
     rows, cols, vals = [], [], []
 
     def add_edge(i, j, w):
@@ -100,7 +100,7 @@ def make_sparse_network(n: int, seed: int = 0, extra_edges: int | None = None) -
         add_edge(int(i), int(j), float(rng.uniform(0.5, 2.0)))
     seen = {(max(r, c), min(r, c)) for r, c in zip(rows, cols)}
     attempts = 0
-    while len(seen) < n - 1 + extra_edges and attempts < 50 * extra_edges:
+    while len(seen) < n - 1 + chords and attempts < 50 * chords:
         attempts += 1
         i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
         if i == j or (max(i, j), min(i, j)) in seen:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bld_kaporin import cli
 from bld_kaporin.cli import run
 from bld_kaporin.matio import SparseSymMatrix, write_matrix_market
 
@@ -155,6 +156,15 @@ class TestInfo:
         assert "order            3" in out
         assert "nnz (lower)      5" in out
         assert "positive definite True" in out
+
+    def test_failure_other_than_definiteness_is_two(self, mtx_path, monkeypatch, capsys):
+        def failing(A):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cli, "cholesky", failing)
+        assert run(["info", "--matrix", str(mtx_path)]) == 2
+        captured = capsys.readouterr()
+        assert "injected" in captured.err and "positive definite" not in captured.out
 
 
 class TestSweepAlpha:

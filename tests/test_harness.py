@@ -17,7 +17,8 @@ from bld_kaporin.harness import (
     sweep_alpha,
     verify_theorems,
 )
-from bld_kaporin.matio import SparseSymMatrix
+from bld_kaporin.cli import run
+from bld_kaporin.matio import SparseSymMatrix, write_matrix_market
 from bld_kaporin.rla import ProbeConfig
 from bld_kaporin.synth import make_dense_spd, make_sparse_network, make_spectrum
 
@@ -26,12 +27,18 @@ def _assembled(spectrum, seed: int) -> SparseSymMatrix:
     return SparseSymMatrix.from_dense(make_dense_spd(spectrum, seed))
 
 
+def _run_cli(A: SparseSymMatrix, command: str) -> None:
+    """Run a CLI command on A, written to a Matrix Market file in the working directory."""
+    write_matrix_market(A, "a.mtx")
+    assert run([command, "--matrix", "a.mtx", "--rank", "6"]) == 0
+
+
 class TestBuildPreconditioner:
     def test_alpha_defaults_to_alpha_star(self):
         A = make_sparse_network(60, seed=2)
-        _, _, P, alpha_star = build_preconditioner(A, "ic0", 6)
-        assert P.alpha == alpha_star != 1.0
-        assert build_preconditioner(A, "ic0", 6, 1.0)[2].alpha == 1.0
+        _, _, rest, P = build_preconditioner(A, "ic0", 6)
+        assert P.alpha == rest.alpha_star != 1.0
+        assert build_preconditioner(A, "ic0", 6, 1.0)[3].alpha == 1.0
 
     @pytest.mark.parametrize("truncation", ["BLD", "svd", ""])
     def test_unknown_truncation_rejected(self, truncation):
@@ -41,8 +48,8 @@ class TestBuildPreconditioner:
 
     @pytest.mark.parametrize("factor", sorted(FACTORS))
     def test_every_factor_kind_builds(self, factor):
-        core, term, P, alpha_star = build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
-        assert term.r == 3 and P.factor is core.factor and alpha_star > 0.0
+        core, term, rest, P = build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
+        assert term.r == 3 and P.factor is core.factor and rest.alpha_star > 0.0
 
     @pytest.mark.parametrize("factor", ["IC0", "ic1", ""])
     def test_unknown_factor_rejected(self, factor):
@@ -95,7 +102,9 @@ class TestSweepAlpha:
         with pytest.raises(DomainError, match="grid"):
             sweep_alpha(make_sparse_network(30, seed=2), grid=grid)
 
-    def test_one_rest_pass_per_sweep(self, monkeypatch):
+    @pytest.fixture
+    def rest_calls(self, monkeypatch):
+        """The rank of every ErrorCore.rest pass, in call order."""
         calls = []
         rest = precond.ErrorCore.rest
 
@@ -104,9 +113,24 @@ class TestSweepAlpha:
             return rest(core, term)
 
         monkeypatch.setattr(precond.ErrorCore, "rest", counted)
+        return calls
+
+    def test_one_rest_pass_per_sweep(self, rest_calls):
         rows, _ = sweep_alpha(make_sparse_network(60, seed=4), rank=6)
         assert len(rows) > 100
-        assert calls == [6]
+        assert rest_calls == [6]
+
+    @pytest.mark.parametrize("experiment", [
+        lambda A: bound_overlay(A, rank=6),
+        lambda A: alpha_sensitivity(A, rank=6),
+        lambda A: estimator_study(A, rank=6, probes=(ProbeConfig(m=5, n_v=2),)),
+        lambda A: _run_cli(A, "precondition"),
+        lambda A: _run_cli(A, "solve"),
+    ], ids=["bound_overlay", "alpha_sensitivity", "estimator_study", "precondition", "solve"])
+    def test_one_rest_pass_per_experiment(self, experiment, rest_calls, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        experiment(make_sparse_network(60, seed=4))
+        assert rest_calls == [6]
 
     def test_reproducible_bytes(self, tmp_path):
         A = make_sparse_network(60, seed=4)
@@ -202,7 +226,7 @@ class TestEstimatorStudy:
         diag = np.linspace(0.5, 4.0, n)
         A = SparseSymMatrix.from_dense(np.diag(diag))
         rows, _ = estimator_study(A, factor="identity", rank=0,
-                                  probes=ProbeConfig(m=n, n_v=4, seed=13), schedules=[(n, 4)])
+                                  probes=(ProbeConfig(m=n, n_v=4, seed=13),))
         row = rows[0]
         assert row["trace_hat"] == pytest.approx(row["trace_exact"], rel=1e-8)
         assert row["logdet_hat"] == pytest.approx(row["logdet_exact"], rel=1e-8, abs=1e-8)
@@ -216,18 +240,28 @@ class TestEstimatorStudy:
         n = 12
         A = SparseSymMatrix.from_dense(np.diag(np.linspace(0.5, 4.0, n)))
         row = estimator_study(A, factor="identity", rank=0,
-                              probes=ProbeConfig(m=n, n_v=5, seed=3))[0][0]
+                              probes=(ProbeConfig(m=n, n_v=5, seed=3),))[0][0]
         assert row["breakdowns"] == 0
         assert 0.0 <= row["trace_stderr"] <= 1e-10 * row["trace_exact"]
         assert 0.0 <= row["logdet_stderr"] <= 1e-10 * abs(row["logdet_exact"])
     def test_single_probe_has_no_standard_error(self):
         rows, _ = estimator_study(make_sparse_network(40, seed=16), factor="ic0", rank=4,
-                                  probes=ProbeConfig(m=10, n_v=1, seed=17))
+                                  probes=(ProbeConfig(m=10, n_v=1, seed=17),))
         assert rows[0]["trace_stderr"] is None and rows[0]["logdet_stderr"] is None
+
+    def test_one_row_per_config(self):
+        A = make_sparse_network(50, seed=18)
+        configs = (ProbeConfig(m=6, n_v=2, seed=19), ProbeConfig(m=9, n_v=3, seed=20))
+        rows, summary = estimator_study(A, factor="ic0", rank=5, probes=configs)
+        assert [(r["m"], r["n_v"]) for r in rows] == [(6, 2), (9, 3)]
+        assert summary["seeds"] == [19, 20]
+        for cfg, row in zip(configs, rows):
+            assert row == estimator_study(A, factor="ic0", rank=5, probes=(cfg,))[0][0]
+        assert estimator_study(A, factor="ic0", rank=5, probes=iter(configs)) == (rows, summary)
 
     def test_network_within_tolerances(self):
         rows, _ = estimator_study(make_sparse_network(150, seed=14), factor="ic0", rank=15,
-                                  probes=ProbeConfig(m=30, n_v=30, seed=15))
+                                  probes=(ProbeConfig(m=30, n_v=30, seed=15),))
         row = rows[0]
         assert row["rel_err_alpha"] <= 0.05
         assert row["rel_err_d_ld"] <= 0.1

@@ -303,6 +303,16 @@ READERS = {
     "sym_preconditioned_operator": lambda A, P, N: sym_preconditioned_operator(A, _P)(_b),
 }
 
+# Every function of a pair of matrices, as f(A, P) with A and P of one order.
+PAIRS = {
+    "bregman_logdet_dense_direct": lambda A, P: bregman_logdet(A, P, "dense-direct"),
+    "bregman_logdet_eigen_sum": lambda A, P: bregman_logdet(A, P, "eigen-sum"),
+    "dual_divergence": lambda A, P: dual_divergence(-as_dense(A), -as_dense(P)),
+    "scale_to_unit_trace": scale_to_unit_trace,
+    "preconditioned_spectrum": preconditioned_spectrum,
+    "condition_report": condition_report,
+}
+
 
 class TestMatrixReader:
     @pytest.mark.parametrize("name", sorted(READERS))
@@ -324,6 +334,11 @@ class TestMatrixReader:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             READERS[name](bad, bad, bad)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_pair_of_other_orders_rejected(self, name):
+        with pytest.raises(ValueError, match=r"A and P must have matching shape, got \(8, 8\) and \(4, 4\)"):
+            PAIRS[name](_A, np.eye(4))
 
     def test_callable_operator_rejected(self):
         with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):

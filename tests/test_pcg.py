@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,12 @@ class TestSolver:
         for c in (0.3, 1.0, 40.0):
             rep = pcg_solve(c * np.eye(6), np.arange(1.0, 7.0))
             assert rep.converged and rep.iterations == 1
+
+    @pytest.mark.parametrize("b", [np.ones(4), np.ones((6, 1))], ids=["short", "column"])
+    def test_right_hand_side_of_other_shape_rejected(self, b):
+        A = SparseSymMatrix.from_dense(random_spd(6, np.random.default_rng(2)))
+        with pytest.raises(ValueError, match=r"must have shape \(6,\), got " + re.escape(str(b.shape))):
+            pcg_solve(A, b)
 
     def test_history_lengths(self):
         rng = np.random.default_rng(1)

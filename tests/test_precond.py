@@ -485,6 +485,13 @@ class TestInvariantsOnRandomInstances:
         direct = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(Pd, A.to_dense()))))
         np.testing.assert_allclose(ref_spec, direct, rtol=1e-8, atol=1e-10)
 
+    def test_sym_operator_rejects_preconditioner_of_other_order(self):
+        A = make_sparse_network(8, seed=601)
+        core = error_core(A, ic0(A))
+        P = Preconditioner(core.factor, bld_truncate(core, 2), 1.0)
+        with pytest.raises(ValueError, match="matching order, got 6 and 8"):
+            sym_preconditioned_operator(make_sparse_network(6, seed=601), P)
+
 
 class TestScaleToUnitTrace:
     def test_already_normalized(self):

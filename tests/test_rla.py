@@ -18,6 +18,18 @@ from bld_kaporin.precond import Preconditioner, bld_truncate, error_core, sym_pr
 from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
 
 
+@pytest.mark.parametrize("estimator", [hutchinson_trace, slq_trace_logdet])
+def test_report_estimates_are_n_times_the_probe_mean(estimator):
+    A = random_spd(20, np.random.default_rng(21))
+    rep = estimator(lambda x: A @ x, 20, ProbeConfig(m=8, n_v=5, seed=22))
+    assert rep.probes_used == 5
+    assert rep.trace_est == 20 * float(np.mean(rep.per_probe_trace))
+    if estimator is slq_trace_logdet:
+        assert rep.logdet_est == 20 * float(np.mean(rep.per_probe_logdet))
+    else:
+        assert rep.logdet_est is None and rep.logdet_stderr is None
+
+
 class TestHutchinson:
     def test_diagonal_exact_per_probe(self):
         d = np.array([3.0, 1.0, 4.0, 1.5])
