@@ -9,7 +9,6 @@ quadrature.
 
 from .divergence import (
     ConditionReport,
-    antieigen_cos,
     bregman_logdet,
     condition_report,
     dual_coords,
@@ -40,7 +39,6 @@ from .pcg import (
     iter_estimate_divergence,
     iter_estimate_kaporin,
     iter_estimate_kappa,
-    kaporin_bound_useful,
     pcg_solve,
     recommended_sigma,
 )
@@ -65,7 +63,6 @@ from .rla import (
     approx_alpha,
     approx_divergence,
     approx_ln_kaporin,
-    hutchinson_trace,
     slq_trace_logdet,
 )
 from .synth import make_dense_spd, make_sparse_network, make_spectrum, random_spd

@@ -2,9 +2,9 @@
 
 Covers the spectral condition number, the arithmetic/geometric eigenvalue
 mean ratio and its n-th power in log form, the log-determinant matrix
-divergence in two evaluation forms, the scalar curve gamma(t) = t - log(1+t),
-dual (negative-definite) coordinates and the conjugate divergence, the first
-antieigenvalue, and symmetric diagonal (Jacobi) scaling.
+divergence, the scalar curve gamma(t) = t - log(1+t), dual
+(negative-definite) coordinates and the conjugate divergence, and
+symmetric diagonal (Jacobi) scaling.
 
 Conventions:
   * d_ld(A, P) = trace(A P^-1) - log det(A P^-1) - n  >= 0, zero iff A = P.
@@ -31,7 +31,6 @@ __all__ = [
     "gamma_map",
     "dual_coords",
     "dual_divergence",
-    "antieigen_cos",
     "jacobi_scale",
     "condition_report",
     "spd_cholesky",
@@ -101,36 +100,20 @@ def logdet_spd(X) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def bregman_logdet(A, P, method="dense-direct") -> float:
+def bregman_logdet(A, P) -> float:
     """Log-determinant matrix divergence between SPD matrices A and P.
 
-    dense-direct evaluates trace(A P^-1) - logdet(A P^-1) - n through
-    Cholesky solves.  eigen-sum evaluates the equivalent double sum
-    sum_ij (u_i . v_j)^2 (xi_i/omega_j - log(xi_i/omega_j) - 1) over both
-    eigensystems; it is cubic with large constants and exists as an
-    independent cross-check.
+    Evaluates trace(A P^-1) - logdet(A P^-1) - n through Cholesky solves.
     """
     A, P = as_dense_pair(A, P)
     n = A.shape[0]
-    if method == "dense-direct":
-        La = spd_cholesky(A, "A")
-        Lp = spd_cholesky(P, "P")
-        # trace(A P^-1) via the factor: ||Lp^-1 La||_F^2
-        Z = sla.solve_triangular(Lp, La, lower=True)
-        trace_m = float(np.sum(Z * Z))
-        logdet_m = 2.0 * float(np.sum(np.log(np.diag(La))) - np.sum(np.log(np.diag(Lp))))
-        return trace_m - logdet_m - n
-    if method == "eigen-sum":
-        from .linalg import sym_eig
-
-        spd_cholesky(A, "A")
-        spd_cholesky(P, "P")
-        ea = sym_eig(A)
-        ep = sym_eig(P)
-        overlap = (ea.vectors.T @ ep.vectors) ** 2
-        ratio = ea.values[:, None] / ep.values[None, :]
-        return float(np.sum(overlap * (ratio - np.log(ratio) - 1.0)))
-    raise ValueError(f"unknown method {method!r}")
+    La = spd_cholesky(A, "A")
+    Lp = spd_cholesky(P, "P")
+    # trace(A P^-1) via the factor: ||Lp^-1 La||_F^2
+    Z = sla.solve_triangular(Lp, La, lower=True)
+    trace_m = float(np.sum(Z * Z))
+    logdet_m = 2.0 * float(np.sum(np.log(np.diag(La))) - np.sum(np.log(np.diag(Lp))))
+    return trace_m - logdet_m - n
 
 
 def dual_coords(X) -> np.ndarray:
@@ -158,16 +141,6 @@ def dual_divergence(theta, sigma) -> float:
     # grad phi*(sigma) = -sigma^-1 = (-sigma)^-1
     grad = sla.cho_solve((Ls, True), np.eye(n))
     return phi_t - phi_s - float(np.sum(grad * (theta - sigma)))
-
-
-def antieigen_cos(lambda1, lambda_n) -> float:
-    """First antieigenvalue 2 sqrt(l1 ln) / (l1 + ln) in (0, 1].
-
-    For a 2x2 SPD spectrum its reciprocal is kaporin_b.
-    """
-    if lambda_n <= 0.0 or lambda1 < lambda_n:
-        raise DomainError("need lambda1 >= lambda_n > 0")
-    return float(2.0 * np.sqrt(lambda1 * lambda_n) / (lambda1 + lambda_n))
 
 
 def jacobi_scale(A):

@@ -14,12 +14,19 @@ flags) are part of this package's surface.  Lanczos reorthogonalizes only
 at the steps where Simon's omega-recurrence estimates that the basis has
 lost orthogonality past REORTH_TOL = 1e-11 (and at the step after each),
 so a run that stays orthogonal does little or no Gram-Schmidt work.
+
+Memory: the dense kernels work in blocks of PANEL = 256 columns, so none
+holds more than two n x n arrays at once.  tri_solve solves a wide
+right-hand side a panel at a time into its one output; sym_eig checks and
+symmetrizes its input a block at a time straight into the array the
+reduction overwrites; vectors_at applies the reflectors a panel at a time.
+sym_eig and vectors_at give the bits of the whole-matrix call, and so
+does tri_solve with an IC(0) factor (see tri_solve).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,6 +45,14 @@ from .matio import SparseSymMatrix, as_dense
 
 # Estimated loss of orthogonality at which lanczos reorthogonalizes.
 REORTH_TOL = 1e-11
+
+# dormqr's block size: it applies reflectors in blocks of this many, and a
+# set of at most this many unblocked.
+_DORMQR_NB = 32
+# Column block of the dense kernels.  A multiple of _DORMQR_NB, so that the
+# reflectors applied a panel at a time form the same blocks, and the same
+# arithmetic, as one call over all of them.
+PANEL = 256
 
 __all__ = [
     "LowerTriFactor",
@@ -108,8 +123,8 @@ class EigenDecomposition:
     values are sorted algebraically non-increasing.  c and tau are the
     reflectors of H as ``dsytrd`` (lower) leaves them, d and e the diagonal
     and subdiagonal of T.  vectors_at(idx) forms the orthonormal
-    eigenvector columns matching values[idx]; vectors is all n of them,
-    formed on first use.
+    eigenvector columns matching values[idx]; no n x n eigenvector array
+    is ever kept.
     """
 
     n: int
@@ -119,15 +134,10 @@ class EigenDecomposition:
     d: np.ndarray = field(repr=False)
     e: np.ndarray = field(repr=False)
 
-    @cached_property
-    def vectors(self) -> np.ndarray:
-        return self.vectors_at(np.arange(self.n))
+    def tridiagonal_vectors(self, idx) -> np.ndarray:
+        """Eigenvectors of T for values[idx], as an n x len(idx) array.
 
-    def vectors_at(self, idx) -> np.ndarray:
-        """Eigenvectors for values[idx] as a C-contiguous n x len(idx) array.
-
-        Each span of requested indices is one tridiagonal solve; all the
-        columns then share one back-transform with the reflectors.
+        Each span of requested indices is one tridiagonal solve.
         """
         n = self.n
         # index i in non-increasing order is ascending index n-1-i
@@ -145,15 +155,33 @@ class EigenDecomposition:
                      for span in spans]
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"tridiagonal eigensolver did not converge: {exc}") from exc
-        Z = np.hstack(parts)[:, cols] if parts else np.empty((n, 0))
-        X = np.empty(Z.shape)
-        X[0] = Z[0]
-        if n > 1 and Z.shape[1]:
-            # H = diag(1, H'), H' the product of the reflectors in c[1:, :-1];
-            # one contiguous copy serves the workspace query and the product
-            a = np.asfortranarray(self.c[1:, :-1])
-            lwork = lapack.dormqr("L", "N", a, self.tau, Z[1:], lwork=-1)[1][0]
-            X[1:] = lapack.dormqr("L", "N", a, self.tau, Z[1:], lwork=int(lwork))[0]
+        return np.hstack(parts)[:, cols] if parts else np.empty((n, 0))
+
+    def vectors_at(self, idx) -> np.ndarray:
+        """Eigenvectors for values[idx] as a C-contiguous n x len(idx) array.
+
+        The tridiagonal_vectors(idx) columns share one back-transform,
+        H = diag(1, H_1 ... H_{n-1}).  It runs over panels of PANEL
+        reflectors, last panel first; panel [j, k) changes rows j+1.. only,
+        and each dormqr call copies only its own panel of c.  So beside c
+        the back-transform holds an n x PANEL copy and the n x len(idx)
+        columns, not a second n x n array, and its bits are those of one
+        dormqr call over all n-1 reflectors.
+        """
+        X = np.ascontiguousarray(self.tridiagonal_vectors(idx))
+        k = self.n - 1
+        if k < 1 or not X.shape[1]:
+            return X
+        starts = list(range(0, k, PANEL))
+        # a last panel of at most _DORMQR_NB reflectors would go unblocked
+        if len(starts) > 1 and k - starts[-1] <= _DORMQR_NB:
+            starts.pop()
+        for j, end in reversed(list(zip(starts, starts[1:] + [k]))):
+            # reflector i of the panel has its unit entry in row i of a
+            a = np.asfortranarray(self.c[1 + j:, j:end])
+            tau = self.tau[j:end]
+            lwork = lapack.dormqr("L", "N", a, tau, X[1 + j:], lwork=-1)[1][0]
+            X[1 + j:] = lapack.dormqr("L", "N", a, tau, X[1 + j:], lwork=int(lwork))[0]
         return X
 
 
@@ -279,16 +307,30 @@ def sym_eig(S) -> EigenDecomposition:
     formed on request (EigenDecomposition.vectors_at).  Non-finite or
     asymmetric input raises ValueError, a tridiagonal solve that fails to
     converge ConvergenceError.
+
+    S is never changed.  One pass over blocks of PANEL columns takes
+    max|S - S^T| and max|S| for the symmetry check and writes
+    0.5 (S + S^T) into the array the reduction overwrites, which the result
+    keeps as its reflectors.  So S and that array are the only n x n
+    arrays live, and no other n x n temporary is made.
     """
     S = as_dense(S)
-    if np.abs(S - S.T).max() > 1e-10 * max(np.abs(S).max(), 1.0):
-        raise ValueError("matrix is not symmetric to 1e-10 relative")
     n = S.shape[0]
+    a = np.empty((n, n), order="F")
+    asym = smax = 0.0
+    for j in range(0, n, PANEL):
+        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
+        blk = a[:, j:j + PANEL]
+        np.subtract(cols, rows_t, out=blk)
+        asym = max(asym, np.abs(blk, out=blk).max())
+        smax = max(smax, cols.max(), -cols.min())
+        # 0.5 (S + S^T) is exactly symmetric, so its F-ordered copy is the matrix itself
+        np.add(cols, rows_t, out=blk)
+        blk *= 0.5
+    if asym > 1e-10 * max(smax, 1.0):
+        raise ValueError("matrix is not symmetric to 1e-10 relative")
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    # the transpose of a fresh symmetric copy is an F-contiguous view of
-    # the same matrix, so the reduction overwrites it with no n x n copy
-    c, d, e, tau, info = lapack.dsytrd((0.5 * (S + S.T)).T, lower=1, lwork=int(lwork),
-                                       overwrite_a=1)
+    c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise ValueError(f"dsytrd rejected argument {-info}")
     try:
@@ -302,11 +344,26 @@ def tri_solve(L: LowerTriFactor, b, mode="forward"):
     """Solve Lx = b (forward) or L^T x = b (adjoint) with the factor's
     SuperLU handle.
 
-    Accepts a vector or a matrix right-hand side.
+    Accepts a vector or a matrix right-hand side.  A right-hand side wider
+    than PANEL columns is solved a panel at a time into one F-ordered
+    output, so beside b and x a solve holds SuperLU's copy and work space
+    for one panel only, where a whole solve would hold two more arrays of
+    b's size.  Where the factor's supernodes are single columns, as in the
+    IC(0) factors of the package's sparse matrices, SuperLU solves each
+    column on its own and the result has the bits of a whole solve.  Wider
+    supernodes (a dense Cholesky factor) go through BLAS-3 kernels, whose
+    last bits depend on how many columns are solved together.
     """
     if mode not in ("forward", "adjoint"):
         raise ValueError(f"unknown mode {mode!r}")
-    return L._lu.solve(np.asarray(b, dtype=np.float64), trans="N" if mode == "forward" else "T")
+    b = np.asarray(b, dtype=np.float64)
+    trans = "N" if mode == "forward" else "T"
+    if b.ndim < 2 or b.shape[1] <= PANEL:
+        return L._lu.solve(b, trans=trans)
+    x = np.empty(b.shape, order="F")
+    for j in range(0, b.shape[1], PANEL):
+        x[:, j:j + PANEL] = L._lu.solve(b[:, j:j + PANEL], trans=trans)
+    return x
 
 
 def lanczos(apply, v0, m) -> LanczosResult:

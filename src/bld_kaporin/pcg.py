@@ -32,7 +32,6 @@ __all__ = [
     "bound_kaporin",
     "bound_divergence",
     "bound_3lnd",
-    "kaporin_bound_useful",
     "iter_estimate_kappa",
     "iter_estimate_kaporin",
     "recommended_sigma",
@@ -87,15 +86,21 @@ class SolveReport:
         return self.err_a / self.err_a[0] if self.err_a[0] != 0 else self.err_a
 
 
-def _as_apply_inverse(H):
+def _as_apply_inverse(H, n):
+    """P^-1 as a function; ValueError unless a Preconditioner or dense H
+    has order n."""
     if H is None:
         return lambda x: x
     if hasattr(H, "apply_inverse"):
-        return H.apply_inverse
-    if callable(H):
+        order, apply_h = H.n, H.apply_inverse
+    elif callable(H):
         return H
-    Hm = as_dense(H)
-    return lambda x: Hm @ x
+    else:
+        Hm = as_dense(H)
+        order, apply_h = Hm.shape[0], lambda x: Hm @ x
+    if order != n:
+        raise ValueError(f"A and P must have matching order, got {n} and {order}")
+    return apply_h
 
 
 def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
@@ -103,18 +108,23 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
 
     A may be a SparseSymMatrix or dense array; H a Preconditioner, a
     callable applying P^-1, a dense matrix, or None for the identity.
+    A Preconditioner or dense H of another order than A, or a known
+    solution of another length, raises ValueError naming both.
     Raises PcgBreakdownError (with the partial report attached) when the
     curvature p' A p or the preconditioned residual product r' H r turns
     nonpositive before convergence.
     """
     cfg = config or SolveConfig()
     matvec, n = as_matvec(A)
-    apply_h = _as_apply_inverse(H)
+    apply_h = _as_apply_inverse(H, n)
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValueError(f"right-hand side must have shape {(n,)}, got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side must be finite")
+    xs = None if cfg.known_solution is None else np.asarray(cfg.known_solution, dtype=np.float64)
+    if xs is not None and xs.shape != (n,):
+        raise ValueError(f"known solution must have shape {(n,)}, got {xs.shape}")
     max_iter = cfg.max_iter if cfg.max_iter is not None else 10 * n
 
     x = np.zeros(n)
@@ -127,10 +137,7 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
 
     res2 = [float(np.linalg.norm(r))]
     res_pinv = [math.sqrt(max(rho, 0.0))]
-    err_a = None
-    if cfg.known_solution is not None:
-        xs = np.asarray(cfg.known_solution, dtype=np.float64)
-        err_a = [_a_norm(matvec, xs - x)]
+    err_a = None if xs is None else [_a_norm(matvec, xs - x)]
 
     converged = res2[0] <= stop
     k = 0
@@ -226,11 +233,6 @@ def bound_divergence(d_ld: float, k: int) -> float:
     """Residual bound (e^(D/k) - 1)^(k/2); coincides with bound_kaporin
     when the preconditioned trace is n (D = ln K)."""
     return _superlinear_bound(d_ld, k)
-
-
-def kaporin_bound_useful(ln_k: float, n: int) -> bool:
-    """True when B(M) < 2, i.e. ln K < n ln 2: the bound can contract."""
-    return ln_k < n * math.log(2.0)
 
 
 def bound_3lnd(d_ld: float, k: int, n: int) -> float:

@@ -12,6 +12,11 @@ rescaled by alpha:
 alpha_star, the mean of the unselected 1 + theta_i, is the unique
 divergence minimizer over alpha and makes the divergence equal the log
 Kaporin condition number of the preconditioned matrix.
+
+Memory: forming and eigendecomposing the dense error core holds at most
+two n x n arrays at once, and the ErrorCore keeps one, the reflectors of
+its eigendecomposition; a truncation forms only the r eigenvectors it
+selects.
 """
 
 from __future__ import annotations
@@ -136,13 +141,20 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
 
     Fails with NotPositiveDefiniteError when any eigenvalue of E is at or
     below -1, i.e. when A is not SPD relative to the factor.
+
+    At most two n x n arrays are live at once: the dense A is dropped after
+    the first solve and Q^-1 A after the second; sym_eig then holds E and
+    its one symmetrized copy, which it reduces in place and the core keeps
+    as its reflectors.
     """
     Ad = as_dense(A)
     n = Ad.shape[0]
     if Q.n != n:
         raise ValueError("factor order does not match the matrix")
     Y = tri_solve(Q, Ad, "forward")          # Q^-1 A
+    del Ad
     E = tri_solve(Q, Y.T, "forward").T       # Q^-1 A Q^-T
+    del Y
     E[np.diag_indices(n)] -= 1.0
     eig = sym_eig(E)                         # checks and symmetrizes E
     if np.any(eig.values <= -1.0 + 1e-12):

@@ -1,18 +1,14 @@
 """Randomized trace and log-determinant estimation.
 
-Two estimators:
-
-  * hutchinson_trace: plain Hutchinson probing, mean of z' M z over
-    sign-vector (or Gaussian) probes.  Unbiased; exact per probe on
-    diagonal matrices with sign probes.
-  * slq_trace_logdet: stochastic Lanczos quadrature.  Each probe runs m
-    Lanczos steps from a unit random vector, eigendecomposes the
-    tridiagonal T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k)
-    with tau the first row of V, for f = identity and f = log.  The
-    estimates are n times the probe mean.  Lanczos keeps its basis
-    orthogonal by partial reorthogonalization (linalg.lanczos), which
-    the quadrature needs and no more (Ubaru, Chen and Saad, SIMAX 2017);
-    the report counts the steps that swept.
+slq_trace_logdet is stochastic Lanczos quadrature.  Each probe runs m
+Lanczos steps from a unit random vector, eigendecomposes the tridiagonal
+T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k) with tau the first
+row of V, for f = identity and f = log.  The estimates are n times the
+probe mean.  Its trace term is Hutchinson's estimate (e1' T_m e1 = z' M z
+for the unit probe z), so no separate trace estimator is kept.  Lanczos
+keeps its basis orthogonal by partial reorthogonalization
+(linalg.lanczos), which the quadrature needs and no more (Ubaru, Chen and
+Saad, SIMAX 2017); the report counts the steps that swept.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
@@ -39,7 +35,6 @@ __all__ = [
     "DISTRIBUTIONS",
     "ProbeConfig",
     "EstimateReport",
-    "hutchinson_trace",
     "slq_trace_logdet",
     "approx_ln_kaporin",
     "approx_alpha",
@@ -55,7 +50,7 @@ class ProbeConfig:
     """Probe schedule: m Lanczos steps for each of n_v start vectors.
 
     distribution, one of DISTRIBUTIONS, picks the probe law; SLQ
-    normalizes every probe to unit 2-norm, Hutchinson uses the raw vectors.
+    normalizes every probe to unit 2-norm.
     """
 
     m: int = 30
@@ -74,21 +69,20 @@ class ProbeConfig:
 class EstimateReport:
     """Estimates plus per-probe quadratic forms.
 
-    per_probe_* store unit-vector-scale contributions; the estimators set
+    per_probe_* store unit-vector-scale contributions; the estimator sets
     each estimate to n * mean(per_probe_*), with standard error
     n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
-    probe), and probes_used is the number of probes.  The logdet fields
-    are None for estimators that do not produce them.  breakdowns counts
+    probe), and probes_used is the number of probes.  breakdowns counts
     the probes whose Lanczos run exhausted its Krylov space before m
     steps, reorthogonalized the Lanczos steps, summed over probes, that
-    swept the new vector against the kept basis (both 0 for Hutchinson).
+    swept the new vector against the kept basis.
     """
 
     n: int
     trace_est: float
-    logdet_est: float | None
+    logdet_est: float
     per_probe_trace: np.ndarray
-    per_probe_logdet: np.ndarray | None
+    per_probe_logdet: np.ndarray
     breakdowns: int = 0
     reorthogonalized: int = 0
 
@@ -102,7 +96,7 @@ class EstimateReport:
 
     @property
     def logdet_stderr(self) -> float | None:
-        return None if self.per_probe_logdet is None else _stderr(self.n, self.per_probe_logdet)
+        return _stderr(self.n, self.per_probe_logdet)
 
 
 def _stderr(n: int, per_probe: np.ndarray) -> float | None:
@@ -119,15 +113,6 @@ def _draw(rng, n, distribution) -> np.ndarray:
     if distribution == "rademacher":
         return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     return rng.standard_normal(n)
-
-
-def hutchinson_trace(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
-    """Estimate trace(M) as the mean of z' M z over raw probe vectors."""
-    contribs = np.empty(cfg.n_v)
-    for i in range(cfg.n_v):
-        z = _draw(_probe_rng(cfg, i), n, cfg.distribution)
-        contribs[i] = float(z @ apply(z)) / n
-    return EstimateReport(n, n * float(np.mean(contribs)), None, contribs, None)
 
 
 def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
-from bld_kaporin import rla
+from bld_kaporin import linalg, rla
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
 from bld_kaporin.linalg import (
     LanczosResult,
@@ -14,7 +15,14 @@ from bld_kaporin.linalg import (
     tri_solve,
 )
 from bld_kaporin.matio import SparseSymMatrix
-from bld_kaporin.precond import LowRankTerm, Preconditioner, sym_preconditioned_operator
+from bld_kaporin.precond import (
+    LowRankTerm,
+    Preconditioner,
+    bld_truncate,
+    error_core,
+    sym_preconditioned_operator,
+    tsvd_truncate,
+)
 from bld_kaporin.synth import haar_orthogonal, make_sparse_network, random_spd
 
 
@@ -109,7 +117,7 @@ class TestSymEig:
     def test_diagonal(self):
         e = sym_eig(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(e.values, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(e.vectors), np.eye(2))
+        np.testing.assert_allclose(np.abs(e.vectors_at(np.arange(2))), np.eye(2))
 
     def test_offdiagonal_pair(self):
         e = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -120,7 +128,7 @@ class TestSymEig:
         S = rng.standard_normal((50, 50))
         S = 0.5 * (S + S.T)
         e = sym_eig(S)
-        W = e.vectors
+        W = e.vectors_at(np.arange(50))
         assert np.abs(W.T @ W - np.eye(50)).max() <= 1e-10
         assert np.abs(S - (W * e.values) @ W.T).max() <= 1e-8 * np.abs(S).max()
         assert np.all(np.diff(e.values) <= 1e-12)
@@ -183,6 +191,57 @@ class TestSymEig:
             with pytest.raises(ValueError):
                 sym_eig(S)
 
+    def test_asymmetry_in_last_block_rejected(self):
+        n = linalg.PANEL + 10
+        S = random_spd(n, np.random.default_rng(30))
+        sym_eig(S)
+        # both indices in the last column block: no other block reads the pair
+        S[n - 1, n - 2] += 1e-6 * np.abs(S).max()
+        with pytest.raises(ValueError, match="not symmetric"):
+            sym_eig(S)
+
+    def test_input_unchanged_and_symmetrized(self):
+        n = linalg.PANEL + 10
+        S = np.random.default_rng(31).standard_normal((n, n))
+        S = S + S.T
+        S[0, n - 1] += 1e-13  # asymmetric within the tolerance
+        want = sym_eig(0.5 * (S + S.T))
+        for X in (S, np.asfortranarray(S), S.T):
+            kept = X.copy()
+            got = sym_eig(X)
+            np.testing.assert_array_equal(X, kept)
+            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(got.c, want.c)
+
+
+def one_call_vectors_at(e, idx):
+    """Reference back-transform: one dormqr call over all n-1 reflectors."""
+    Z = e.tridiagonal_vectors(idx)
+    X = np.array(Z, order="C")
+    if e.n > 1 and Z.shape[1]:
+        a = np.asfortranarray(e.c[1:, :-1])
+        lwork = lapack.dormqr("L", "N", a, e.tau, Z[1:], lwork=-1)[1][0]
+        X[1:] = lapack.dormqr("L", "N", a, e.tau, Z[1:], lwork=int(lwork))[0]
+    return X
+
+
+class TestPanelledBackTransform:
+    # 64 and the default leave a last panel of at most 32 reflectors at
+    # n = 517 (and 64 at n = 130), which joins the panel before it; 96
+    # leaves a ragged last panel of 36 at n = 517
+    @pytest.mark.parametrize("panel", [linalg.PANEL, 64, 96])
+    @pytest.mark.parametrize("n", [2, 3, 130, 517])
+    def test_bitwise_equal_to_one_call(self, n, panel, monkeypatch):
+        monkeypatch.setattr(linalg, "PANEL", panel)
+        A = make_sparse_network(n, seed=n)
+        core = error_core(A, ic0(A))
+        r = min(50, n - 1)
+        for idx in (bld_truncate(core, r).selection, tsvd_truncate(core, r).selection,
+                    np.arange(n)):
+            X = core.eig.vectors_at(idx)
+            assert X.flags.c_contiguous
+            np.testing.assert_array_equal(X, one_call_vectors_at(core.eig, idx))
+
 
 class TestTriSolve:
     def test_diagonal(self):
@@ -202,8 +261,8 @@ class TestTriSolve:
         np.testing.assert_allclose(x, [1.0, 1.0])
 
     def test_sparse_matches_dense(self):
-        # every factor kind, both modes, vector and block right-hand sides,
-        # and one ic0 factor at n > 2000
+        # every factor kind, both modes, vector, block and multi-panel
+        # right-hand sides, and one ic0 factor at n > 2000
         rng = np.random.default_rng(0)
         factors = {
             "ic0": ic0(make_sparse_network(80, seed=2)),
@@ -214,12 +273,22 @@ class TestTriSolve:
         for name, Q in factors.items():
             Qd = Q.to_dense()
             for mode, M in (("forward", Qd), ("adjoint", Qd.T)):
-                for shape in ((Q.n,), (Q.n, 3)):
+                for shape in ((Q.n,), (Q.n, 3), (Q.n, linalg.PANEL + 5)):
                     b = rng.standard_normal(shape)
                     x = tri_solve(Q, b, mode)
                     assert x.shape == b.shape
                     rel = np.linalg.norm(M @ x - b) / np.linalg.norm(b)
                     assert rel <= 1e-12, (name, mode, shape, rel)
+
+    @pytest.mark.parametrize("mode", ["forward", "adjoint"])
+    def test_panels_equal_column_solves(self, mode):
+        # two full panels and a ragged third
+        Q = ic0(make_sparse_network(300, seed=5))
+        b = np.random.default_rng(32).standard_normal((300, 2 * linalg.PANEL + 37))
+        x = tri_solve(Q, b, mode)
+        assert x.shape == b.shape
+        for j in range(b.shape[1]):
+            np.testing.assert_array_equal(x[:, j], tri_solve(Q, b[:, j], mode))
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(SingularFactorError):

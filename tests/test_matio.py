@@ -305,8 +305,7 @@ READERS = {
 
 # Every function of a pair of matrices, as f(A, P) with A and P of one order.
 PAIRS = {
-    "bregman_logdet_dense_direct": lambda A, P: bregman_logdet(A, P, "dense-direct"),
-    "bregman_logdet_eigen_sum": lambda A, P: bregman_logdet(A, P, "eigen-sum"),
+    "bregman_logdet_dense_direct": bregman_logdet,
     "dual_divergence": lambda A, P: dual_divergence(-as_dense(A), -as_dense(P)),
     "scale_to_unit_trace": scale_to_unit_trace,
     "preconditioned_spectrum": preconditioned_spectrum,

@@ -6,6 +6,7 @@ import pytest
 
 from bld_kaporin.divergence import bregman_logdet, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, PcgBreakdownError
+from bld_kaporin.linalg import ic0
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.pcg import (
     SolveConfig,
@@ -16,10 +17,10 @@ from bld_kaporin.pcg import (
     iter_estimate_divergence,
     iter_estimate_kaporin,
     iter_estimate_kappa,
-    kaporin_bound_useful,
     pcg_solve,
     recommended_sigma,
 )
+from bld_kaporin.precond import LowRankTerm, Preconditioner
 from bld_kaporin.synth import random_spd
 
 
@@ -54,6 +55,22 @@ class TestSolver:
         A = SparseSymMatrix.from_dense(random_spd(6, np.random.default_rng(2)))
         with pytest.raises(ValueError, match=r"must have shape \(6,\), got " + re.escape(str(b.shape))):
             pcg_solve(A, b)
+
+    @pytest.mark.parametrize("form", ["preconditioner", "dense"])
+    def test_preconditioner_of_other_order_rejected(self, form):
+        A = SparseSymMatrix.from_dense(random_spd(6, np.random.default_rng(2)))
+        Q = ic0(SparseSymMatrix.from_dense(random_spd(8, np.random.default_rng(4))))
+        P = Preconditioner(Q, LowRankTerm(0, np.zeros((8, 0)), np.zeros(0), np.zeros(0, int)))
+        H = P if form == "preconditioner" else P.dense()
+        with pytest.raises(ValueError, match=r"A and P must have matching order, got 6 and 8"):
+            pcg_solve(A, np.ones(6), H)
+
+    @pytest.mark.parametrize("xs", [np.ones(4), np.ones((6, 1))], ids=["short", "column"])
+    def test_known_solution_of_other_shape_rejected(self, xs):
+        A = SparseSymMatrix.from_dense(random_spd(6, np.random.default_rng(2)))
+        with pytest.raises(ValueError, match=r"known solution must have shape \(6,\), got "
+                           + re.escape(str(xs.shape))):
+            pcg_solve(A, np.ones(6), config=SolveConfig(known_solution=xs))
 
     def test_history_lengths(self):
         rng = np.random.default_rng(1)
@@ -182,10 +199,6 @@ class TestBoundKaporinDivergence:
     def test_large_quantity_no_overflow(self):
         val = bound_kaporin(5000.0, 2)
         assert math.isinf(val) or val > 1e300
-
-    def test_usefulness_flag(self):
-        assert kaporin_bound_useful(10 * math.log(2.0) - 1e-9, 10)
-        assert not kaporin_bound_useful(10 * math.log(2.0) + 1e-9, 10)
 
     def test_k_zero_rejected(self):
         with pytest.raises(DomainError):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import bld_kaporin
 from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor
@@ -67,6 +72,31 @@ class TestErrorCore:
         core = error_core(np.diag([1.5, 1.5, 1.25]), identity_factor(3))
         assert core.thetas.tolist() == [0.5, 0.5, 0.25]
         assert core.gamma_order.tolist() == [0, 1, 2]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory_of_two_dense_arrays(self):
+        # In a fresh process, the rise of the peak RSS over error_core and
+        # the rank-50 pick at n = 1936, in units of n x n doubles.  The dense
+        # A, Q^-1 A and full-size temporaries alive together read 5.0.
+        code = textwrap.dedent("""
+            import resource
+            from bld_kaporin.linalg import ic0
+            from bld_kaporin.precond import bld_truncate, error_core
+            from bld_kaporin.synth import make_sparse_network
+            A = make_sparse_network(1936, seed=0)
+            Q = ic0(A)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            bld_truncate(error_core(A, Q), 50)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / (8 * 1936**2))
+        """)
+        src = os.path.dirname(os.path.dirname(bld_kaporin.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) <= 3.0
 
 
 class TestTruncations:
@@ -161,7 +191,8 @@ class TestOptimalAlpha:
         E = np.zeros((n, n))
         E[np.diag_indices(n)] = 0.0
         W = np.eye(n) - term.V @ term.V.T
-        IE = (core.eig.vectors * (1.0 + core.thetas)) @ core.eig.vectors.T
+        U = core.eig.vectors_at(np.arange(n))
+        IE = (U * (1.0 + core.thetas)) @ U.T
         a3 = float(np.trace(IE @ W)) / (n - term.r)
         assert a2 == pytest.approx(a1, rel=1e-10)
         assert a3 == pytest.approx(a1, rel=1e-10)
