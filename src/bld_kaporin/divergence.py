@@ -169,7 +169,8 @@ def preconditioned_spectrum(A, P) -> np.ndarray:
     """Spectrum of P^-1 A computed from the symmetric form.
 
     Uses Lp^-1 A Lp^-T with P = Lp Lp^T, which is similar to P^-1 A but
-    keeps the eigensolver on symmetric input.
+    keeps the eigensolver on symmetric input.  The two solves leave M
+    symmetric only up to rounding; sym_eig checks that and symmetrizes.
     """
     from .linalg import sym_eig
 
@@ -177,7 +178,7 @@ def preconditioned_spectrum(A, P) -> np.ndarray:
     Lp = spd_cholesky(P, "P")
     Y = sla.solve_triangular(Lp, A, lower=True)
     M = sla.solve_triangular(Lp, Y.T, lower=True).T
-    return sym_eig(0.5 * (M + M.T)).values
+    return sym_eig(M).values
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ does tri_solve with an IC(0) factor (see tri_solve).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,17 +215,21 @@ class LanczosResult:
 def cholesky(A) -> LowerTriFactor:
     """Exact dense Cholesky factor of an SPD matrix.
 
-    Raises NotPositiveDefiniteError on a nonpositive pivot.
+    Asymmetric input raises ValueError, a nonpositive pivot
+    NotPositiveDefiniteError.  The symmetrized copy is factored in place,
+    and a dense copy that as_dense made of A is dropped first, so at most
+    two n x n arrays are live and then one.
     """
     Ad = as_dense(A)
-    scale = max(np.abs(Ad).max(), 1.0)
-    if np.abs(Ad - Ad.T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric")
-    try:
-        L = np.linalg.cholesky(0.5 * (Ad + Ad.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"cholesky failed: {exc}") from exc
-    return LowerTriFactor(n=Ad.shape[0], kind="exact-cholesky", values=L)
+    a = _symmetrized(Ad)
+    del Ad
+    L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(
+            f"cholesky failed: leading minor of order {info} is not positive definite")
+    if info < 0:
+        raise ValueError(f"dpotrf rejected argument {-info}")
+    return LowerTriFactor(n=L.shape[0], kind="exact-cholesky", values=L)
 
 
 def identity_factor(n: int) -> LowerTriFactor:
@@ -239,46 +244,56 @@ def ic0(A: SparseSymMatrix) -> LowerTriFactor:
     with beta doubling from 1e-3; the shift that succeeded is recorded
     on the factor.  Breakdown persisting past beta = 1 raises
     FactorizationError.
+
+    The loop runs over flat raw buffers: memoryviews of the lower CSR's
+    own indptr, indices and data, and each attempt overwrites a fresh copy
+    of data entry by entry.  So every access is a Python int or float, not
+    a numpy scalar, and no per-row array is built.  The factor keeps the
+    pattern, indices and indptr of A's lower triangle.
     """
     if not isinstance(A, SparseSymMatrix):
         A = SparseSymMatrix.from_dense(A)
     if np.any(A.diagonal() <= 0):
         raise NotPositiveDefiniteError("ic0 requires a strictly positive diagonal")
+    lower = A.lower.tocsr()
+    ptr, col = memoryview(lower.indptr), memoryview(lower.indices)
+    data = np.asarray(lower.data, dtype=np.float64)
     beta = 0.0
-    while True:
-        L = _ic0_attempt(A, beta)
-        if L is not None:
-            return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
+    while (val := _ic0_attempt(ptr, col, data, beta)) is None:
         beta = 1e-3 if beta == 0.0 else 2.0 * beta
         if beta > 1.0:
             raise FactorizationError("ic0 breakdown persists past shift 1.0")
+    L = sp.csr_matrix((val, lower.indices, lower.indptr), shape=(A.n, A.n))
+    return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
 
 
-def _ic0_attempt(A: SparseSymMatrix, beta: float):
-    """One IC(0) pass; returns the CSR factor or None on breakdown."""
-    n = A.n
-    lower = A.lower.tocsr()
-    indptr, indices, data = lower.indptr, lower.indices, lower.data
-    # row i of the factor shares the pattern {j : A[i,j] != 0, j <= i}
-    cols = [indices[indptr[i]:indptr[i + 1]] for i in range(n)]
-    vals = [data[indptr[i]:indptr[i + 1]].astype(np.float64).copy() for i in range(n)]
+def _ic0_attempt(ptr: memoryview, col: memoryview, data: np.ndarray, beta: float):
+    """One IC(0) pass over the lower CSR (ptr, col, data) of A, sorted by
+    column within each row; returns the factor's values in the same
+    layout as a new array, or None on breakdown.
 
-    for i in range(n):
-        ci, vi = cols[i], vals[i]
-        if len(ci) == 0 or ci[-1] != i:
+    Entry p of row i holds A's entry until its turn, then the factor's.
+    For the pair (i, j) the sum over the common columns k < j of
+    l_ik l_jk accumulates in ascending k from 0.0, and is subtracted from
+    a_ij (a_ii (1 + beta) on the diagonal) in one step.
+    """
+    out = data.copy()
+    val = memoryview(out)
+    for i in range(len(ptr) - 1):
+        start, end = ptr[i], ptr[i + 1]
+        if start == end or col[end - 1] != i:
             return None  # structurally missing diagonal: unrecoverable by shift
-        for t in range(len(ci)):
-            j = ci[t]
-            # vi[t] still holds the A entry here; positions < t hold L entries
-            s = vi[t] * (1.0 + beta) if j == i else vi[t]
-            cj, vj = cols[j], vals[j]
-            # merge the sorted patterns of rows i and j up to column j
-            a = b = 0
+        for p in range(start, end):
+            j = col[p]
+            s = val[p] * (1.0 + beta) if j == i else val[p]
+            # merge the sorted patterns of rows i and j up to column j;
+            # row j's diagonal sits at its end, position diag
+            a, b, diag = start, ptr[j], ptr[j + 1] - 1
             acc = 0.0
-            while a < t and b < len(cj) - 1:
-                ka, kb = ci[a], cj[b]
+            while a < p and b < diag:
+                ka, kb = col[a], col[b]
                 if ka == kb:
-                    acc += vi[a] * vj[b]
+                    acc += val[a] * val[b]
                     a += 1
                     b += 1
                 elif ka < kb:
@@ -287,16 +302,37 @@ def _ic0_attempt(A: SparseSymMatrix, beta: float):
                     b += 1
             s -= acc
             if j < i:
-                vi[t] = s / vals[j][-1]
+                val[p] = s / val[diag]
             else:
                 if s <= 0.0:
                     return None
-                vi[t] = np.sqrt(s)
-    return sp.csr_matrix(
-        (np.concatenate(vals), np.concatenate(cols),
-         np.concatenate(([0], np.cumsum([len(c) for c in cols])))),
-        shape=(n, n),
-    )
+                val[p] = math.sqrt(s)
+    return out
+
+
+def _symmetrized(S: np.ndarray) -> np.ndarray:
+    """0.5 (S + S^T) as a new F-ordered array; ValueError unless
+    max|S - S^T| <= 1e-10 max(max|S|, 1).
+
+    One pass over blocks of PANEL columns takes max|S - S^T| and max|S|
+    and writes the symmetrized block, so beside S and the result no
+    n x n temporary is made.  The result is exactly symmetric, so LAPACK
+    may read either of its triangles.
+    """
+    n = S.shape[0]
+    a = np.empty((n, n), order="F")
+    asym = smax = 0.0
+    for j in range(0, n, PANEL):
+        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
+        blk = a[:, j:j + PANEL]
+        np.subtract(cols, rows_t, out=blk)
+        asym = max(asym, np.abs(blk, out=blk).max())
+        smax = max(smax, cols.max(), -cols.min())
+        np.add(cols, rows_t, out=blk)
+        blk *= 0.5
+    if asym > 1e-10 * max(smax, 1.0):
+        raise ValueError("matrix is not symmetric to 1e-10 relative")
+    return a
 
 
 def sym_eig(S) -> EigenDecomposition:
@@ -308,27 +344,13 @@ def sym_eig(S) -> EigenDecomposition:
     asymmetric input raises ValueError, a tridiagonal solve that fails to
     converge ConvergenceError.
 
-    S is never changed.  One pass over blocks of PANEL columns takes
-    max|S - S^T| and max|S| for the symmetry check and writes
-    0.5 (S + S^T) into the array the reduction overwrites, which the result
-    keeps as its reflectors.  So S and that array are the only n x n
-    arrays live, and no other n x n temporary is made.
+    S is never changed.  _symmetrized writes 0.5 (S + S^T) into the array
+    the reduction overwrites, which the result keeps as its reflectors.
+    So S and that array are the only n x n arrays live, and no other
+    n x n temporary is made.
     """
-    S = as_dense(S)
-    n = S.shape[0]
-    a = np.empty((n, n), order="F")
-    asym = smax = 0.0
-    for j in range(0, n, PANEL):
-        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
-        blk = a[:, j:j + PANEL]
-        np.subtract(cols, rows_t, out=blk)
-        asym = max(asym, np.abs(blk, out=blk).max())
-        smax = max(smax, cols.max(), -cols.min())
-        # 0.5 (S + S^T) is exactly symmetric, so its F-ordered copy is the matrix itself
-        np.add(cols, rows_t, out=blk)
-        blk *= 0.5
-    if asym > 1e-10 * max(smax, 1.0):
-        raise ValueError("matrix is not symmetric to 1e-10 relative")
+    a = _symmetrized(as_dense(S))
+    n = a.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
     c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:

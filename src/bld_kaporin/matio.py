@@ -121,16 +121,19 @@ def as_dense(A) -> np.ndarray:
     """A matrix argument as a square float64 array: a SparseSymMatrix's
     dense copy (finite by construction, so not scanned), the dense() of an
     object that has one (a Preconditioner), or what numpy reads.
-    ValueError unless the array is square with finite entries."""
+    ValueError unless the array is square, not 0 x 0, with finite entries."""
     if isinstance(A, SparseSymMatrix):
-        return A.to_dense()
-    if callable(getattr(A, "dense", None)):
-        A = A.dense()
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix has non-finite entries")
+        A = A.to_dense()
+    else:
+        if callable(getattr(A, "dense", None)):
+            A = A.dense()
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError(f"square matrix required, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("matrix has non-finite entries")
+    if A.shape[0] == 0:
+        raise ValueError("empty matrix: order 0 x 0")
     return A
 
 

@@ -132,7 +132,10 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         res = lanczos(apply, z / nz, cfg.m)
         breakdowns += int(res.breakdown)
         reorthogonalized += res.reorthogonalized
-        ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
+        alphas, betas = res.alphas, res.betas
+        # the m x n basis goes before the next probe's lanczos makes its own
+        del res
+        ritz, vecs = sla.eigh_tridiagonal(alphas, betas)
         if np.any(ritz <= 0.0):
             raise NotPositiveDefiniteError(
                 f"nonpositive Ritz value on probe {i}: operator is not SPD",

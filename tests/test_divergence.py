@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from bld_kaporin.divergence import (
@@ -17,6 +18,7 @@ from bld_kaporin.divergence import (
     preconditioned_spectrum,
 )
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError
+from bld_kaporin.linalg import sym_eig
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.synth import random_spd
 
@@ -258,6 +260,20 @@ class TestJacobiScale:
     def test_nonpositive_diagonal_rejected(self):
         with pytest.raises(DomainError):
             jacobi_scale(np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
+class TestPreconditionedSpectrum:
+    def test_bits_of_symmetrized_core(self):
+        # sym_eig symmetrizes M itself; the values are those of
+        # sym_eig(0.5 (M + M^T)) bit for bit
+        rng = np.random.default_rng(21)
+        for n in (3, 40, 300):
+            A, P = random_spd(n, rng), random_spd(n, rng)
+            Lp = np.linalg.cholesky(0.5 * (P + P.T))
+            Y = sla.solve_triangular(Lp, A, lower=True)
+            M = sla.solve_triangular(Lp, Y.T, lower=True).T
+            want = sym_eig(0.5 * (M + M.T)).values
+            np.testing.assert_array_equal(preconditioned_spectrum(A, P), want)
 
 
 class TestConditionReport:

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import lapack
 
+import bld_kaporin
 from bld_kaporin import linalg, rla
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
 from bld_kaporin.linalg import (
@@ -47,6 +54,189 @@ class TestCholesky:
             S = random_spd(n, rng)
             L = cholesky(S).to_dense()
             assert np.abs(L @ L.T - S).max() <= 1e-10 * np.abs(S).max()
+
+    def test_asymmetric_rejected(self):
+        S = np.eye(3)
+        S[2, 0] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            cholesky(S)
+
+    def test_input_unchanged(self):
+        S = random_spd(30, np.random.default_rng(3))
+        for X in (S, np.asfortranarray(S)):
+            before = X.copy()
+            cholesky(X)
+            np.testing.assert_array_equal(X, before)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory(self):
+        # In a fresh process, the rise of the peak RSS over cholesky of a
+        # sparse matrix at n = 1936, in units of n x n doubles.  The dense
+        # copy, its full-size symmetry temporaries and a separate factor
+        # alive together read 4.5.
+        code = textwrap.dedent("""
+            import resource
+            from bld_kaporin.linalg import cholesky
+            from bld_kaporin.synth import make_sparse_network
+            A = make_sparse_network(1936, seed=0)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            cholesky(A)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / (8 * 1936**2))
+        """)
+        src = os.path.dirname(os.path.dirname(bld_kaporin.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) <= 3.0
+
+
+def _ic0_attempt_oracle(A: SparseSymMatrix, beta: float):
+    """The numpy-scalar IC(0) pass that linalg._ic0_attempt replaced, kept
+    as its oracle: per-row arrays, the same arithmetic in the same order."""
+    n = A.n
+    lower = A.lower.tocsr()
+    indptr, indices, data = lower.indptr, lower.indices, lower.data
+    cols = [indices[indptr[i]:indptr[i + 1]] for i in range(n)]
+    vals = [data[indptr[i]:indptr[i + 1]].astype(np.float64).copy() for i in range(n)]
+
+    for i in range(n):
+        ci, vi = cols[i], vals[i]
+        if len(ci) == 0 or ci[-1] != i:
+            return None
+        for t in range(len(ci)):
+            j = ci[t]
+            s = vi[t] * (1.0 + beta) if j == i else vi[t]
+            cj, vj = cols[j], vals[j]
+            a = b = 0
+            acc = 0.0
+            while a < t and b < len(cj) - 1:
+                ka, kb = ci[a], cj[b]
+                if ka == kb:
+                    acc += vi[a] * vj[b]
+                    a += 1
+                    b += 1
+                elif ka < kb:
+                    a += 1
+                else:
+                    b += 1
+            s -= acc
+            if j < i:
+                vi[t] = s / vals[j][-1]
+            else:
+                if s <= 0.0:
+                    return None
+                vi[t] = np.sqrt(s)
+    return sp.csr_matrix(
+        (np.concatenate(vals), np.concatenate(cols),
+         np.concatenate(([0], np.cumsum([len(c) for c in cols])))),
+        shape=(n, n),
+    )
+
+
+def _ic0_oracle(A: SparseSymMatrix) -> LowerTriFactor:
+    """ic0's shift-retry loop around the oracle pass."""
+    beta = 0.0
+    while True:
+        L = _ic0_attempt_oracle(A, beta)
+        if L is not None:
+            return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
+        beta = 1e-3 if beta == 0.0 else 2.0 * beta
+        if beta > 1.0:
+            raise FactorizationError("ic0 breakdown persists past shift 1.0")
+
+
+def _ic0_attempt_csr(A: SparseSymMatrix, beta: float):
+    """linalg._ic0_attempt on A's lower CSR, as a CSR matrix or None."""
+    lower = A.lower.tocsr()
+    val = linalg._ic0_attempt(memoryview(lower.indptr), memoryview(lower.indices), lower.data, beta)
+    if val is None:
+        return None
+    return sp.csr_matrix((val, lower.indices, lower.indptr), shape=lower.shape)
+
+
+def _assert_same_csr(got, want):
+    # data bit for bit; integer arrays by value, whatever their dtype
+    assert got.data.dtype == want.data.dtype == np.float64
+    np.testing.assert_array_equal(got.data.view(np.uint64), want.data.view(np.uint64))
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+
+
+def _diffusion(nx: int, seed: int) -> SparseSymMatrix:
+    """5-point variable-coefficient diffusion on an nx x nx grid with
+    Dirichlet boundary, coefficients exp(U(-3, 3))."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(nx * nx).reshape(nx, nx)
+    horiz = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx - 1)))
+    vert = np.exp(rng.uniform(-3.0, 3.0, size=(nx - 1, nx)))
+    diag = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx)))
+    diag[:, :-1] += horiz
+    diag[:, 1:] += horiz
+    diag[:-1, :] += vert
+    diag[1:, :] += vert
+    rows = np.concatenate((idx.ravel(), idx[:, 1:].ravel(), idx[1:, :].ravel()))
+    cols = np.concatenate((idx.ravel(), idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+    vals = np.concatenate((diag.ravel(), -horiz.ravel(), -vert.ravel()))
+    return SparseSymMatrix.from_coo(nx * nx, rows, cols, vals)
+
+
+_IC0_MATRICES = {
+    "diffusion": lambda: _diffusion(30, seed=4),
+    "network-80": lambda: make_sparse_network(80, seed=2),
+    "network-2000": lambda: make_sparse_network(2000),
+}
+
+
+class TestIc0MatchesOracle:
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.5])
+    @pytest.mark.parametrize("name", sorted(_IC0_MATRICES))
+    def test_attempt_bits(self, name, beta):
+        A = _IC0_MATRICES[name]()
+        want = _ic0_attempt_oracle(A, beta)
+        assert want is not None
+        _assert_same_csr(_ic0_attempt_csr(A, beta), want)
+
+    @pytest.mark.parametrize("name", sorted(_IC0_MATRICES))
+    def test_factor_bits(self, name):
+        A = _IC0_MATRICES[name]()
+        got, want = ic0(A), _ic0_oracle(A)
+        assert got.shift == want.shift == 0.0
+        _assert_same_csr(got.values, want.values)
+
+    def test_shifted_factor_bits(self):
+        # a diffusion block whose off-diagonal couplings outweigh its
+        # diagonal breaks down unshifted; the first shift that completes
+        # and the factor must both be the oracle's
+        A0 = _diffusion(12, seed=7)
+        lo = A0.lower.tocoo()
+        vals = np.where(lo.row == lo.col, lo.data, 1.6 * lo.data)
+        A = SparseSymMatrix.from_coo(A0.n, lo.row, lo.col, vals)
+        assert _ic0_attempt_oracle(A, 0.0) is None
+        got, want = ic0(A), _ic0_oracle(A)
+        assert got.shift == want.shift > 0.0
+        _assert_same_csr(got.values, want.values)
+
+    def test_persistent_breakdown_raises(self):
+        # a healthy network block, then a 2 x 2 block no shift up to 1 repairs
+        B = make_sparse_network(40, seed=3).to_dense()
+        A = SparseSymMatrix.from_dense(
+            sp.block_diag((B, np.array([[1.0, 2.0], [2.0, 1.0]]))).toarray())
+        beta = 0.0
+        while beta <= 1.0:
+            assert _ic0_attempt_oracle(A, beta) is None
+            assert _ic0_attempt_csr(A, beta) is None
+            beta = 1e-3 if beta == 0.0 else 2.0 * beta
+        with pytest.raises(FactorizationError):
+            ic0(A)
+
+    def test_missing_diagonal_breaks_down(self):
+        lower = sp.csr_matrix(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]))
+        A = SparseSymMatrix(n=3, lower=lower)
+        assert _ic0_attempt_oracle(A, 0.0) is None
+        assert _ic0_attempt_csr(A, 0.0) is None
 
 
 class TestIc0:

@@ -334,6 +334,24 @@ class TestMatrixReader:
         with pytest.raises(ValueError, match="non-finite"):
             READERS[name](bad, bad, bad)
 
+    @pytest.mark.parametrize("name", sorted(READERS))
+    def test_empty_rejected(self, name):
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValueError, match=r"empty matrix: order 0 x 0"):
+            READERS[name](empty, empty, empty)
+
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_empty_pair_rejected(self, name):
+        empty = np.zeros((0, 0))
+        with pytest.raises(ValueError, match=r"empty matrix: order 0 x 0"):
+            PAIRS[name](empty, empty)
+
+    def test_empty_sparse_rejected(self):
+        empty = SparseSymMatrix.from_coo(0, [], [], [])
+        for f in (sym_eig, cholesky, lambda A: condition_report(A)):
+            with pytest.raises(ValueError, match=r"empty matrix: order 0 x 0"):
+                f(empty)
+
     @pytest.mark.parametrize("name", sorted(PAIRS))
     def test_pair_of_other_orders_rejected(self, name):
         with pytest.raises(ValueError, match=r"A and P must have matching shape, got \(8, 8\) and \(4, 4\)"):

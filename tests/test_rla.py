@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,19 @@ class TestSlq:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             slq_trace_logdet(lambda x: d * x, 4, ProbeConfig(m=4, n_v=3, seed=18))
         assert exc.value.probe_index is not None
+
+    def test_one_lanczos_basis_live_at_a_time(self):
+        # the previous probe's m x n basis is dropped before the next probe
+        # builds its own: holding both reads about 2.2 bases
+        n, m = 19600, 30
+        d = np.linspace(1.0, 10.0, n)
+        tracemalloc.start()
+        try:
+            slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=3, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (8 * m * n)
 
 
 class TestDerivedQuantities:
