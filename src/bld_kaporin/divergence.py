@@ -10,6 +10,11 @@ Conventions:
   * d_ld(A, P) = trace(A P^-1) - log det(A P^-1) - n  >= 0, zero iff A = P.
   * Kaporin quantities are exposed in log space only; exponentiating
     n * ln B overflows for modest n.
+
+These dense functionals are the oracle of the factored path.  Every dense
+matrix argument passes matio._symmetrized (asymmetry above 1e-10 relative
+raises ValueError), and they factor through linalg.spd_cholesky and solve
+with LAPACK, independent of the SuperLU solves of the path they check.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import DomainError, NotPositiveDefiniteError
-from .matio import SparseSymMatrix, as_dense, as_dense_pair
+from .linalg import spd_cholesky, sym_eig
+from .matio import SparseSymMatrix, _symmetrized, as_dense, as_dense_pair
 
 __all__ = [
     "ConditionReport",
@@ -85,44 +91,38 @@ def gamma_map(lam):
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 
 
-def spd_cholesky(X, what="matrix") -> np.ndarray:
-    """Cholesky factor of an SPD matrix, used as the SPD validator."""
-    X = as_dense(X)
-    try:
-        return np.linalg.cholesky(0.5 * (X + X.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite") from exc
-
-
 def logdet_spd(X) -> float:
     """log det of an SPD matrix via its Cholesky diagonal."""
-    L = spd_cholesky(X)
-    return 2.0 * float(np.sum(np.log(np.diag(L))))
+    return 2.0 * float(np.sum(np.log(np.diag(spd_cholesky(X)))))
+
+
+def _trace_pinv(La: np.ndarray, Lp: np.ndarray) -> float:
+    """trace(P^-1 A) = ||Lp^-1 La||_F^2 from the Cholesky factors of A and P,
+    solved and squared in place in La, summed in np.sum(Z * Z)'s order."""
+    Z = sla.solve_triangular(Lp, La, lower=True, overwrite_b=True)
+    return float(np.sum(np.square(Z, out=Z)))
 
 
 def bregman_logdet(A, P) -> float:
     """Log-determinant matrix divergence between SPD matrices A and P.
 
-    Evaluates trace(A P^-1) - logdet(A P^-1) - n through Cholesky solves.
+    Evaluates trace(A P^-1) - logdet(A P^-1) - n through Cholesky solves;
+    beside the arguments at most two n x n arrays are live.
     """
     A, P = as_dense_pair(A, P)
     n = A.shape[0]
     La = spd_cholesky(A, "A")
+    del A  # a sparse A's dense copy goes before P is factored
     Lp = spd_cholesky(P, "P")
-    # trace(A P^-1) via the factor: ||Lp^-1 La||_F^2
-    Z = sla.solve_triangular(Lp, La, lower=True)
-    trace_m = float(np.sum(Z * Z))
     logdet_m = 2.0 * float(np.sum(np.log(np.diag(La))) - np.sum(np.log(np.diag(Lp))))
-    return trace_m - logdet_m - n
+    return _trace_pinv(La, Lp) - logdet_m - n
 
 
 def dual_coords(X) -> np.ndarray:
     """Dual coordinates -X^-1 of an SPD matrix (negative definite)."""
-    X = as_dense(X)
     L = spd_cholesky(X)
-    inv = sla.cho_solve((L, True), np.eye(X.shape[0]))
-    inv = 0.5 * (inv + inv.T)
-    return -inv
+    inv = sla.cho_solve((L, True), np.eye(L.shape[0]))
+    return -0.5 * (inv + inv.T)
 
 
 def dual_divergence(theta, sigma) -> float:
@@ -147,36 +147,31 @@ def jacobi_scale(A):
     """Symmetric diagonal scaling diag(A)^-1/2 A diag(A)^-1/2.
 
     The result has a unit diagonal, hence trace exactly n.  Accepts a
-    SparseSymMatrix (returned as such) or a dense array.
+    SparseSymMatrix (returned as such) or a dense array (_symmetrized).
     """
-    if isinstance(A, SparseSymMatrix):
-        d = A.diagonal()
-        if np.any(d <= 0.0):
-            raise DomainError("jacobi scaling requires a positive diagonal")
-        s = 1.0 / np.sqrt(d)
-        coo = A.lower.tocoo()
-        vals = coo.data * s[coo.row] * s[coo.col]
-        return SparseSymMatrix.from_coo(A.n, coo.row, coo.col, vals)
-    A = as_dense(A)
-    d = np.diag(A).copy()
+    if not isinstance(A, SparseSymMatrix):
+        A = _symmetrized(as_dense(A))
+    d = A.diagonal()
     if np.any(d <= 0.0):
         raise DomainError("jacobi scaling requires a positive diagonal")
     s = 1.0 / np.sqrt(d)
-    return A * np.outer(s, s)
+    if isinstance(A, np.ndarray):
+        A *= np.outer(s, s)
+        return A
+    coo = A.lower.tocoo()
+    return SparseSymMatrix.from_coo(A.n, coo.row, coo.col, coo.data * s[coo.row] * s[coo.col])
 
 
 def preconditioned_spectrum(A, P) -> np.ndarray:
     """Spectrum of P^-1 A computed from the symmetric form.
 
     Uses Lp^-1 A Lp^-T with P = Lp Lp^T, which is similar to P^-1 A but
-    keeps the eigensolver on symmetric input.  The two solves leave M
-    symmetric only up to rounding; sym_eig checks that and symmetrizes.
+    keeps the eigensolver on symmetric input; M is symmetric only up to
+    rounding, and sym_eig checks and symmetrizes it.
     """
-    from .linalg import sym_eig
-
     A, P = as_dense_pair(A, P)
     Lp = spd_cholesky(P, "P")
-    Y = sla.solve_triangular(Lp, A, lower=True)
+    Y = sla.solve_triangular(Lp, _symmetrized(A), lower=True, overwrite_b=True)
     M = sla.solve_triangular(Lp, Y.T, lower=True).T
     return sym_eig(M).values
 
@@ -202,16 +197,13 @@ class ConditionReport:
 
 def condition_report(A, P=None) -> ConditionReport:
     """Evaluate every conditioning functional for M = P^-1 A (P = I default)."""
-    A = as_dense(A)
-    n = A.shape[0]
     if P is None:
-        spec = np.sort(np.linalg.eigvalsh(0.5 * (A + A.T)))[::-1]
-        if np.any(spec <= 0.0):
-            raise NotPositiveDefiniteError("A is not positive definite")
+        spec, what = sym_eig(A).values, "A"
     else:
-        spec = preconditioned_spectrum(A, P)
-        if np.any(spec <= 0.0):
-            raise NotPositiveDefiniteError("preconditioned matrix is not positive definite")
+        spec, what = preconditioned_spectrum(A, P), "preconditioned matrix"
+    if np.any(spec <= 0.0):
+        raise NotPositiveDefiniteError(f"{what} is not positive definite")
+    n = spec.size
     trace_m = float(np.sum(spec))
     logdet_m = float(np.sum(np.log(spec)))
     return ConditionReport(

@@ -17,11 +17,12 @@ so a run that stays orthogonal does little or no Gram-Schmidt work.
 
 Memory: the dense kernels work in blocks of PANEL = 256 columns, so none
 holds more than two n x n arrays at once.  tri_solve solves a wide
-right-hand side a panel at a time into its one output; sym_eig checks and
-symmetrizes its input a block at a time straight into the array the
-reduction overwrites; vectors_at applies the reflectors a panel at a time.
-sym_eig and vectors_at give the bits of the whole-matrix call, and so
-does tri_solve with an IC(0) factor (see tri_solve).
+right-hand side a panel at a time into its one output; sym_eig and
+spd_cholesky check and symmetrize their input a block at a time
+(matio._symmetrized) straight into the array that LAPACK then overwrites;
+vectors_at applies the reflectors a panel at a time.  sym_eig and
+vectors_at give the bits of the whole-matrix call, and so does tri_solve
+with an IC(0) factor (see tri_solve).
 """
 
 from __future__ import annotations
@@ -42,24 +43,23 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularFactorError,
 )
-from .matio import SparseSymMatrix, as_dense
+from .matio import PANEL, SparseSymMatrix, _symmetrized, as_dense
 
 # Estimated loss of orthogonality at which lanczos reorthogonalizes.
 REORTH_TOL = 1e-11
 
 # dormqr's block size: it applies reflectors in blocks of this many, and a
-# set of at most this many unblocked.
+# set of at most this many unblocked.  PANEL is a multiple of it, so that
+# the reflectors applied a panel at a time form the same blocks, and the
+# same arithmetic, as one call over all of them.
 _DORMQR_NB = 32
-# Column block of the dense kernels.  A multiple of _DORMQR_NB, so that the
-# reflectors applied a panel at a time form the same blocks, and the same
-# arithmetic, as one call over all of them.
-PANEL = 256
 
 __all__ = [
     "LowerTriFactor",
     "EigenDecomposition",
     "LanczosResult",
     "cholesky",
+    "spd_cholesky",
     "ic0",
     "identity_factor",
     "sym_eig",
@@ -109,6 +109,8 @@ class LowerTriFactor:
 
     def matvec(self, x, mode="forward") -> np.ndarray:
         """Apply Q (mode forward) or Q^T (mode adjoint)."""
+        if mode not in ("forward", "adjoint"):
+            raise ValueError(f"unknown mode {mode!r}")
         return (self.values @ x) if mode == "forward" else (self.values.T @ x)
 
     def logdet_gram(self) -> float:
@@ -212,23 +214,27 @@ class LanczosResult:
         return T
 
 
-def cholesky(A) -> LowerTriFactor:
-    """Exact dense Cholesky factor of an SPD matrix.
+def spd_cholesky(X, what="matrix") -> np.ndarray:
+    """The package's one dense Cholesky: SPD X's lower factor, F-ordered.
 
-    Asymmetric input raises ValueError, a nonpositive pivot
-    NotPositiveDefiniteError.  The symmetrized copy is factored in place,
-    and a dense copy that as_dense made of A is dropped first, so at most
-    two n x n arrays are live and then one.
+    Asymmetric X raises ValueError, a nonpositive pivot
+    NotPositiveDefiniteError naming `what`.  dpotrf factors in place the
+    array _symmetrized writes, its upper triangle zeroed; a dense copy
+    as_dense made of X is dropped first, so at most two n x n arrays live.
     """
-    Ad = as_dense(A)
-    a = _symmetrized(Ad)
-    del Ad
+    a = _symmetrized(as_dense(X))
     L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(
-            f"cholesky failed: leading minor of order {info} is not positive definite")
+            f"{what} is not positive definite (leading minor of order {info})")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
+    return L
+
+
+def cholesky(A) -> LowerTriFactor:
+    """Exact dense Cholesky factor of an SPD matrix: spd_cholesky as a factor."""
+    L = spd_cholesky(A)
     return LowerTriFactor(n=L.shape[0], kind="exact-cholesky", values=L)
 
 
@@ -310,31 +316,6 @@ def _ic0_attempt(ptr: memoryview, col: memoryview, data: np.ndarray, beta: float
     return out
 
 
-def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """0.5 (S + S^T) as a new F-ordered array; ValueError unless
-    max|S - S^T| <= 1e-10 max(max|S|, 1).
-
-    One pass over blocks of PANEL columns takes max|S - S^T| and max|S|
-    and writes the symmetrized block, so beside S and the result no
-    n x n temporary is made.  The result is exactly symmetric, so LAPACK
-    may read either of its triangles.
-    """
-    n = S.shape[0]
-    a = np.empty((n, n), order="F")
-    asym = smax = 0.0
-    for j in range(0, n, PANEL):
-        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
-        blk = a[:, j:j + PANEL]
-        np.subtract(cols, rows_t, out=blk)
-        asym = max(asym, np.abs(blk, out=blk).max())
-        smax = max(smax, cols.max(), -cols.min())
-        np.add(cols, rows_t, out=blk)
-        blk *= 0.5
-    if asym > 1e-10 * max(smax, 1.0):
-        raise ValueError("matrix is not symmetric to 1e-10 relative")
-    return a
-
-
 def sym_eig(S) -> EigenDecomposition:
     """Eigendecomposition of a symmetric dense matrix.
 
@@ -344,8 +325,8 @@ def sym_eig(S) -> EigenDecomposition:
     asymmetric input raises ValueError, a tridiagonal solve that fails to
     converge ConvergenceError.
 
-    S is never changed.  _symmetrized writes 0.5 (S + S^T) into the array
-    the reduction overwrites, which the result keeps as its reflectors.
+    S is never changed.  matio._symmetrized writes 0.5 (S + S^T) into the
+    array the reduction overwrites, which the result keeps as its reflectors.
     So S and that array are the only n x n arrays live, and no other
     n x n temporary is made.
     """

@@ -1,5 +1,6 @@
 """Matrix Market ingestion, symmetric sparse containers, the one reader
-of matrix arguments (as_dense, as_dense_pair, as_matvec), CSV emission.
+of matrix arguments (as_dense, as_dense_pair, as_matvec) and the one
+symmetry check of a dense one (_symmetrized), CSV emission.
 
 The on-disk format is the coordinate Matrix Market exchange format
 (`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
@@ -22,6 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import MatrixMarketError, SchemaError, SymmetryError
+
+# Column block of the dense kernels: _symmetrized and linalg's.
+PANEL = 256
 
 __all__ = [
     "SparseSymMatrix",
@@ -72,16 +76,14 @@ class SparseSymMatrix:
 
     @staticmethod
     def from_dense(a) -> "SparseSymMatrix":
+        """The lower triangle of _symmetrized(a); a non-finite entry raises
+        MatrixMarketError."""
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("square matrix required")
         if not np.isfinite(a).all():
             raise MatrixMarketError("matrix has a non-finite entry")
-        scale = max(np.abs(a).max(), 1.0)
-        if np.abs(a - a.T).max() > 1e-12 * scale:
-            raise SymmetryError("dense input is not symmetric")
-        lower = sp.csr_matrix(np.tril(a))
-        return SparseSymMatrix(n=a.shape[0], lower=lower)
+        return SparseSymMatrix(n=a.shape[0], lower=sp.csr_matrix(np.tril(_symmetrized(a))))
 
     @property
     def nnz_lower(self) -> int:
@@ -147,14 +149,39 @@ def as_dense_pair(A, P):
 
 def as_matvec(A):
     """(product, n) for a matrix argument: a SparseSymMatrix's own matvec,
-    looked up at this call, else the product with as_dense(A).  A callable
-    is rejected with TypeError, since its order is unknown."""
+    looked up at this call, else the product with _symmetrized(as_dense(A)).
+    A callable is rejected with TypeError, since its order is unknown."""
     if isinstance(A, SparseSymMatrix):
         return A.matvec, A.n
     if callable(A):
         raise TypeError("pass (apply, n) operators as SparseSymMatrix or ndarray")
-    A = as_dense(A)
-    return (lambda x: A @ x), A.shape[0]
+    S = _symmetrized(as_dense(A))
+    return (lambda x: S @ x), S.shape[0]
+
+
+def _symmetrized(S: np.ndarray) -> np.ndarray:
+    """0.5 (S + S^T) as a new F-ordered array; ValueError unless
+    max|S - S^T| <= 1e-10 max(max|S|, 1).
+
+    One pass over blocks of PANEL columns takes max|S - S^T| and max|S|
+    and writes the symmetrized block, so beside S and the result no n x n
+    temporary is made.  The result is exactly symmetric, so LAPACK may read
+    either of its triangles, and equals S bit for bit if S is symmetric.
+    """
+    n = S.shape[0]
+    a = np.empty((n, n), order="F")
+    asym = smax = 0.0
+    for j in range(0, n, PANEL):
+        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
+        blk = a[:, j:j + PANEL]
+        np.subtract(cols, rows_t, out=blk)
+        asym = max(asym, np.abs(blk, out=blk).max())
+        smax = max(smax, cols.max(), -cols.min())
+        np.add(cols, rows_t, out=blk)
+        blk *= 0.5
+    if asym > 1e-10 * max(smax, 1.0):
+        raise ValueError("matrix is not symmetric to 1e-10 relative")
+    return a
 
 
 def _parse_banner(line: str):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PcgBreakdownError
-from .matio import as_dense, as_matvec
+from .matio import as_matvec
 
 __all__ = [
     "SolveConfig",
@@ -87,8 +87,8 @@ class SolveReport:
 
 
 def _as_apply_inverse(H, n):
-    """P^-1 as a function; ValueError unless a Preconditioner or dense H
-    has order n."""
+    """P^-1 as a function; ValueError unless a Preconditioner or matrix H
+    has order n (and a dense one is symmetric)."""
     if H is None:
         return lambda x: x
     if hasattr(H, "apply_inverse"):
@@ -96,8 +96,7 @@ def _as_apply_inverse(H, n):
     elif callable(H):
         return H
     else:
-        Hm = as_dense(H)
-        order, apply_h = Hm.shape[0], lambda x: Hm @ x
+        apply_h, order = as_matvec(H)
     if order != n:
         raise ValueError(f"A and P must have matching order, got {n} and {order}")
     return apply_h
@@ -107,9 +106,10 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     """Solve Ax = b by PCG with preconditioner inverse H.
 
     A may be a SparseSymMatrix or dense array; H a Preconditioner, a
-    callable applying P^-1, a dense matrix, or None for the identity.
-    A Preconditioner or dense H of another order than A, or a known
-    solution of another length, raises ValueError naming both.
+    callable applying P^-1, a matrix, or None for the identity.  A dense
+    A or H not symmetric to 1e-10 relative raises ValueError, and so do an
+    H of another order than A and a known solution of another length,
+    naming both.
     Raises PcgBreakdownError (with the partial report attached) when the
     curvature p' A p or the preconditioned residual product r' H r turns
     nonpositive before convergence.

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .divergence import gamma_map, ln_kaporin_k, logdet_spd, spd_cholesky
+from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
 from .errors import DomainError, NotPositiveDefiniteError, RankError
-from .linalg import EigenDecomposition, LowerTriFactor, sym_eig, tri_solve
+from .linalg import EigenDecomposition, LowerTriFactor, spd_cholesky, sym_eig, tri_solve
 from .matio import as_dense, as_dense_pair, as_matvec
 
 __all__ = [
@@ -301,9 +300,9 @@ def scale_to_unit_trace(A, P):
     """Rescale P so trace((cP)^-1 A) = n; returns (c, cP), cP dense."""
     A, P = as_dense_pair(A, P)
     n = A.shape[0]
-    Lp = spd_cholesky(P, "P")
-    Z = sla.solve_triangular(Lp, spd_cholesky(A, "A"), lower=True)
-    c = float(np.sum(Z * Z)) / n
+    La = spd_cholesky(A, "A")
+    del A  # a sparse A's dense copy goes before P is factored
+    c = _trace_pinv(La, spd_cholesky(P, "P")) / n
     return c, c * P
 
 

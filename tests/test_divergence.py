@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
+import bld_kaporin
 from bld_kaporin.divergence import (
     bregman_logdet,
     condition_report,
@@ -18,7 +23,7 @@ from bld_kaporin.divergence import (
     preconditioned_spectrum,
 )
 from bld_kaporin.errors import DomainError, NotPositiveDefiniteError
-from bld_kaporin.linalg import sym_eig
+from bld_kaporin.linalg import spd_cholesky, sym_eig
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.synth import random_spd
 
@@ -201,6 +206,31 @@ class TestBregmanLogdet:
         with pytest.raises(NotPositiveDefiniteError):
             bregman_logdet(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    def test_peak_memory(self):
+        # In a fresh process, the rise of the peak RSS over bregman_logdet of
+        # a sparse A and a dense P at n = 1936, in units of n x n doubles.
+        # Full-size symmetrizing temporaries and a separate solution array
+        # beside both factors read 4.5 or more.
+        code = textwrap.dedent("""
+            import resource
+            from bld_kaporin.divergence import bregman_logdet
+            from bld_kaporin.synth import make_sparse_network
+            A = make_sparse_network(1936, seed=0)
+            P = make_sparse_network(1936, seed=1).to_dense()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            bregman_logdet(A, P)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024 / (8 * 1936**2))
+        """)
+        src = os.path.dirname(os.path.dirname(bld_kaporin.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) <= 3.0
+
 
 class TestDualSide:
     def test_identity_coords(self):
@@ -269,7 +299,7 @@ class TestPreconditionedSpectrum:
         rng = np.random.default_rng(21)
         for n in (3, 40, 300):
             A, P = random_spd(n, rng), random_spd(n, rng)
-            Lp = np.linalg.cholesky(0.5 * (P + P.T))
+            Lp = spd_cholesky(P)
             Y = sla.solve_triangular(Lp, A, lower=True)
             M = sla.solve_triangular(Lp, Y.T, lower=True).T
             want = sym_eig(0.5 * (M + M.T)).values

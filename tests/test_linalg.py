@@ -68,6 +68,15 @@ class TestCholesky:
             cholesky(X)
             np.testing.assert_array_equal(X, before)
 
+    def test_matvec_modes(self):
+        S = random_spd(6, np.random.default_rng(4))
+        Q = cholesky(S)
+        x = np.arange(1.0, 7.0)
+        np.testing.assert_allclose(Q.matvec(x), Q.to_dense() @ x, rtol=1e-14)
+        np.testing.assert_allclose(Q.matvec(x, "adjoint"), Q.to_dense().T @ x, rtol=1e-14)
+        with pytest.raises(ValueError, match="unknown mode 'foward'"):
+            Q.matvec(x, "foward")
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_peak_memory(self):
         # In a fresh process, the rise of the peak RSS over cholesky of a
@@ -252,6 +261,18 @@ class TestIc0:
         Q_ic = ic0(SparseSymMatrix.from_dense(S))
         Q_ex = cholesky(S)
         np.testing.assert_allclose(Q_ic.to_dense(), Q_ex.to_dense(), rtol=1e-12, atol=1e-12)
+
+    def test_dense_input_read_as_its_symmetric_part(self):
+        # the symmetry rule of every dense reader: within 1e-10 relative
+        # the symmetric part is factored, beyond it ValueError
+        S = random_spd(12, np.random.default_rng(2))
+        S[11, 0] += 1e-11 * np.abs(S).max()
+        want = ic0(SparseSymMatrix.from_dense(0.5 * (S + S.T))).values
+        got = ic0(S).values
+        np.testing.assert_array_equal(got.toarray(), want.toarray())
+        S[11, 0] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric to 1e-10 relative"):
+            ic0(S)
 
     def test_pattern_matches_lower_triangle(self):
         A = make_sparse_network(200, seed=9)

@@ -346,6 +346,17 @@ class TestMatrixReader:
         with pytest.raises(ValueError, match=r"empty matrix: order 0 x 0"):
             PAIRS[name](empty, empty)
 
+    @pytest.mark.parametrize(
+        "f, nargs",
+        [pytest.param(f, 3, id=name) for name, f in sorted(READERS.items())]
+        + [pytest.param(f, 2, id=f"pair-{name}") for name, f in sorted(PAIRS.items())]
+        + [pytest.param(SparseSymMatrix.from_dense, 1, id="from_dense")])
+    def test_asymmetric_rejected(self, f, nargs):
+        bad = np.eye(8)
+        bad[7, 0] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            f(*[bad] * nargs)
+
     def test_empty_sparse_rejected(self):
         empty = SparseSymMatrix.from_coo(0, [], [], [])
         for f in (sym_eig, cholesky, lambda A: condition_report(A)):
