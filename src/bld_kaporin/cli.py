@@ -237,6 +237,8 @@ def _cmd_sweep_alpha(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.max_iter is not None:
+        _require_positive(("--max-iter", args.max_iter))
     A = _resolve_matrix(args)
     rows, summary = harness.bound_overlay(A, args.factor, args.rank, args.alpha,
                                           args.tol, args.max_iter, args.seed)

@@ -72,21 +72,22 @@ __all__ = [
 class LowerTriFactor:
     """Lower-triangular factor Q with QQ^T approximating (or equal to) A.
 
-    kind is one of {"exact-cholesky", "ic0", "identity"}; shift records the
-    relative diagonal boost that was needed to complete an ic0 run (0 when
-    none was).  values holds the lower triangle as CSR, whatever the input
-    format; a SuperLU handle on it is built once here and serves every
-    triangular solve.
+    shift records the relative diagonal boost that was needed to complete
+    an ic0 run (0 when none was).  values holds the lower triangle as CSR,
+    whatever the input format, and gives the order n; a non-square values
+    raises ValueError.  A SuperLU handle on it is built once here and
+    serves every triangular solve.
     """
 
-    n: int
-    kind: str
     values: sp.csr_matrix = field(repr=False)
     shift: float = 0.0
     _lu: SuperLU = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        values = sp.csr_matrix(sp.tril(self.values), dtype=np.float64)
+        values = sp.csr_matrix(self.values, dtype=np.float64)
+        if values.shape[0] != values.shape[1]:
+            raise ValueError(f"factor must be square, got shape {values.shape}")
+        values = sp.tril(values, format="csr")
         if np.any(values.diagonal() <= 0):
             raise SingularFactorError("factor has a nonpositive diagonal entry")
         object.__setattr__(self, "values", values)
@@ -96,6 +97,10 @@ class LowerTriFactor:
         lu = splu(values.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"Equil": False})
         object.__setattr__(self, "_lu", lu)
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
 
     def diagonal(self) -> np.ndarray:
         return self.values.diagonal()
@@ -130,12 +135,15 @@ class EigenDecomposition:
     is ever kept.
     """
 
-    n: int
     values: np.ndarray
     c: np.ndarray = field(repr=False)
     tau: np.ndarray = field(repr=False)
     d: np.ndarray = field(repr=False)
     e: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
     def tridiagonal_vectors(self, idx) -> np.ndarray:
         """Eigenvectors of T for values[idx], as an n x len(idx) array.
@@ -197,15 +205,19 @@ class LanczosResult:
     n x m view of row-major storage, so not C-contiguous.  breakdown is
     True when the recurrence exhausted the Krylov space before the
     requested step count.  reorthogonalized counts the steps whose new
-    vector was swept against the kept basis.
+    vector was swept against the kept basis.  m, the steps taken, is the
+    length of alphas.
     """
 
-    m: int
     alphas: np.ndarray
     betas: np.ndarray
     basis: np.ndarray
     breakdown: bool
     reorthogonalized: int
+
+    @property
+    def m(self) -> int:
+        return self.alphas.size
 
     def tridiagonal(self) -> np.ndarray:
         T = np.diag(self.alphas)
@@ -234,13 +246,12 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
 
 def cholesky(A) -> LowerTriFactor:
     """Exact dense Cholesky factor of an SPD matrix: spd_cholesky as a factor."""
-    L = spd_cholesky(A)
-    return LowerTriFactor(n=L.shape[0], kind="exact-cholesky", values=L)
+    return LowerTriFactor(spd_cholesky(A))
 
 
 def identity_factor(n: int) -> LowerTriFactor:
     """Factor of the identity; P = QQ^T = I."""
-    return LowerTriFactor(n=n, kind="identity", values=sp.identity(n, format="csr"))
+    return LowerTriFactor(sp.identity(n, format="csr"))
 
 
 def ic0(A: SparseSymMatrix) -> LowerTriFactor:
@@ -270,7 +281,7 @@ def ic0(A: SparseSymMatrix) -> LowerTriFactor:
         if beta > 1.0:
             raise FactorizationError("ic0 breakdown persists past shift 1.0")
     L = sp.csr_matrix((val, lower.indices, lower.indptr), shape=(A.n, A.n))
-    return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
+    return LowerTriFactor(L, shift=beta)
 
 
 def _ic0_attempt(ptr: memoryview, col: memoryview, data: np.ndarray, beta: float):
@@ -340,7 +351,7 @@ def sym_eig(S) -> EigenDecomposition:
         w = sla.eigvalsh_tridiagonal(d, e)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return EigenDecomposition(n=n, values=w[::-1].copy(), c=c, tau=tau, d=d, e=e)
+    return EigenDecomposition(values=w[::-1].copy(), c=c, tau=tau, d=d, e=e)
 
 
 def tri_solve(L: LowerTriFactor, b, mode="forward"):
@@ -472,7 +483,6 @@ def lanczos(apply, v0, m) -> LanczosResult:
         beta_prev = beta
 
     return LanczosResult(
-        m=k_done,
         alphas=alphas[:k_done].copy(),
         betas=betas[: max(k_done - 1, 0)].copy(),
         basis=basis[:k_done].T,

@@ -44,12 +44,20 @@ class SparseSymMatrix:
     """Symmetric real matrix stored as its lower triangle in CSR form.
 
     Only entries with row >= col are stored; products go through `full`,
-    both triangles as one CSR matrix built on first use.  Both builders
-    reject a non-finite entry; positive definiteness is not checked here.
+    both triangles as one CSR matrix built on first use.  The order n is
+    lower's; a non-square lower raises ValueError.  Both builders reject a
+    non-finite entry; positive definiteness is not checked here.
     """
 
-    n: int
     lower: sp.csr_matrix = field(repr=False)
+
+    def __post_init__(self):
+        if self.lower.shape[0] != self.lower.shape[1]:
+            raise ValueError(f"lower triangle must be square, got shape {self.lower.shape}")
+
+    @property
+    def n(self) -> int:
+        return self.lower.shape[0]
 
     @staticmethod
     def from_coo(n, rows, cols, vals) -> "SparseSymMatrix":
@@ -72,7 +80,7 @@ class SparseSymMatrix:
         if not np.isfinite(lower.data).all():
             raise MatrixMarketError("matrix has a non-finite entry")
         lower.eliminate_zeros()
-        return SparseSymMatrix(n=n, lower=lower)
+        return SparseSymMatrix(lower)
 
     @staticmethod
     def from_dense(a) -> "SparseSymMatrix":
@@ -83,7 +91,7 @@ class SparseSymMatrix:
             raise ValueError("square matrix required")
         if not np.isfinite(a).all():
             raise MatrixMarketError("matrix has a non-finite entry")
-        return SparseSymMatrix(n=a.shape[0], lower=sp.csr_matrix(np.tril(_symmetrized(a))))
+        return SparseSymMatrix(sp.csr_matrix(np.tril(_symmetrized(a))))
 
     @property
     def nnz_lower(self) -> int:

@@ -65,14 +65,18 @@ class SolveReport:
 
     res2 and res_pinv (the P^-1-norm residuals) are always recorded;
     err_a (the A-norm errors) only when a known solution was supplied.
+    iterations is the number of entries of res2 after the initial one.
     """
 
-    iterations: int
     converged: bool
     x: np.ndarray
     res2: np.ndarray
     res_pinv: np.ndarray
     err_a: np.ndarray | None = None
+
+    @property
+    def iterations(self) -> int:
+        return self.res2.size - 1
 
     def rel_res2(self) -> np.ndarray:
         return self.res2 / self.res2[0] if self.res2[0] != 0 else self.res2
@@ -143,12 +147,12 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     k = 0
     while not converged and k < max_iter:
         if rho <= 0.0:
-            report = _finish(x, k, False, res2, res_pinv, err_a)
+            report = _finish(x, False, res2, res_pinv, err_a)
             raise PcgBreakdownError(f"nonpositive r'Hr at iteration {k}: H is not SPD", report)
         Ap = matvec(p)
         curv = float(p @ Ap)
         if curv <= 0.0:
-            report = _finish(x, k, False, res2, res_pinv, err_a)
+            report = _finish(x, False, res2, res_pinv, err_a)
             raise PcgBreakdownError(f"nonpositive curvature at iteration {k}", report)
         a = rho / curv
         x = x + a * p
@@ -166,16 +170,15 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
             p = z + beta * p
         rho = rho_next
 
-    return _finish(x, k, converged, res2, res_pinv, err_a)
+    return _finish(x, converged, res2, res_pinv, err_a)
 
 
 def _a_norm(matvec, v) -> float:
     return math.sqrt(max(float(v @ matvec(v)), 0.0))
 
 
-def _finish(x, k, converged, res2, res_pinv, err_a) -> SolveReport:
+def _finish(x, converged, res2, res_pinv, err_a) -> SolveReport:
     return SolveReport(
-        iterations=k,
         converged=converged,
         x=x,
         res2=np.asarray(res2),

@@ -58,10 +58,13 @@ class ErrorCore:
     theta first, then lower index).
     """
 
-    n: int
     eig: EigenDecomposition
     gamma_order: np.ndarray
     factor: LowerTriFactor = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return self.eig.n
 
     @property
     def thetas(self) -> np.ndarray:
@@ -126,13 +129,23 @@ class LowRankTerm:
     """Selected eigenpairs (V, D) of the error core; V D V^T is the correction.
 
     selection indexes into the core's eigendecomposition; V has orthonormal
-    columns and every 1 + D entry is positive.
+    columns and every 1 + D entry is positive.  V must be 2-D with r
+    columns and D and selection must have r entries, else ValueError.
     """
 
     r: int
     V: np.ndarray
     D: np.ndarray
     selection: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.V)
+        if len(shape) != 2 or shape[1] != self.r:
+            raise ValueError(f"V must be 2-D with r = {self.r} columns, got shape {shape}")
+        for name, values in (("D", self.D), ("selection", self.selection)):
+            if np.shape(values) != (self.r,):
+                raise ValueError(f"{name} must have r = {self.r} entries, "
+                                 f"got shape {np.shape(values)}")
 
 
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
@@ -149,7 +162,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     Ad = as_dense(A)
     n = Ad.shape[0]
     if Q.n != n:
-        raise ValueError("factor order does not match the matrix")
+        raise ValueError(f"factor order {Q.n} does not match the matrix order {n}")
     Y = tri_solve(Q, Ad, "forward")          # Q^-1 A
     del Ad
     E = tri_solve(Q, Y.T, "forward").T       # Q^-1 A Q^-T
@@ -160,7 +173,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
         raise NotPositiveDefiniteError("error core has eigenvalues <= -1: A is not SPD")
     gammas = gamma_map(eig.values)
     order = np.lexsort((np.arange(n), -eig.values, -gammas))
-    return ErrorCore(n=n, eig=eig, gamma_order=order, factor=Q)
+    return ErrorCore(eig=eig, gamma_order=order, factor=Q)
 
 
 def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
@@ -200,7 +213,8 @@ class Preconditioner:
     """P_alpha = Q(alpha (I - V V^T) + V (I_r + D) V^T) Q^T, SPD throughout.
 
     alpha = 1 gives the plain low-rank corrected factorization
-    P = Q(I + V D V^T) Q^T.  Immutable; apply_inverse is reentrant.
+    P = Q(I + V D V^T) Q^T.  Immutable; apply_inverse is reentrant.  V must
+    have one row per row of Q, else ValueError.
     """
 
     factor: LowerTriFactor
@@ -208,6 +222,10 @@ class Preconditioner:
     alpha: float = 1.0
 
     def __post_init__(self):
+        rows = self.low_rank.V.shape[0]
+        if rows != self.factor.n:
+            raise ValueError(f"V must have one row per factor row, got {rows} rows "
+                             f"for a factor of order {self.factor.n}")
         if self.alpha <= 0.0:
             raise DomainError("alpha must be positive")
         if np.any(1.0 + self.low_rank.D <= 0.0):
@@ -255,10 +273,15 @@ class Preconditioner:
         return tri_solve(self.factor, z, "adjoint")
 
     def dense(self) -> np.ndarray:
-        Qd = self.factor.to_dense()
-        V, D = self.low_rank.V, self.low_rank.D
-        mid = self.alpha * (np.eye(self.n) - V @ V.T) + V @ np.diag(1.0 + D) @ V.T
-        return Qd @ mid @ Qd.T
+        """P_alpha as an n x n array: alpha Q Q^T plus (W (1 + D - alpha)) W^T,
+        W = Q V.  Beside the result only the rank-r update is n x n."""
+        Q, V = self.factor.values, self.low_rank.V
+        P = (Q @ Q.T).toarray()
+        P *= self.alpha
+        if V.shape[1]:
+            W = Q @ V
+            P += (W * (1.0 + self.low_rank.D - self.alpha)) @ W.T
+        return P
 
     def logdet(self) -> float:
         """log det P_alpha from the factor diagonal and the middle spectrum."""

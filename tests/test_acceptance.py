@@ -284,7 +284,7 @@ def test_criterion_07_bld_beats_tsvd():
         L = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
         U = haar_orthogonal(n, 7200 + i)
         A = L @ (np.eye(n) + (U * thetas) @ U.T) @ L.T
-        Q = LowerTriFactor(n=n, kind="exact-cholesky", values=L)
+        Q = LowerTriFactor(L)
         core = pc.error_core(A, Q)
         for r in range(n):
             bld = pc.bld_truncate(core, r)

@@ -87,6 +87,7 @@ class TestExitCodes:
         (["verify", "--trials", "0"], "--trials"),
         (["estimate", "--synthetic", "network", "--n", "30", "--m", "0"], "--m"),
         (["estimate", "--synthetic", "network", "--n", "30", "--nv", "0"], "--nv"),
+        (["solve", "--synthetic", "network", "--n", "30", "--max-iter", "0"], "--max-iter"),
     ])
     def test_count_flag_below_one_is_usage_error(self, argv, named, capsys):
         assert run(argv) == 1

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,6 +14,7 @@ import bld_kaporin
 from bld_kaporin import linalg, rla
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
 from bld_kaporin.linalg import (
+    EigenDecomposition,
     LanczosResult,
     LowerTriFactor,
     cholesky,
@@ -22,7 +25,9 @@ from bld_kaporin.linalg import (
     tri_solve,
 )
 from bld_kaporin.matio import SparseSymMatrix
+from bld_kaporin.pcg import SolveReport
 from bld_kaporin.precond import (
+    ErrorCore,
     LowRankTerm,
     Preconditioner,
     bld_truncate,
@@ -151,7 +156,7 @@ def _ic0_oracle(A: SparseSymMatrix) -> LowerTriFactor:
     while True:
         L = _ic0_attempt_oracle(A, beta)
         if L is not None:
-            return LowerTriFactor(n=A.n, kind="ic0", shift=beta, values=L)
+            return LowerTriFactor(L, shift=beta)
         beta = 1e-3 if beta == 0.0 else 2.0 * beta
         if beta > 1.0:
             raise FactorizationError("ic0 breakdown persists past shift 1.0")
@@ -243,7 +248,7 @@ class TestIc0MatchesOracle:
 
     def test_missing_diagonal_breaks_down(self):
         lower = sp.csr_matrix(np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 2.0]]))
-        A = SparseSymMatrix(n=3, lower=lower)
+        A = SparseSymMatrix(lower)
         assert _ic0_attempt_oracle(A, 0.0) is None
         assert _ic0_attempt_csr(A, 0.0) is None
 
@@ -503,7 +508,23 @@ class TestTriSolve:
 
     def test_zero_diagonal_rejected(self):
         with pytest.raises(SingularFactorError):
-            LowerTriFactor(n=2, kind="identity", values=np.diag([0.0, 1.0]))
+            LowerTriFactor(np.diag([0.0, 1.0]))
+
+    @pytest.mark.parametrize("shape", [(6, 8), (8, 6)])
+    def test_non_square_factor_rejected(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
+            LowerTriFactor(np.eye(*shape))
+
+
+class TestDerivedSizes:
+    # an order or a count is read off the array it counts, so no constructor
+    # takes one that could disagree with it
+    @pytest.mark.parametrize("cls, size", [
+        (SparseSymMatrix, "n"), (LowerTriFactor, "n"), (EigenDecomposition, "n"),
+        (ErrorCore, "n"), (LanczosResult, "m"), (SolveReport, "iterations"),
+    ])
+    def test_size_is_not_a_field(self, cls, size):
+        assert size not in {f.name for f in dataclasses.fields(cls)}
 
 
 class TestLanczos:
@@ -593,7 +614,7 @@ def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
         v_prev = vk
         basis[k + 1] = w / beta
         beta_prev = beta
-    return LanczosResult(m=k_done, alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
+    return LanczosResult(alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
                          basis=basis[:k_done].T, breakdown=breakdown,
                          reorthogonalized=max(k_done - 1, 0))
 

@@ -1,8 +1,10 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bld_kaporin.divergence import (
     bregman_logdet,
@@ -120,6 +122,13 @@ class TestRoundTrip:
         B = read_matrix_market(path)
         assert B.n == A.n
         np.testing.assert_array_equal(B.to_dense(), A.to_dense())
+
+    def test_order_is_that_of_the_lower_triangle(self):
+        assert SparseSymMatrix(sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))).n == 3
+
+    def test_non_square_lower_triangle_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("must be square, got shape (3, 4)")):
+            SparseSymMatrix(sp.csr_matrix((3, 4)))
 
     def test_matvec_symmetry(self):
         rng = np.random.default_rng(7)

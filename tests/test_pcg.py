@@ -6,7 +6,7 @@ import pytest
 
 from bld_kaporin.divergence import bregman_logdet, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, PcgBreakdownError
-from bld_kaporin.linalg import ic0
+from bld_kaporin.linalg import LowerTriFactor, ic0
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.pcg import (
     SolveConfig,
@@ -64,6 +64,13 @@ class TestSolver:
         H = P if form == "preconditioner" else P.dense()
         with pytest.raises(ValueError, match=r"A and P must have matching order, got 6 and 8"):
             pcg_solve(A, np.ones(6), H)
+
+    def test_factor_order_is_that_of_its_values(self):
+        A = SparseSymMatrix.from_dense(random_spd(8, np.random.default_rng(2)))
+        P = Preconditioner(LowerTriFactor(np.eye(6)),
+                           LowRankTerm(0, np.zeros((6, 0)), np.zeros(0), np.zeros(0, int)))
+        with pytest.raises(ValueError, match=r"A and P must have matching order, got 8 and 6"):
+            pcg_solve(A, np.ones(8), P)
 
     @pytest.mark.parametrize("xs", [np.ones(4), np.ones((6, 1))], ids=["short", "column"])
     def test_known_solution_of_other_shape_rejected(self, xs):

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ def _planted_core(thetas, seed=0, lower_seed=None):
     L = np.tril(rng.standard_normal((n, n)), -1) + np.diag(rng.uniform(0.5, 2.0, n))
     U = haar_orthogonal(n, seed + 1)
     A = L @ (np.eye(n) + (U * thetas) @ U.T) @ L.T
-    Q = LowerTriFactor(n=n, kind="exact-cholesky", values=L)
+    Q = LowerTriFactor(L)
     return A, Q
 
 
@@ -229,6 +231,23 @@ class TestPreconditionerApply:
         direct = Q.to_dense() @ (np.eye(4) + (term.V * term.D) @ term.V.T) @ Q.to_dense().T
         np.testing.assert_allclose(P.dense(), direct, rtol=1e-12, atol=1e-13)
 
+    def test_dense_holds_one_update_beside_its_result(self):
+        # the result and one n x n rank-r update are live at the peak, about
+        # 2.05 n x n doubles; a third n x n temporary would exceed the bound
+        n, r = 900, 30
+        A = make_sparse_network(n, seed=18)
+        rng = np.random.default_rng(19)
+        V = np.linalg.qr(rng.standard_normal((n, r)))[0]
+        term = LowRankTerm(r=r, V=V, D=rng.uniform(-0.5, 2.0, r), selection=np.arange(r))
+        P = Preconditioner(ic0(A), term, 1.3)
+        tracemalloc.start()
+        try:
+            P.dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * (8 * n * n)
+
     def test_inv_sqrt_composition(self):
         A = make_sparse_network(40, seed=15)
         core = error_core(A, ic0(A))
@@ -239,6 +258,27 @@ class TestPreconditionerApply:
         # C^-T C^-1 = P^-1 for the split square factor C
         via_split = P.apply_inv_sqrt_t(P.apply_inv_sqrt(x))
         np.testing.assert_allclose(via_split, P.apply_inverse(x), rtol=1e-11, atol=1e-13)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("V, D, selection, named", [
+        (np.zeros((6, 2)), np.ones(2), np.arange(2), "V must be 2-D with r = 0 columns, got shape (6, 2)"),
+        (np.zeros(6), np.zeros(0), np.arange(0), "V must be 2-D with r = 0 columns, got shape (6,)"),
+        (np.zeros((6, 0)), np.ones(2), np.arange(0), "D must have r = 0 entries, got shape (2,)"),
+        (np.zeros((6, 0)), np.zeros(0), np.arange(2), "selection must have r = 0 entries, got shape (2,)"),
+    ], ids=["two-pairs", "vector", "D", "selection"])
+    def test_term_rejects_arrays_of_another_rank(self, V, D, selection, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            LowRankTerm(r=0, V=V, D=D, selection=selection)
+
+    def test_error_core_rejects_factor_of_another_order(self):
+        with pytest.raises(ValueError, match="factor order 4 does not match the matrix order 6"):
+            error_core(make_sparse_network(6, seed=0), identity_factor(4))
+
+    def test_preconditioner_rejects_V_of_another_order(self):
+        term = LowRankTerm(r=1, V=np.eye(5, 1), D=np.ones(1), selection=np.zeros(1, int))
+        with pytest.raises(ValueError, match="got 5 rows for a factor of order 6"):
+            Preconditioner(identity_factor(6), term, 2.0)
 
 
 class TestMiddleSolve:
