@@ -173,7 +173,7 @@ def preconditioned_spectrum(A, P) -> np.ndarray:
     Lp = spd_cholesky(P, "P")
     Y = sla.solve_triangular(Lp, _symmetrized(A), lower=True, overwrite_b=True)
     M = sla.solve_triangular(Lp, Y.T, lower=True).T
-    return sym_eig(M).values
+    return sym_eig(M, overwrite=True).values
 
 
 @dataclass(frozen=True)

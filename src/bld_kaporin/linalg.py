@@ -16,13 +16,15 @@ lost orthogonality past REORTH_TOL = 1e-11 (and at the step after each),
 so a run that stays orthogonal does little or no Gram-Schmidt work.
 
 Memory: the dense kernels work in blocks of PANEL = 256 columns, so none
-holds more than two n x n arrays at once.  tri_solve solves a wide
-right-hand side a panel at a time into its one output; sym_eig and
-spd_cholesky check and symmetrize their input a block at a time
-(matio._symmetrized) straight into the array that LAPACK then overwrites;
-vectors_at applies the reflectors a panel at a time.  sym_eig and
-vectors_at give the bits of the whole-matrix call, and so does tri_solve
-with an IC(0) factor (see tri_solve).
+holds more than two n x n arrays at once, and most hold one.  tri_solve
+solves a wide right-hand side a panel at a time, into one new output or in
+place (out=b); sym_eig and spd_cholesky check and symmetrize a dense copy
+of their input in place, a pair of blocks at a time (matio._symmetrized),
+and LAPACK then overwrites that copy; sym_eig(S, overwrite=True) does so
+in S itself, with no copy; vectors_at applies the reflectors a panel at a
+time.  sym_eig and vectors_at give the bits of the whole-matrix call, and
+so does tri_solve with an IC(0) factor (see tri_solve); in place or not,
+tri_solve gives the same bits.
 """
 
 from __future__ import annotations
@@ -230,12 +232,15 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
     """The package's one dense Cholesky: SPD X's lower factor, F-ordered.
 
     Asymmetric X raises ValueError, a nonpositive pivot
-    NotPositiveDefiniteError naming `what`.  dpotrf factors in place the
-    array _symmetrized writes, its upper triangle zeroed; a dense copy
-    as_dense made of X is dropped first, so at most two n x n arrays live.
+    NotPositiveDefiniteError naming `what`.  X is never changed:
+    as_dense(X, copy=True) gives one dense copy of it (a sparse X's dense
+    form is that copy), _symmetrized checks and symmetrizes the copy in
+    place, and dpotrf factors it in place, its upper triangle zeroed.  So
+    the factor is the only n x n array that X costs.
     """
-    a = _symmetrized(as_dense(X))
-    L, info = lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    a = as_dense(X, copy=True)
+    _symmetrized(a, out=a)
+    L, info = lapack.dpotrf(_f_view(a), lower=1, clean=1, overwrite_a=1)
     if info > 0:
         raise NotPositiveDefiniteError(
             f"{what} is not positive definite (leading minor of order {info})")
@@ -244,9 +249,25 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
     return L
 
 
+def _f_view(S: np.ndarray) -> np.ndarray:
+    """An exactly symmetric S as an F-ordered array of the same memory
+    where it has one: its transpose, if S is C-ordered."""
+    return S.T if S.flags.c_contiguous and not S.flags.f_contiguous else S
+
+
 def cholesky(A) -> LowerTriFactor:
-    """Exact dense Cholesky factor of an SPD matrix: spd_cholesky as a factor."""
-    return LowerTriFactor(spd_cholesky(A))
+    """Exact dense Cholesky factor of an SPD matrix: spd_cholesky as a factor.
+
+    The dense factor is turned into CSR a row panel at a time and dropped
+    before the panels are stacked, so it and a whole-matrix conversion's
+    index temporaries are never live together.
+    """
+    L = spd_cholesky(A)
+    panels = [sp.csr_matrix(L[i:i + PANEL]) for i in range(0, L.shape[0], PANEL)]
+    del L
+    values = sp.vstack(panels, format="csr")
+    del panels
+    return LowerTriFactor(values)
 
 
 def identity_factor(n: int) -> LowerTriFactor:
@@ -327,7 +348,7 @@ def _ic0_attempt(ptr: memoryview, col: memoryview, data: np.ndarray, beta: float
     return out
 
 
-def sym_eig(S) -> EigenDecomposition:
+def sym_eig(S, overwrite=False) -> EigenDecomposition:
     """Eigendecomposition of a symmetric dense matrix.
 
     One Householder tridiagonal reduction plus every eigenvalue of the
@@ -336,15 +357,18 @@ def sym_eig(S) -> EigenDecomposition:
     asymmetric input raises ValueError, a tridiagonal solve that fails to
     converge ConvergenceError.
 
-    S is never changed.  matio._symmetrized writes 0.5 (S + S^T) into the
-    array the reduction overwrites, which the result keeps as its reflectors.
-    So S and that array are the only n x n arrays live, and no other
-    n x n temporary is made.
+    matio._symmetrized writes 0.5 (S + S^T) in place into one dense array,
+    which the reduction then overwrites and the result keeps as its
+    reflectors.  By default that array is a copy and S is never changed.
+    With overwrite=True the contents of S are lost: a float64 ndarray S is
+    symmetrized in place and, if C- or F-contiguous, reduced in place, so
+    S costs no second n x n array.
     """
-    a = _symmetrized(as_dense(S))
+    a = as_dense(S, copy=not overwrite)
+    _symmetrized(a, out=a)
     n = a.shape[0]
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    c, d, e, tau, info = lapack.dsytrd(a, lower=1, lwork=int(lwork), overwrite_a=1)
+    c, d, e, tau, info = lapack.dsytrd(_f_view(a), lower=1, lwork=int(lwork), overwrite_a=1)
     if info != 0:
         raise ValueError(f"dsytrd rejected argument {-info}")
     try:
@@ -354,16 +378,17 @@ def sym_eig(S) -> EigenDecomposition:
     return EigenDecomposition(values=w[::-1].copy(), c=c, tau=tau, d=d, e=e)
 
 
-def tri_solve(L: LowerTriFactor, b, mode="forward"):
+def tri_solve(L: LowerTriFactor, b, mode="forward", out=None):
     """Solve Lx = b (forward) or L^T x = b (adjoint) with the factor's
     SuperLU handle.
 
     Accepts a vector or a matrix right-hand side.  A right-hand side wider
-    than PANEL columns is solved a panel at a time into one F-ordered
-    output, so beside b and x a solve holds SuperLU's copy and work space
-    for one panel only, where a whole solve would hold two more arrays of
-    b's size.  Where the factor's supernodes are single columns, as in the
-    IC(0) factors of the package's sparse matrices, SuperLU solves each
+    than PANEL columns, or any given an out array, is solved a panel at a
+    time, each panel read before its solution is written.  So out=b solves
+    in place, and beside b and x a solve holds SuperLU's copy and work
+    space for one panel only.  Without out a wide solve writes one new
+    F-ordered x.  Where the factor's supernodes are single columns, as in
+    the IC(0) factors of the package's sparse matrices, SuperLU solves each
     column on its own and the result has the bits of a whole solve.  Wider
     supernodes (a dense Cholesky factor) go through BLAS-3 kernels, whose
     last bits depend on how many columns are solved together.
@@ -372,12 +397,16 @@ def tri_solve(L: LowerTriFactor, b, mode="forward"):
         raise ValueError(f"unknown mode {mode!r}")
     b = np.asarray(b, dtype=np.float64)
     trans = "N" if mode == "forward" else "T"
-    if b.ndim < 2 or b.shape[1] <= PANEL:
-        return L._lu.solve(b, trans=trans)
-    x = np.empty(b.shape, order="F")
+    if out is None:
+        if b.ndim < 2 or b.shape[1] <= PANEL:
+            return L._lu.solve(b, trans=trans)
+        out = np.empty(b.shape, order="F")
+    elif b.ndim < 2:
+        out[:] = L._lu.solve(b, trans=trans)
+        return out
     for j in range(0, b.shape[1], PANEL):
-        x[:, j:j + PANEL] = L._lu.solve(b[:, j:j + PANEL], trans=trans)
-    return x
+        out[:, j:j + PANEL] = L._lu.solve(b[:, j:j + PANEL], trans=trans)
+    return out
 
 
 def lanczos(apply, v0, m) -> LanczosResult:

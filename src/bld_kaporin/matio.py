@@ -45,8 +45,9 @@ class SparseSymMatrix:
 
     Only entries with row >= col are stored; products go through `full`,
     both triangles as one CSR matrix built on first use.  The order n is
-    lower's; a non-square lower raises ValueError.  Both builders reject a
-    non-finite entry; positive definiteness is not checked here.
+    lower's; a non-square lower, or one storing an entry above the
+    diagonal, raises ValueError.  Both builders reject a non-finite entry;
+    positive definiteness is not checked here.
     """
 
     lower: sp.csr_matrix = field(repr=False)
@@ -54,6 +55,13 @@ class SparseSymMatrix:
     def __post_init__(self):
         if self.lower.shape[0] != self.lower.shape[1]:
             raise ValueError(f"lower triangle must be square, got shape {self.lower.shape}")
+        csr = self.lower.tocsr()
+        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
+        upper = np.flatnonzero(csr.indices > rows)
+        if upper.size:
+            k = upper[0]
+            raise ValueError("lower triangle stores an entry above the diagonal "
+                             f"at (row, col) = ({rows[k]}, {csr.indices[k]})")
 
     @property
     def n(self) -> int:
@@ -127,16 +135,23 @@ class SparseSymMatrix:
         return coo.row[order], coo.col[order], coo.data[order]
 
 
-def as_dense(A) -> np.ndarray:
+def as_dense(A, copy=False) -> np.ndarray:
     """A matrix argument as a square float64 array: a SparseSymMatrix's
     dense copy (finite by construction, so not scanned), the dense() of an
     object that has one (a Preconditioner), or what numpy reads.
-    ValueError unless the array is square, not 0 x 0, with finite entries."""
+    ValueError unless the array is square, not 0 x 0, with finite entries.
+
+    With copy=True the result shares no memory with A, so the caller may
+    overwrite it: the dense copy and dense() are new arrays already, and
+    numpy makes one copy of anything else, an ndarray of the caller's too.
+    """
     if isinstance(A, SparseSymMatrix):
         A = A.to_dense()
     else:
         if callable(getattr(A, "dense", None)):
             A = A.dense()
+        elif copy:
+            A = np.array(A, dtype=np.float64)
         A = np.asarray(A, dtype=np.float64)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"square matrix required, got shape {A.shape}")
@@ -167,29 +182,34 @@ def as_matvec(A):
     return (lambda x: S @ x), S.shape[0]
 
 
-def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """0.5 (S + S^T) as a new F-ordered array; ValueError unless
-    max|S - S^T| <= 1e-10 max(max|S|, 1).
+def _symmetrized(S: np.ndarray, out=None) -> np.ndarray:
+    """0.5 (S + S^T) into out, a new F-ordered array when None; ValueError
+    unless max|S - S^T| <= 1e-10 max(max|S|, 1).
 
-    One pass over blocks of PANEL columns takes max|S - S^T| and max|S|
-    and writes the symmetrized block, so beside S and the result no n x n
-    temporary is made.  The result is exactly symmetric, so LAPACK may read
-    either of its triangles, and equals S bit for bit if S is symmetric.
+    One pass over the pairs of PANEL x PANEL blocks (I, J) and (J, I), each
+    pair read before either block is written, takes max|S - S^T| and max|S|
+    and writes the symmetrized pair.  So out=S symmetrizes in place, and no
+    n x n temporary is made beside S and out.  The result is exactly
+    symmetric, so LAPACK may read either of its triangles or its transpose,
+    and equals S bit for bit if S is symmetric.
     """
     n = S.shape[0]
-    a = np.empty((n, n), order="F")
+    if out is None:
+        out = np.empty((n, n), order="F")
     asym = smax = 0.0
-    for j in range(0, n, PANEL):
-        cols, rows_t = S[:, j:j + PANEL], S[j:j + PANEL].T
-        blk = a[:, j:j + PANEL]
-        np.subtract(cols, rows_t, out=blk)
-        asym = max(asym, np.abs(blk, out=blk).max())
-        smax = max(smax, cols.max(), -cols.min())
-        np.add(cols, rows_t, out=blk)
-        blk *= 0.5
+    for i in range(0, n, PANEL):
+        for j in range(0, i + 1, PANEL):
+            lo, up = S[i:i + PANEL, j:j + PANEL], S[j:j + PANEL, i:i + PANEL].T
+            blk = lo - up
+            asym = max(asym, np.abs(blk, out=blk).max())
+            smax = max(smax, lo.max(), -lo.min(), up.max(), -up.min())
+            np.add(lo, up, out=blk)
+            blk *= 0.5
+            out[i:i + PANEL, j:j + PANEL] = blk
+            out[j:j + PANEL, i:i + PANEL] = blk.T
     if asym > 1e-10 * max(smax, 1.0):
         raise ValueError("matrix is not symmetric to 1e-10 relative")
-    return a
+    return out
 
 
 def _parse_banner(line: str):

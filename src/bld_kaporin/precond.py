@@ -13,10 +13,10 @@ alpha_star, the mean of the unselected 1 + theta_i, is the unique
 divergence minimizer over alpha and makes the divergence equal the log
 Kaporin condition number of the preconditioned matrix.
 
-Memory: forming and eigendecomposing the dense error core holds at most
-two n x n arrays at once, and the ErrorCore keeps one, the reflectors of
-its eigendecomposition; a truncation forms only the r eigenvectors it
-selects.
+Memory: the dense error core is formed, symmetrized and reduced in one
+n x n array, the dense copy of A, and the ErrorCore keeps that array as
+the reflectors of its eigendecomposition; a truncation forms only the r
+eigenvectors it selects.
 """
 
 from __future__ import annotations
@@ -154,21 +154,21 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     Fails with NotPositiveDefiniteError when any eigenvalue of E is at or
     below -1, i.e. when A is not SPD relative to the factor.
 
-    At most two n x n arrays are live at once: the dense A is dropped after
-    the first solve and Q^-1 A after the second; sym_eig then holds E and
-    its one symmetrized copy, which it reduces in place and the core keeps
-    as its reflectors.
+    One n x n array holds every stage: the dense copy of A (a copy even of
+    a caller's ndarray, which is never changed), then Q^-1 A solved into it
+    a column panel at a time, then E solved into its transpose, so that
+    row panel J of Q^-1 A becomes row panel J of E, and the unit diagonal
+    subtracted.  sym_eig then checks and symmetrizes it in place and
+    reduces it, and the core keeps it as its reflectors.
     """
-    Ad = as_dense(A)
-    n = Ad.shape[0]
+    B = as_dense(A, copy=True)
+    n = B.shape[0]
     if Q.n != n:
         raise ValueError(f"factor order {Q.n} does not match the matrix order {n}")
-    Y = tri_solve(Q, Ad, "forward")          # Q^-1 A
-    del Ad
-    E = tri_solve(Q, Y.T, "forward").T       # Q^-1 A Q^-T
-    del Y
-    E[np.diag_indices(n)] -= 1.0
-    eig = sym_eig(E)                         # checks and symmetrizes E
+    tri_solve(Q, B, "forward", out=B)          # Q^-1 A
+    tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
+    B[np.diag_indices(n)] -= 1.0
+    eig = sym_eig(B, overwrite=True)           # checks and symmetrizes E
     if np.any(eig.values <= -1.0 + 1e-12):
         raise NotPositiveDefiniteError("error core has eigenvalues <= -1: A is not SPD")
     gammas = gamma_map(eig.values)

@@ -19,7 +19,9 @@ from bld_kaporin.divergence import (
 from bld_kaporin.errors import MatrixMarketError, SchemaError, SymmetryError
 from bld_kaporin.linalg import cholesky, ic0, sym_eig
 from bld_kaporin.matio import (
+    PANEL,
     SparseSymMatrix,
+    _symmetrized,
     as_dense,
     read_matrix_market,
     write_json,
@@ -130,6 +132,18 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=re.escape("must be square, got shape (3, 4)")):
             SparseSymMatrix(sp.csr_matrix((3, 4)))
 
+    def test_upper_triangle_entry_rejected(self):
+        # stored as lower, the (0, 1) entry would be mirrored onto (1, 0) and
+        # the product with ones would read [4, 4] instead of [3, 3]
+        with pytest.raises(ValueError, match=re.escape("above the diagonal at (row, col) = (0, 1)")):
+            SparseSymMatrix(sp.csr_matrix([[2.0, 1.0], [1.0, 2.0]]))
+
+    def test_first_upper_triangle_entry_named(self):
+        dense = np.diag([1.0, 2.0, 3.0, 4.0])
+        dense[1, 3] = dense[2, 3] = dense[3, 0] = 0.5
+        with pytest.raises(ValueError, match=re.escape("(row, col) = (1, 3)")):
+            SparseSymMatrix(sp.csr_matrix(dense))
+
     def test_matvec_symmetry(self):
         rng = np.random.default_rng(7)
         A = SparseSymMatrix.from_dense(_random_sym(rng, 23))
@@ -185,6 +199,31 @@ def _random_sym(rng, n, density=0.3):
 
 
 BUS_PATH = os.environ.get("BLD_KAPORIN_494_BUS", "494_bus.mtx")
+
+
+class TestSymmetrized:
+    N = 2 * PANEL + 37  # two full block rows and a ragged third
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_in_place_equals_new_array(self, order):
+        rng = np.random.default_rng(40)
+        S = rng.standard_normal((self.N, self.N))
+        # asymmetric within the tolerance, so symmetrizing changes S
+        S = np.array(S + S.T + 1e-12 * rng.standard_normal(S.shape), order=order)
+        want = _symmetrized(S)
+        assert want.flags.f_contiguous
+        assert _symmetrized(S, out=S) is S
+        np.testing.assert_array_equal(S, want)
+        np.testing.assert_array_equal(S, S.T)
+
+    @pytest.mark.parametrize("i, j", [(1, 0), (N - 1, 0), (N - 1, N - 2), (PANEL, PANEL - 1)])
+    def test_asymmetric_rejected(self, i, j):
+        S = np.eye(self.N)
+        S[i, j] = 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            _symmetrized(S)
+        with pytest.raises(ValueError, match="not symmetric"):
+            _symmetrized(S, out=S)
 
 
 @pytest.mark.skipif(not os.path.exists(BUS_PATH), reason="494_bus.mtx not available locally")
