@@ -47,12 +47,7 @@ from .precond import (
     LowRankTerm,
     Preconditioner,
     bld_truncate,
-    divergence_alpha,
     error_core,
-    flat_interval,
-    kappa2_alpha,
-    ln_kaporin_alpha,
-    optimal_alpha,
     scale_to_unit_trace,
     sym_preconditioned_operator,
     tsvd_truncate,

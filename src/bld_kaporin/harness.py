@@ -250,7 +250,7 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
             tsvd = pc.tsvd_truncate(core, r_try)
             worst["bld_beats_tsvd"] = max(
                 worst["bld_beats_tsvd"],
-                pc.divergence_alpha(core, bld, 1.0) - pc.divergence_alpha(core, tsvd, 1.0),
+                core.rest(bld).divergence(1.0) - core.rest(tsvd).divergence(1.0),
             )
 
         worst["alpha_star_inside_interval"] = max(0.0, lo - a_star, a_star - hi)

@@ -45,7 +45,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularFactorError,
 )
-from .matio import PANEL, SparseSymMatrix, _symmetrized, as_dense
+from .matio import PANEL, SparseSymMatrix, _check_lower, _symmetrized, as_dense
 
 # Estimated loss of orthogonality at which lanczos reorthogonalizes.
 REORTH_TOL = 1e-11
@@ -75,10 +75,11 @@ class LowerTriFactor:
     """Lower-triangular factor Q with QQ^T approximating (or equal to) A.
 
     shift records the relative diagonal boost that was needed to complete
-    an ic0 run (0 when none was).  values holds the lower triangle as CSR,
-    whatever the input format, and gives the order n; a non-square values
-    raises ValueError.  A SuperLU handle on it is built once here and
-    serves every triangular solve.
+    an ic0 run (0 when none was).  values holds Q as float64 CSR, and a
+    float64 CSR argument is kept, not copied; it gives the order n.  A
+    non-square values, or one storing an entry above the diagonal, raises
+    ValueError naming it, as SparseSymMatrix does.  A SuperLU handle on it
+    is built once here and serves every triangular solve.
     """
 
     values: sp.csr_matrix = field(repr=False)
@@ -89,7 +90,7 @@ class LowerTriFactor:
         values = sp.csr_matrix(self.values, dtype=np.float64)
         if values.shape[0] != values.shape[1]:
             raise ValueError(f"factor must be square, got shape {values.shape}")
-        values = sp.tril(values, format="csr")
+        _check_lower(values)
         if np.any(values.diagonal() <= 0):
             raise SingularFactorError("factor has a nonpositive diagonal entry")
         object.__setattr__(self, "values", values)
@@ -113,12 +114,6 @@ class LowerTriFactor:
 
     def to_dense(self) -> np.ndarray:
         return self.values.toarray()
-
-    def matvec(self, x, mode="forward") -> np.ndarray:
-        """Apply Q (mode forward) or Q^T (mode adjoint)."""
-        if mode not in ("forward", "adjoint"):
-            raise ValueError(f"unknown mode {mode!r}")
-        return (self.values @ x) if mode == "forward" else (self.values.T @ x)
 
     def logdet_gram(self) -> float:
         """log det(QQ^T) = 2 sum(log diag Q)."""

@@ -1,6 +1,7 @@
 """Matrix Market ingestion, symmetric sparse containers, the one reader
-of matrix arguments (as_dense, as_dense_pair, as_matvec) and the one
-symmetry check of a dense one (_symmetrized), CSV emission.
+of matrix arguments (as_dense, as_dense_pair, as_matvec), the one
+symmetry check of a dense one (_symmetrized) and the one lower-triangle
+check of a sparse one (_check_lower), CSV and JSON emission.
 
 The on-disk format is the coordinate Matrix Market exchange format
 (`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
@@ -55,13 +56,7 @@ class SparseSymMatrix:
     def __post_init__(self):
         if self.lower.shape[0] != self.lower.shape[1]:
             raise ValueError(f"lower triangle must be square, got shape {self.lower.shape}")
-        csr = self.lower.tocsr()
-        rows = np.repeat(np.arange(self.n), np.diff(csr.indptr))
-        upper = np.flatnonzero(csr.indices > rows)
-        if upper.size:
-            k = upper[0]
-            raise ValueError("lower triangle stores an entry above the diagonal "
-                             f"at (row, col) = ({rows[k]}, {csr.indices[k]})")
+        _check_lower(self.lower.tocsr())
 
     @property
     def n(self) -> int:
@@ -133,6 +128,17 @@ class SparseSymMatrix:
         coo = self.lower.tocoo()
         order = np.lexsort((coo.col, coo.row))
         return coo.row[order], coo.col[order], coo.data[order]
+
+
+def _check_lower(csr) -> None:
+    """ValueError naming the first stored (row, col) of the square CSR
+    matrix csr that lies above the diagonal, in storage order."""
+    rows = np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype), np.diff(csr.indptr))
+    upper = np.flatnonzero(csr.indices > rows)
+    if upper.size:
+        k = upper[0]
+        raise ValueError("lower triangle stores an entry above the diagonal "
+                         f"at (row, col) = ({rows[k]}, {csr.indices[k]})")
 
 
 def as_dense(A, copy=False) -> np.ndarray:
@@ -313,19 +319,17 @@ def write_matrix_market(mat: SparseSymMatrix, path) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def write_table(rows, path, columns=None) -> None:
+def write_table(rows, path) -> None:
     """Write named real tuples as CSV with 17 significant digits.
 
-    `rows` is a sequence of mappings sharing one column set; the header
-    order is that of the first row unless `columns` pins it.  An empty
-    sequence with `columns` given produces a header-only file.
+    `rows` is a non-empty sequence of mappings sharing one column set; the
+    header order is that of the first row.  No rows, or a row with another
+    column set, raises SchemaError.
     """
     rows = list(rows)
-    if columns is None:
-        if not rows:
-            raise SchemaError("no rows and no explicit columns: schema unknown")
-        columns = list(rows[0].keys())
-    columns = list(columns)
+    if not rows:
+        raise SchemaError("no rows: schema unknown")
+    columns = list(rows[0].keys())
     colset = set(columns)
     lines = [",".join(columns)]
     for k, row in enumerate(rows):
@@ -348,8 +352,9 @@ def _format_cell(v) -> str:
 
 
 def write_json(obj, path) -> None:
-    """Write obj as indented, key-sorted ASCII JSON ending in a newline."""
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as indented, key-sorted ASCII JSON ending in a newline; a
+    non-finite float, which JSON cannot hold, raises ValueError first."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _atomic_write(path, text) -> None:

@@ -53,8 +53,8 @@ class SolveConfig:
     known_solution: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise DomainError("tol must be finite and positive")
         if self.max_iter is not None and self.max_iter < 1:
             raise DomainError("max_iter must be >= 1")
 
@@ -97,8 +97,6 @@ def _as_apply_inverse(H, n):
         return lambda x: x
     if hasattr(H, "apply_inverse"):
         order, apply_h = H.n, H.apply_inverse
-    elif callable(H):
-        return H
     else:
         apply_h, order = as_matvec(H)
     if order != n:
@@ -110,10 +108,10 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     """Solve Ax = b by PCG with preconditioner inverse H.
 
     A may be a SparseSymMatrix or dense array; H a Preconditioner, a
-    callable applying P^-1, a matrix, or None for the identity.  A dense
-    A or H not symmetric to 1e-10 relative raises ValueError, and so do an
-    H of another order than A and a known solution of another length,
-    naming both.
+    matrix, or None for the identity.  A callable A or H raises TypeError,
+    since its order is unknown.  A dense A or H not symmetric to 1e-10
+    relative raises ValueError, and so do an H of another order than A and
+    a known solution of another length, naming both.
     Raises PcgBreakdownError (with the partial report attached) when the
     curvature p' A p or the preconditioned residual product r' H r turns
     nonpositive before convergence.

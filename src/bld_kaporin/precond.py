@@ -79,6 +79,12 @@ class ErrorCore:
                          float(np.sum(np.log(rest))), float(rest.min()), float(rest.max()))
 
 
+def _check_alpha(alpha: float) -> None:
+    """DomainError unless alpha is finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise DomainError("alpha must be finite and positive")
+
+
 @dataclass(frozen=True)
 class RestStats:
     """Count n - r, sum, log-sum, min and max of a core's unselected 1 + theta,
@@ -98,8 +104,7 @@ class RestStats:
 
     def trace_logdet(self, alpha: float) -> tuple[float, float]:
         """Trace and log det of P_alpha^-1 A: eigenvalues 1 (r times), (1 + theta)/alpha."""
-        if alpha <= 0.0:
-            raise DomainError("alpha must be positive")
+        _check_alpha(alpha)
         return self.r + self.total / alpha, self.logsum - (self.n - self.r) * math.log(alpha)
 
     def divergence(self, alpha: float) -> float:
@@ -117,8 +122,7 @@ class RestStats:
         """Spectral condition number of P_alpha^-1 A: max(1, hi/alpha)/min(1, lo/alpha),
         constant (= hi/lo) for alpha in [lo, hi].  At r = 0 no unit eigenvalue
         is left, so it is hi/lo for every alpha."""
-        if alpha <= 0.0:
-            raise DomainError("alpha must be positive")
+        _check_alpha(alpha)
         if self.r == 0:
             return self.hi / self.lo
         return float(max(1.0, self.hi / alpha) / min(1.0, self.lo / alpha))
@@ -204,7 +208,8 @@ def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
 
 
 def optimal_alpha(core: ErrorCore, term: LowRankTerm) -> float:
-    """Divergence-minimizing complement scaling: mean of unselected 1+theta."""
+    """Divergence-minimizing complement scaling: mean of unselected 1+theta.
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
     return core.rest(term).alpha_star
 
 
@@ -226,8 +231,7 @@ class Preconditioner:
         if rows != self.factor.n:
             raise ValueError(f"V must have one row per factor row, got {rows} rows "
                              f"for a factor of order {self.factor.n}")
-        if self.alpha <= 0.0:
-            raise DomainError("alpha must be positive")
+        _check_alpha(self.alpha)
         if np.any(1.0 + self.low_rank.D <= 0.0):
             raise DomainError("I + D must be positive definite")
 
@@ -238,10 +242,10 @@ class Preconditioner:
     def _middle_solve(self, y, a, d) -> np.ndarray:
         """y/a + V ((1/d - 1/a) t) with t = V^T y, which equals
         (y - V t)/a + V (t/d): the middle term's inverse for a = alpha,
-        d = 1 + D, its inverse square root for their square roots, and the
-        term itself for their reciprocals.  One pass over y, plus the
-        rank-r update when r > 0.  y is a vector or an n x k block; the
-        transposes make the weights scale the rows of t in both cases."""
+        d = 1 + D, and its inverse square root for their square roots.
+        One pass over y, plus the rank-r update when r > 0.  y is a vector
+        or an n x k block; the transposes make the weights scale the rows
+        of t in both cases."""
         z = y / a
         V = self.low_rank.V
         if V.shape[1]:
@@ -254,12 +258,6 @@ class Preconditioner:
         y = tri_solve(self.factor, np.asarray(x, dtype=np.float64), "forward")
         z = self._middle_solve(y, self.alpha, 1.0 + self.low_rank.D)
         return tri_solve(self.factor, z, "adjoint")
-
-    def apply(self, x) -> np.ndarray:
-        """P_alpha x, the inverse of apply_inverse."""
-        z = self.factor.matvec(np.asarray(x, dtype=np.float64), "adjoint")
-        w = self._middle_solve(z, 1.0 / self.alpha, 1.0 / (1.0 + self.low_rank.D))
-        return self.factor.matvec(w, "forward")
 
     def apply_inv_sqrt(self, x) -> np.ndarray:
         """S^-1 Q^-1 x where Q S (S^2 = middle term) is a square factor of P_alpha."""
@@ -295,17 +293,20 @@ class Preconditioner:
 
 def divergence_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """Divergence of (A, P_alpha): trace - log det - n of P_alpha^-1 A, the
-    sum of gamma((1+theta_i)/alpha - 1) over the unselected indices."""
+    sum of gamma((1+theta_i)/alpha - 1) over the unselected indices.
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
     return core.rest(term).divergence(alpha)
 
 
 def ln_kaporin_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
-    """ln K of P_alpha^-1 A from its trace and log det."""
+    """ln K of P_alpha^-1 A from its trace and log det.
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
     return core.rest(term).ln_kaporin(alpha)
 
 
 def flat_interval(core: ErrorCore, term: LowRankTerm) -> tuple[float, float]:
-    """[min, max] of the unselected 1+theta: the kappa2-flat alpha range."""
+    """[min, max] of the unselected 1+theta: the kappa2-flat alpha range.
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
     rest = core.rest(term)
     return rest.lo, rest.hi
 
@@ -315,6 +316,7 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
 
     Equals max(1, L/alpha)/min(1, l/alpha) with [l, L] the flat interval;
     constant (= L/l) for alpha inside it, and for every alpha at rank 0.
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1).
     """
     return core.rest(term).kappa2(alpha)
 

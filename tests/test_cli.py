@@ -38,6 +38,15 @@ class TestExitCodes:
         )
         assert run(["precondition", "--matrix", str(bad), "--factor", "ic0"]) == 2
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("command, flag", [("precondition", "--alpha"), ("solve", "--tol")])
+    def test_scalar_not_finite_and_positive_is_two(self, command, flag, value, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [command, flag, value, "--synthetic", "network", "--n", "30", "--out", str(out)]
+        assert run(argv) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "broken.mtx"
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n9 9 1.0\n")

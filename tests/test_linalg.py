@@ -73,15 +73,6 @@ class TestCholesky:
             cholesky(X)
             np.testing.assert_array_equal(X, before)
 
-    def test_matvec_modes(self):
-        S = random_spd(6, np.random.default_rng(4))
-        Q = cholesky(S)
-        x = np.arange(1.0, 7.0)
-        np.testing.assert_allclose(Q.matvec(x), Q.to_dense() @ x, rtol=1e-14)
-        np.testing.assert_allclose(Q.matvec(x, "adjoint"), Q.to_dense().T @ x, rtol=1e-14)
-        with pytest.raises(ValueError, match="unknown mode 'foward'"):
-            Q.matvec(x, "foward")
-
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
     def test_peak_memory(self):
         # In a fresh process, the rise of the peak RSS over cholesky of a
@@ -565,6 +556,20 @@ class TestTriSolve:
     def test_non_square_factor_rejected(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
             LowerTriFactor(np.eye(*shape))
+
+    @pytest.mark.parametrize("build", [LowerTriFactor, SparseSymMatrix])
+    def test_entry_above_diagonal_named(self, build):
+        # dropping it would solve with another Q than the one given
+        dense = np.diag([1.0, 2.0, 3.0, 4.0])
+        dense[1, 3] = dense[2, 3] = dense[3, 0] = 0.5
+        with pytest.raises(ValueError, match=re.escape("above the diagonal at (row, col) = (1, 3)")):
+            build(sp.csr_matrix(dense))
+
+    def test_lower_csr_kept_without_copy(self):
+        L = cholesky(random_spd(6, np.random.default_rng(4))).values
+        Q = LowerTriFactor(L)
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(Q.values, part), getattr(L, part))
 
 
 class TestDerivedSizes:

@@ -250,14 +250,12 @@ class TestWriteTable:
         assert lines[0] == "alpha,d_ld"
         assert lines[1] == "1,0.5"
 
-    def test_empty_rows_header_only(self, tmp_path):
-        path = tmp_path / "t.csv"
-        write_table([], path, columns=["alpha", "d_ld"])
-        assert path.read_text() == "alpha,d_ld\n"
-
     def test_ragged_rows_rejected(self, tmp_path):
         with pytest.raises(SchemaError):
             write_table([{"a": 1.0}, {"b": 2.0}], tmp_path / "t.csv")
+        with pytest.raises(SchemaError, match="no rows"):
+            write_table([], tmp_path / "t.csv")
+        assert os.listdir(tmp_path) == []
 
     def test_17_significant_digits(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -288,6 +286,13 @@ class TestWriteJson:
         text = path.read_text()
         assert text == json.dumps({"a": [0.5, None], "b": 1}, indent=2) + "\n"
         assert os.listdir(tmp_path) == ["s.json"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_and_nothing_written(self, tmp_path, bad):
+        # json would write NaN or Infinity, which is not JSON
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json({"alpha": bad}, tmp_path / "s.json")
+        assert os.listdir(tmp_path) == []
 
 
 class TestNonFiniteEntries:
@@ -419,5 +424,7 @@ class TestMatrixReader:
     def test_callable_operator_rejected(self):
         with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):
             pcg_solve(lambda x: x, _b)
+        with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):
+            pcg_solve(_A, _b, lambda x: x)
         with pytest.raises(TypeError, match="SparseSymMatrix or ndarray"):
             sym_preconditioned_operator(lambda x: x, _P)

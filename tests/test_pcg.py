@@ -146,6 +146,12 @@ class TestSolver:
         rep = pcg_solve(A, rng.standard_normal(50), config=SolveConfig(tol=1e-14, max_iter=3))
         assert not rep.converged and rep.iterations == 3
 
+    def test_tol_must_be_finite_and_positive(self):
+        # unchecked, inf would converge at iteration 0 and nan run to a breakdown
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="tol must be finite and positive"):
+                SolveConfig(tol=tol)
+
     def test_pinv_norm_uses_preconditioner(self):
         rng = np.random.default_rng(4)
         A = random_spd(25, rng)

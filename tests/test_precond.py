@@ -235,9 +235,6 @@ class TestPreconditionerApply:
         P = Preconditioner(core.factor, term, optimal_alpha(core, term))
         rng = np.random.default_rng(13)
         x = rng.standard_normal(50)
-        back = P.apply(P.apply_inverse(x))
-        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
-        # and against the dense assembly
         np.testing.assert_allclose(P.dense() @ P.apply_inverse(x), x, rtol=1e-9, atol=1e-11)
 
     def test_alpha_one_matches_plain_correction(self):
@@ -323,8 +320,7 @@ class TestMiddleSolve:
         term = bld_truncate(core, r)
         P = Preconditioner(core.factor, term, optimal_alpha(core, term))
         x = np.random.default_rng(24).standard_normal(50)
-        back = P.apply_inverse(P.apply(x))
-        assert np.linalg.norm(back - x) <= 1e-10 * np.linalg.norm(x)
+        np.testing.assert_allclose(P.dense() @ P.apply_inverse(x), x, rtol=1e-9, atol=1e-11)
 
 
 class TestBlockRightHandSides:
@@ -337,7 +333,7 @@ class TestBlockRightHandSides:
         rng = np.random.default_rng(19)
         for k in (r, r + 1):
             X = rng.standard_normal((60, k))
-            for method in (P.apply_inverse, P.apply, P.apply_inv_sqrt, P.apply_inv_sqrt_t):
+            for method in (P.apply_inverse, P.apply_inv_sqrt, P.apply_inv_sqrt_t):
                 cols = np.column_stack([method(X[:, j]) for j in range(k)])
                 np.testing.assert_allclose(method(X), cols, rtol=1e-13,
                                            atol=1e-13 * np.abs(cols).max())
@@ -403,10 +399,12 @@ class TestAlphaFunctionals:
         assert (lo, hi) == (pytest.approx(0.5, rel=1e-9), pytest.approx(1.5, rel=1e-9))
 
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            divergence_alpha(self.core, self.term, 0.0)
-        with pytest.raises(DomainError):
-            ln_kaporin_alpha(self.core, self.term, -1.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            for f in (divergence_alpha, ln_kaporin_alpha, kappa2_alpha):
+                with pytest.raises(DomainError, match="alpha must be finite and positive"):
+                    f(self.core, self.term, alpha)
+            with pytest.raises(DomainError, match="alpha must be finite and positive"):
+                Preconditioner(self.Q, self.term, alpha)
 
 
 def _masked_rest(core, term):
@@ -476,7 +474,7 @@ class TestRestStats:
 
     def test_trace_logdet_rejects_nonpositive_alpha(self):
         rest = self.core.rest(bld_truncate(self.core, 8))
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(DomainError):
                 rest.trace_logdet(alpha)
 
