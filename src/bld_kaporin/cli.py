@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .errors import DomainError, NotPositiveDefiniteError
-from .linalg import cholesky
+from .linalg import spd_cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .pcg import SolveConfig
 from .rla import DISTRIBUTIONS, ProbeConfig
@@ -193,7 +193,7 @@ def _cmd_info(args) -> int:
     print(f"diagonal > 0     {bool(np.all(diag > 0))}")
     spd = True
     try:
-        cholesky(A)
+        spd_cholesky(A, "A")
     except NotPositiveDefiniteError:
         spd = False
     print(f"positive definite {spd}")
@@ -202,12 +202,12 @@ def _cmd_info(args) -> int:
 
 def _cmd_precondition(args) -> int:
     A = _resolve_matrix(args)
-    core, term, rest, P = harness.build_preconditioner(A, args.factor, args.rank, args.alpha,
-                                                       args.truncation)
+    term, rest, P = harness.build_preconditioner(A, args.factor, args.rank, args.alpha,
+                                                 args.truncation)
     summary = {
         "n": A.n,
         "factor": args.factor,
-        "factor_shift": core.factor.shift,
+        "factor_shift": P.factor.shift,
         "truncation": args.truncation,
         "rank": term.r,
         "alpha": P.alpha,

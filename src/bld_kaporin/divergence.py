@@ -49,8 +49,8 @@ def _positive_spectrum(spectrum) -> np.ndarray:
     s = np.asarray(spectrum, dtype=np.float64).ravel()
     if s.size == 0:
         raise DomainError("empty spectrum")
-    if np.any(s <= 0.0):
-        raise DomainError("spectrum must be strictly positive")
+    if not np.all((s > 0.0) & (s < np.inf)):
+        raise DomainError("spectrum must be finite and strictly positive")
     return s
 
 
@@ -72,8 +72,8 @@ def ln_kaporin_k(trace_m, logdet_m, n) -> float:
     Evaluated directly in log space; the n-th power itself overflows for
     spectra of any realistic size.
     """
-    if trace_m <= 0.0:
-        raise DomainError("trace must be positive")
+    if not (0.0 < trace_m < np.inf and np.isfinite(logdet_m)):
+        raise DomainError("trace must be finite and positive, and logdet finite")
     n = int(n)
     return float(n * np.log(trace_m / n) - logdet_m)
 
@@ -85,8 +85,8 @@ def gamma_map(lam):
     strictly increasing on (0, inf).  Accepts scalars or arrays.
     """
     arr = np.asarray(lam, dtype=np.float64)
-    if np.any(arr <= -1.0):
-        raise DomainError("gamma_map requires arguments > -1")
+    if not np.all((arr > -1.0) & (arr < np.inf)):
+        raise DomainError("gamma_map requires finite arguments > -1")
     out = arr - np.log1p(arr)
     return float(out) if np.isscalar(lam) or arr.ndim == 0 else out
 

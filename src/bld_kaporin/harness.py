@@ -45,12 +45,14 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
     rank (default ceil(n/10), at most n - 1) eigenpairs by
     TRUNCATIONS[truncation], and assemble P_alpha (alpha default alpha_star).
 
-    Returns (core, term, rest, preconditioner): rest is the RestStats
-    that every alpha functional, alpha_star included, is read from.
+    Returns (term, rest, preconditioner): rest is the RestStats that
+    every alpha functional, alpha_star included, is read from, and the
+    factor is the preconditioner's.  The core is not returned, so its
+    n x n reflectors are freed before the caller solves or estimates.
     """
     core, term, rest = _select(A, factor, rank, truncation)
     P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else rest.alpha_star)
-    return core, term, rest, P
+    return term, rest, P
 
 
 def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str = "bld"):
@@ -68,12 +70,12 @@ def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str =
 
 def check_grid(grid) -> None:
     """DomainError unless grid is (min, max, count, "log"|"linear") with
-    0 < min < max and count >= 2."""
+    0 < min < max < inf and count >= 2."""
     amin, amax, count, scale = grid
-    if count < 2:
+    if not count >= 2:
         raise DomainError("alpha grid needs at least 2 points")
-    if not 0 < amin < amax:
-        raise DomainError("alpha grid needs 0 < min < max")
+    if not 0 < amin < amax < math.inf:
+        raise DomainError("alpha grid needs 0 < min < max < inf")
     if scale not in ("log", "linear"):
         raise DomainError(f"unknown grid scale {scale!r}")
 
@@ -296,7 +298,7 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
     rng = np.random.default_rng(seed)
     x_true = rng.standard_normal(n)
     cfg = pg.SolveConfig(tol=tol, max_iter=max_iter, known_solution=x_true)
-    _, term, rest, P = build_preconditioner(A, factor, rank, alpha)
+    term, rest, P = build_preconditioner(A, factor, rank, alpha)
     alpha = P.alpha
 
     kap2 = rest.kappa2(alpha)
@@ -453,7 +455,7 @@ def error_order_study(n: int, base_x_seed: int, eps_list):
     non-vanishing trace; the gap should shrink quadratically.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=np.float64)
-    if np.any(eps_arr <= 0.0) or np.any(eps_arr >= 1.0):
+    if not np.all((eps_arr > 0.0) & (eps_arr < 1.0)):
         raise DomainError("eps values must lie in (0, 1)")
     X = _unit_norm_symmetric(n, base_x_seed)
     rows = []
@@ -507,7 +509,7 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
     n = A.n
     if n > 2000:
         raise DomainError("exact reference limited to n <= 2000")
-    _, term, rest, P_one = build_preconditioner(A, factor, rank, 1.0)
+    term, rest, P_one = build_preconditioner(A, factor, rank, 1.0)
     r, alpha_star = term.r, rest.alpha_star
     trace_exact, logdet_exact = rest.trace_logdet(1.0)
     ln_k_exact = rest.ln_kaporin(1.0)

@@ -55,7 +55,7 @@ class SolveConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError("tol must be finite and positive")
-        if self.max_iter is not None and self.max_iter < 1:
+        if self.max_iter is not None and not self.max_iter >= 1:
             raise DomainError("max_iter must be >= 1")
 
 
@@ -191,8 +191,8 @@ def _finish(x, converged, res2, res_pinv, err_a) -> SolveReport:
 
 def bound_kappa(kappa2: float, k: int) -> float:
     """A-norm error bound 2/(C^k + C^-k), C = (sqrt(k2)-1)/(sqrt(k2)+1)."""
-    if kappa2 < 1.0:
-        raise DomainError("kappa2 >= 1 required")
+    if not 1.0 <= kappa2 < math.inf:
+        raise DomainError("finite kappa2 >= 1 required")
     if k < 0:
         raise DomainError("k >= 0 required")
     if k == 0:
@@ -215,8 +215,8 @@ def _log_expm1(y: float) -> float:
 def _superlinear_bound(quantity: float, k: int) -> float:
     if k < 1:
         raise DomainError("k >= 1 required")
-    if quantity < 0.0:
-        raise DomainError("nonnegative conditioning quantity required")
+    if not 0.0 <= quantity < math.inf:
+        raise DomainError("finite nonnegative conditioning quantity required")
     if quantity == 0.0:
         return 0.0
     log_bound = 0.5 * k * _log_expm1(quantity / k)
@@ -239,8 +239,8 @@ def bound_divergence(d_ld: float, k: int) -> float:
 def bound_3lnd(d_ld: float, k: int, n: int) -> float:
     """A-norm error bound (3 D / k)^(k/2), valid for even k with
     3 D <= k < n."""
-    if d_ld < 0.0:
-        raise DomainError("divergence must be nonnegative")
+    if not 0.0 <= d_ld < math.inf:
+        raise DomainError("divergence must be finite and nonnegative")
     if k < 1 or k % 2 != 0:
         raise DomainError("k must be a positive even integer")
     if not (3.0 * d_ld <= k and k < n):
@@ -254,8 +254,8 @@ def bound_3lnd(d_ld: float, k: int, n: int) -> float:
 
 def iter_estimate_kappa(kappa2: float, eps: float) -> int:
     """ceil(0.5 sqrt(kappa2) ln(2/eps)) iterations for an eps error reduction."""
-    if kappa2 < 1.0:
-        raise DomainError("kappa2 >= 1 required")
+    if not 1.0 <= kappa2 < math.inf:
+        raise DomainError("finite kappa2 >= 1 required")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps in (0, 1) required")
     return max(1, math.ceil(0.5 * math.sqrt(kappa2) * math.log(2.0 / eps)))
@@ -263,8 +263,8 @@ def iter_estimate_kappa(kappa2: float, eps: float) -> int:
 
 def recommended_sigma(ln_k: float, eps: float) -> float:
     """sigma = 2 + ln(1/eps)/ln K, the reportedly sharper choice."""
-    if ln_k <= 0.0:
-        raise DomainError("ln K must be positive for the recommended sigma")
+    if not 0.0 < ln_k < math.inf:
+        raise DomainError("ln K must be finite and positive for the recommended sigma")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps in (0, 1) required")
     return 2.0 + math.log(1.0 / eps) / ln_k
@@ -272,20 +272,17 @@ def recommended_sigma(ln_k: float, eps: float) -> float:
 
 def iter_estimate_kaporin(ln_k: float, eps: float, sigma: float = 2.0) -> int:
     """ceil((sigma ln K + 2 ln(1/eps)) / (sigma ln sigma - (sigma-1) ln(sigma-1)))."""
-    if ln_k < 0.0:
-        raise DomainError("ln K must be nonnegative")
+    if not 0.0 <= ln_k < math.inf:
+        raise DomainError("ln K must be finite and nonnegative")
     if not 0.0 < eps < 1.0:
         raise DomainError("eps in (0, 1) required")
-    if sigma < 2.0:
-        raise DomainError("sigma >= 2 required")
+    if not 2.0 <= sigma < math.inf:
+        raise DomainError("finite sigma >= 2 required")
     denom = sigma * math.log(sigma) - (sigma - 1.0) * math.log(sigma - 1.0)
     return max(1, math.ceil((sigma * ln_k + 2.0 * math.log(1.0 / eps)) / denom))
 
 
 def iter_estimate_divergence(d_ld: float, eps: float) -> int:
-    """ceil((ln(1/eps) + D)/ln 2); assumes the caller trace-normalized P."""
-    if d_ld < 0.0:
-        raise DomainError("divergence must be nonnegative")
-    if not 0.0 < eps < 1.0:
-        raise DomainError("eps in (0, 1) required")
-    return max(1, math.ceil((math.log(1.0 / eps) + d_ld) / math.log(2.0)))
+    """ceil((ln(1/eps) + D)/ln 2), assuming the caller trace-normalized P (D = ln K):
+    iter_estimate_kaporin at sigma = 2, whose fraction is this one doubled exactly."""
+    return iter_estimate_kaporin(d_ld, eps, 2.0)

@@ -51,15 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ErrorCore:
-    """Eigendecomposition of E = Q^-1 A Q^-T - I with the gamma ordering.
-
-    eig.values are algebraically non-increasing; gamma_order permutes
-    their indices so gamma(theta) is non-increasing along it (ties: larger
-    theta first, then lower index).
-    """
+    """Eigendecomposition of E = Q^-1 A Q^-T - I and the factor Q it was
+    formed from; eig.values are algebraically non-increasing.  Each
+    truncation orders the eigenpairs by its own key when it selects."""
 
     eig: EigenDecomposition
-    gamma_order: np.ndarray
     factor: LowerTriFactor = field(repr=False)
 
     @property
@@ -175,9 +171,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     eig = sym_eig(B, overwrite=True)           # checks and symmetrizes E
     if np.any(eig.values <= -1.0 + 1e-12):
         raise NotPositiveDefiniteError("error core has eigenvalues <= -1: A is not SPD")
-    gammas = gamma_map(eig.values)
-    order = np.lexsort((np.arange(n), -eig.values, -gammas))
-    return ErrorCore(eig=eig, gamma_order=order, factor=Q)
+    return ErrorCore(eig=eig, factor=Q)
 
 
 def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
@@ -194,8 +188,10 @@ def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
 
 
 def bld_truncate(core: ErrorCore, r: int) -> LowRankTerm:
-    """Keep the r eigenpairs whose eigenvalues are largest under gamma."""
-    return _take(core, core.gamma_order, r)
+    """Keep the r eigenpairs whose eigenvalues are largest under gamma.
+    Ties break toward the larger eigenvalue, then the lower index."""
+    th = core.thetas
+    return _take(core, np.lexsort((np.arange(core.n), -th, -gamma_map(th))), r)
 
 
 def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:

@@ -59,7 +59,7 @@ class ProbeConfig:
     distribution: str = "rademacher"
 
     def __post_init__(self):
-        if self.m < 1 or self.n_v < 1:
+        if not (self.m >= 1 and self.n_v >= 1):
             raise DomainError("m >= 1 and n_v >= 1 required")
         if self.distribution not in DISTRIBUTIONS:
             raise DomainError(f"unknown distribution {self.distribution!r}")
@@ -150,6 +150,8 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:
     """Complement scaling estimate (tr_hat(P^-1 A) - r)/(n - r)."""
+    if not np.isfinite(trace_est_pinv_a):
+        raise DomainError("trace estimate must be finite")
     if not 0 <= r < n:
         raise RankError("need 0 <= r < n")
     return float((trace_est_pinv_a - r) / (n - r))
@@ -157,8 +159,8 @@ def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:
 
 def approx_divergence(logdet_est_pinv_a: float, alpha_hat: float, n: int, r: int) -> float:
     """Divergence surrogate -Gamma + (n - r) ln(alpha_hat)."""
-    if alpha_hat <= 0.0:
-        raise DomainError("alpha_hat must be positive")
+    if not (0.0 < alpha_hat < np.inf and np.isfinite(logdet_est_pinv_a)):
+        raise DomainError("alpha_hat must be finite and positive, and the log det finite")
     if not 0 <= r < n:
         raise RankError("need 0 <= r < n")
     return float(-logdet_est_pinv_a + (n - r) * np.log(alpha_hat))

@@ -31,13 +31,13 @@ def make_spectrum(n: int, generator: str, params) -> np.ndarray:
     (a, b), geometric with (kappa,) or clustered with (values, mults)."""
     if generator == "uniform":
         a, b = params
-        if not 0.0 < a <= b:
-            raise DomainError("uniform spectrum needs 0 < a <= b")
+        if not 0.0 < a <= b < np.inf:
+            raise DomainError("uniform spectrum needs 0 < a <= b, both finite")
         spec = np.linspace(b, a, n)
     elif generator == "geometric":
         (kappa,) = params
-        if kappa < 1.0:
-            raise DomainError("geometric spectrum needs kappa >= 1")
+        if not 1.0 <= kappa < np.inf:
+            raise DomainError("geometric spectrum needs a finite kappa >= 1")
         spec = kappa ** (-np.arange(n) / max(n - 1, 1))
     elif generator == "clustered":
         values, mults = params
@@ -47,8 +47,8 @@ def make_spectrum(n: int, generator: str, params) -> np.ndarray:
         spec = np.sort(spec)[::-1]
     else:
         raise DomainError(f"unknown spectrum generator {generator!r}")
-    if np.any(spec <= 0.0):
-        raise DomainError("spectrum must be strictly positive")
+    if not np.all((spec > 0.0) & (spec < np.inf)):
+        raise DomainError("spectrum must be finite and strictly positive")
     return spec
 
 

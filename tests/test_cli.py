@@ -105,7 +105,8 @@ class TestExitCodes:
         assert named in err
 
     @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log",
-                                      "1,2,1,log", "2,1,5,log", "0,2,5,log", "0.5,2,5,cubic"])
+                                      "1,2,1,log", "2,1,5,log", "0,2,5,log", "0.5,2,5,cubic",
+                                      "1,inf,5,log", "nan,2,5,log"])
     def test_malformed_grid_is_usage_error(self, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = run(["sweep-alpha", "--synthetic", "network", "--n", "30", "--grid", grid,
@@ -167,11 +168,25 @@ class TestInfo:
         assert "nnz (lower)      5" in out
         assert "positive definite True" in out
 
+    def test_indefinite_matrix_reported_not_failed(self, tmp_path, capsys):
+        # [[1, 2], [2, 1]] has a positive diagonal and eigenvalues 3 and -1
+        indef = tmp_path / "indef.mtx"
+        indef.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                         "2 2 3\n1 1 1\n2 1 2\n2 2 1\n")
+        assert run(["info", "--matrix", str(indef)]) == 0
+        out = capsys.readouterr().out
+        assert "diagonal > 0     True" in out
+        assert "positive definite False" in out
+
+    def test_non_finite_synthetic_parameter_is_two(self, capsys):
+        assert run(["info", "--synthetic", "geometric", "--n", "30", "--cond", "nan"]) == 2
+        assert "kappa" in capsys.readouterr().err
+
     def test_failure_other_than_definiteness_is_two(self, mtx_path, monkeypatch, capsys):
-        def failing(A):
+        def failing(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(cli, "cholesky", failing)
+        monkeypatch.setattr(cli, "spd_cholesky", failing)
         assert run(["info", "--matrix", str(mtx_path)]) == 2
         captured = capsys.readouterr()
         assert "injected" in captured.err and "positive definite" not in captured.out

@@ -49,6 +49,12 @@ class TestKappa2:
         with pytest.raises(DomainError):
             kappa2([1.0, 0.0])
 
+    @pytest.mark.parametrize("functional", [kappa2, kaporin_b])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, functional, bad):
+        with pytest.raises(DomainError):
+            functional([1.0, bad])
+
     @given(positive_spectra)
     @settings(max_examples=50, derandomize=True)
     def test_at_least_one(self, spec):
@@ -104,6 +110,13 @@ class TestLnKaporinK:
         with pytest.raises(DomainError):
             ln_kaporin_k(0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_or_logdet_rejected(self, bad):
+        with pytest.raises(DomainError):
+            ln_kaporin_k(bad, 1.0, 3)
+        with pytest.raises(DomainError):
+            ln_kaporin_k(3.0, bad, 3)
+
 
 class TestGammaMap:
     def test_zero(self):
@@ -119,8 +132,11 @@ class TestGammaMap:
         assert gamma_map(-0.45) > gamma_map(0.5)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_map(-1.0)
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                gamma_map(bad)
+            with pytest.raises(DomainError):
+                gamma_map(np.array([0.5, bad]))
 
     @given(st.floats(min_value=-0.999999, max_value=1e6))
     @settings(max_examples=80, derandomize=True)

@@ -36,9 +36,9 @@ def _run_cli(A: SparseSymMatrix, command: str) -> None:
 class TestBuildPreconditioner:
     def test_alpha_defaults_to_alpha_star(self):
         A = make_sparse_network(60, seed=2)
-        _, _, rest, P = build_preconditioner(A, "ic0", 6)
+        _, rest, P = build_preconditioner(A, "ic0", 6)
         assert P.alpha == rest.alpha_star != 1.0
-        assert build_preconditioner(A, "ic0", 6, 1.0)[3].alpha == 1.0
+        assert build_preconditioner(A, "ic0", 6, 1.0)[2].alpha == 1.0
 
     @pytest.mark.parametrize("truncation", ["BLD", "svd", ""])
     def test_unknown_truncation_rejected(self, truncation):
@@ -48,8 +48,8 @@ class TestBuildPreconditioner:
 
     @pytest.mark.parametrize("factor", sorted(FACTORS))
     def test_every_factor_kind_builds(self, factor):
-        core, term, rest, P = build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
-        assert term.r == 3 and P.factor is core.factor and rest.alpha_star > 0.0
+        term, rest, P = build_preconditioner(make_sparse_network(30, seed=2), factor, 3)
+        assert term.r == 3 and P.low_rank is term and rest.alpha_star > 0.0
 
     @pytest.mark.parametrize("factor", ["IC0", "ic1", ""])
     def test_unknown_factor_rejected(self, factor):
@@ -60,7 +60,7 @@ class TestBuildPreconditioner:
 
     @pytest.mark.parametrize("n, rank", [(1, 0), (2, 1), (10, 1), (11, 2)])
     def test_default_rank_is_below_the_order(self, n, rank):
-        _, term, _, _ = build_preconditioner(make_sparse_network(n, seed=2), "ic0", None)
+        term, _, _ = build_preconditioner(make_sparse_network(n, seed=2), "ic0", None)
         assert term.r == rank
 
 
@@ -97,7 +97,9 @@ class TestSweepAlpha:
             assert r["d_ld"] >= r["ln_k"] - 1e-10
 
     @pytest.mark.parametrize("grid", [(1.0, 2.0, 1, "log"), (2.0, 1.0, 5, "log"),
-                                      (0.0, 2.0, 5, "log"), (0.5, 2.0, 5, "cubic")])
+                                      (0.0, 2.0, 5, "log"), (0.5, 2.0, 5, "cubic"),
+                                      (math.nan, 2.0, 5, "log"), (1.0, math.inf, 5, "log"),
+                                      (1.0, 2.0, math.nan, "log")])
     def test_out_of_range_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="grid"):
             sweep_alpha(make_sparse_network(30, seed=2), grid=grid)
@@ -206,6 +208,22 @@ class TestAlphaSensitivity:
         assert all(np.isfinite(r["iterate_gap_vs_first"]) for r in rows)
 
 
+class TestMakeSpectrum:
+    @pytest.mark.parametrize("generator, params", [
+        ("geometric", (math.nan,)), ("geometric", (math.inf,)), ("geometric", (-math.inf,)),
+        ("uniform", (math.nan, 2.0)), ("uniform", (0.5, math.inf)),
+        ("clustered", ([1.0, math.nan], [2, 1])), ("clustered", ([math.inf], [3])),
+    ])
+    def test_non_finite_parameter_rejected(self, generator, params):
+        with pytest.raises(DomainError):
+            make_spectrum(3, generator, params)
+
+    def test_infinite_kappa_rejected_at_order_one(self):
+        # inf ** -0.0 is 1.0: the order-1 spectrum would look valid
+        with pytest.raises(DomainError, match="kappa"):
+            make_spectrum(1, "geometric", (math.inf,))
+
+
 class TestErrorOrderStudy:
     def test_slope_in_window(self):
         for seed in (11, 12):
@@ -216,6 +234,9 @@ class TestErrorOrderStudy:
     def test_eps_domain(self):
         with pytest.raises(Exception):
             error_order_study(10, 0, [0.0, 1e-2])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="eps values"):
+                error_order_study(10, 0, [bad, 1e-1])
 
 
 class TestEstimatorStudy:

@@ -152,6 +152,12 @@ class TestSolver:
             with pytest.raises(DomainError, match="tol must be finite and positive"):
                 SolveConfig(tol=tol)
 
+    def test_max_iter_nan_rejected(self):
+        # unchecked, a NaN cap would stop the loop before its first step
+        for max_iter in (0, math.nan):
+            with pytest.raises(DomainError, match="max_iter"):
+                SolveConfig(max_iter=max_iter)
+
     def test_pinv_norm_uses_preconditioner(self):
         rng = np.random.default_rng(4)
         A = random_spd(25, rng)
@@ -183,8 +189,9 @@ class TestBoundKappa:
                 assert bound_kappa(kap, k) <= 2.0 * C**k + 1e-16
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            bound_kappa(0.5, 1)
+        for kappa2 in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                bound_kappa(kappa2, 1)
 
 
 class TestBoundKaporinDivergence:
@@ -219,6 +226,12 @@ class TestBoundKaporinDivergence:
         with pytest.raises(DomainError):
             bound_divergence(1.0, 0)
 
+    @pytest.mark.parametrize("bound", [bound_kaporin, bound_divergence])
+    @pytest.mark.parametrize("quantity", [-1.0, math.nan, math.inf, -math.inf])
+    def test_quantity_outside_domain_rejected(self, bound, quantity):
+        with pytest.raises(DomainError):
+            bound(quantity, 2)
+
 
 class TestBound3lnD:
     def test_zero_divergence(self):
@@ -238,6 +251,11 @@ class TestBound3lnD:
     def test_k_at_least_n_rejected(self):
         with pytest.raises(DomainError):
             bound_3lnd(0.5, 10, 10)
+
+    @pytest.mark.parametrize("d_ld", [-1.0, math.nan, math.inf, -math.inf])
+    def test_divergence_outside_domain_rejected(self, d_ld):
+        with pytest.raises(DomainError, match="divergence must be finite and nonnegative"):
+            bound_3lnd(d_ld, 2, 10)
 
 
 class TestIterationEstimates:
@@ -266,18 +284,40 @@ class TestIterationEstimates:
         )
 
     def test_sigma_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            iter_estimate_kaporin(1.0, 1e-6, 1.5)
+        for sigma in (1.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                iter_estimate_kaporin(1.0, 1e-6, sigma)
 
     def test_recommended_sigma(self):
         assert recommended_sigma(2.0, 1e-4) == pytest.approx(2.0 + math.log(1e4) / 2.0)
+        for ln_k in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                recommended_sigma(ln_k, 1e-4)
+
+    @pytest.mark.parametrize("estimate", [iter_estimate_kappa, iter_estimate_kaporin,
+                                          iter_estimate_divergence])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_arguments_rejected(self, estimate, value):
         with pytest.raises(DomainError):
-            recommended_sigma(0.0, 1e-4)
+            estimate(value, 1e-6)
+        with pytest.raises(DomainError):
+            estimate(2.0, value)
 
     def test_divergence_estimates(self):
         assert iter_estimate_divergence(-math.log(0.75), 1e-6) == 21
         assert iter_estimate_divergence(0.0, 0.5) == 1
         assert iter_estimate_divergence(5.0, 1e-10) == 41
+
+    def test_divergence_estimate_is_kaporin_at_sigma_two(self):
+        # (2 D + 2 ln(1/eps)) / (2 ln 2) is the divergence fraction doubled
+        # exactly, so the two estimates agree to the last bit, and both
+        # equal the closed form ceil((ln(1/eps) + D)/ln 2)
+        for d in np.concatenate([np.linspace(0.0, 50.0, 201), np.geomspace(1e-12, 1e4, 97)]):
+            for eps in np.geomspace(1e-14, 0.99, 41):
+                d, eps = float(d), float(eps)
+                expected = max(1, math.ceil((math.log(1.0 / eps) + d) / math.log(2.0)))
+                assert iter_estimate_divergence(d, eps) == iter_estimate_kaporin(d, eps, 2.0)
+                assert iter_estimate_divergence(d, eps) == expected
 
 
 class TestBoundsAgainstRealRuns:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -61,8 +62,8 @@ class TestErrorCore:
         core = error_core(A, Q)
         np.testing.assert_allclose(np.sort(core.thetas), [-0.45, 0.1, 0.5], rtol=1e-9, atol=1e-11)
         # gamma(-0.45) = 0.1478 > gamma(0.5) = 0.0945 > gamma(0.1) = 0.0047
-        ordered = core.thetas[core.gamma_order]
-        np.testing.assert_allclose(ordered, [-0.45, 0.5, 0.1], rtol=1e-9, atol=1e-11)
+        kept = core.thetas[bld_truncate(core, 2).selection]
+        np.testing.assert_allclose(kept, [-0.45, 0.5], rtol=1e-9, atol=1e-11)
 
     def test_indefinite_rejected(self):
         A, Q = _planted_core([-1.5, 0.2], seed=1)
@@ -73,7 +74,28 @@ class TestErrorCore:
         # equal gamma values (identical thetas): order by index, deterministic
         core = error_core(np.diag([1.5, 1.5, 1.25]), identity_factor(3))
         assert core.thetas.tolist() == [0.5, 0.5, 0.25]
-        assert core.gamma_order.tolist() == [0, 1, 2]
+        assert bld_truncate(core, 2).selection.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("case", ["planted", "network"])
+    def test_bld_selection_is_the_gamma_lexsort_prefix(self, case):
+        # the oracle: gamma descending, then theta descending, then index.
+        # Every rank on the planted core; on the network core a spread of
+        # ranks up to n - 1, since each term forms its r eigenvectors
+        if case == "planted":
+            core = error_core(*_planted_core([0.5, -0.45, 0.1, -0.3, 0.3, 2.0, -0.6, 0.0], seed=3))
+            ranks = range(core.n)
+        else:
+            A = make_sparse_network(300)
+            core = error_core(A, ic0(A))
+            ranks = [0, 1, 2, 30, 150, 298, 299]
+        th = core.thetas
+        order = np.lexsort((np.arange(core.n), -th, -gamma_map(th)))
+        for r in ranks:
+            np.testing.assert_array_equal(bld_truncate(core, r).selection, order[:r])
+
+    def test_core_keeps_only_eigendecomposition_and_factor(self):
+        core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
+        assert [f.name for f in dataclasses.fields(core)] == ["eig", "factor"]
 
     @pytest.mark.parametrize("factor", [ic0, cholesky])
     @pytest.mark.parametrize("n", [300, 600])

@@ -56,6 +56,11 @@ class TestHutchinson:
         rep = slq_trace_logdet(lambda x: A @ x, 40, ProbeConfig(m=1, n_v=12, seed=5))
         assert rep.trace_est == pytest.approx(40 * rep.per_probe_trace.mean(), rel=1e-14)
 
+    @pytest.mark.parametrize("counts", [{"m": 0}, {"n_v": 0}, {"m": math.nan}, {"n_v": math.nan}])
+    def test_probe_counts_below_one_or_nan_rejected(self, counts):
+        with pytest.raises(DomainError, match="m >= 1 and n_v >= 1"):
+            ProbeConfig(**counts)
+
     def test_gaussian_distribution_unbiased_enough(self):
         # a normalized Gaussian probe is uniform on the sphere: E[z z'] = I/n
         rng = np.random.default_rng(6)
@@ -220,6 +225,11 @@ class TestDerivedQuantities:
     def test_ln_kaporin_domain(self):
         with pytest.raises(DomainError):
             approx_ln_kaporin(-1.0, 0.0, 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                approx_ln_kaporin(bad, 0.0, 2)
+            with pytest.raises(DomainError):
+                approx_ln_kaporin(2.0, bad, 2)
 
     def test_alpha_exact_inputs(self):
         assert approx_alpha(3.0, 3, 0) == pytest.approx(1.0)
@@ -228,6 +238,11 @@ class TestDerivedQuantities:
     def test_alpha_rank_domain(self):
         with pytest.raises(RankError):
             approx_alpha(3.0, 3, 3)
+
+    def test_alpha_non_finite_trace_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                approx_alpha(bad, 3, 0)
 
     def test_divergence_exact_inputs(self):
         assert approx_divergence(math.log(0.75), 1.0, 4, 2) == pytest.approx(
@@ -238,6 +253,11 @@ class TestDerivedQuantities:
     def test_divergence_domain(self):
         with pytest.raises(DomainError):
             approx_divergence(0.0, 0.0, 4, 2)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                approx_divergence(0.0, bad, 4, 2)
+            with pytest.raises(DomainError):
+                approx_divergence(bad, 1.0, 4, 2)
 
     def test_surrogates_reproduce_exact_functionals_from_exact_inputs(self):
         from bld_kaporin.precond import divergence_alpha, ln_kaporin_alpha, optimal_alpha
