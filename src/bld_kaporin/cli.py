@@ -3,7 +3,8 @@
 Subcommands: info, precondition, sweep-alpha, solve, verify, estimate.
 Exit codes: 0 success, 1 usage error, 2 numerical/domain error.
 Diagnostics go to stderr; human-readable summaries to stdout; machine
-output only to files named by --out / --out-json.
+output only to the file named by --out, and the summary of a table
+command (sweep-alpha, solve) to <out>.json beside it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 from .linalg import spd_cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .pcg import SolveConfig
-from .rla import DISTRIBUTIONS, ProbeConfig
+from .rla import ProbeConfig
 from .synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
@@ -85,8 +86,7 @@ def build_parser() -> _Parser:
     _add_precond_flags(p)
     p.add_argument("--grid", default=None,
                    help="min,max,count,log|linear (default: around the optimum)")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--out-json", help="summary JSON path (default: <out>.json)")
+    p.add_argument("--out", help="CSV output path; the summary goes to <out>.json")
 
     p = sub.add_parser("solve", help="run instrumented PCG and the bound overlay")
     _add_matrix_flags(p)
@@ -94,8 +94,8 @@ def build_parser() -> _Parser:
     _add_alpha_flag(p)
     p.add_argument("--tol", type=float, default=SolveConfig.tol)
     p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--out", help="CSV output path for the per-iteration table")
-    p.add_argument("--out-json", help="summary JSON path")
+    p.add_argument("--out", help="CSV output path for the per-iteration table; "
+                   "the summary goes to <out>.json")
 
     p = sub.add_parser("verify", help="run the theorem-verification batteries")
     p.add_argument("--trials", type=int, default=100)
@@ -109,7 +109,6 @@ def build_parser() -> _Parser:
     _add_precond_flags(p)
     p.add_argument("--m", type=int, default=ProbeConfig.m, help="Lanczos steps per probe")
     p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
-    p.add_argument("--dist", choices=DISTRIBUTIONS, default=ProbeConfig.distribution)
     p.add_argument("--out", help="CSV output path")
 
     for sp in sub.choices.values():
@@ -231,8 +230,7 @@ def _cmd_sweep_alpha(args) -> int:
     print(f"alpha* = {summary['alpha_star']:.12g}  interval = "
           f"[{summary['interval'][0]:.12g}, {summary['interval'][1]:.12g}]  "
           f"D_LD(alpha*) = {summary['d_ld_at_alpha_star']:.12g}")
-    out_json = args.out_json or (args.out + ".json" if args.out else None)
-    harness.emit(rows, summary, args.out, out_json)
+    harness.emit(rows, summary, args.out, args.out and args.out + ".json")
     return 0
 
 
@@ -247,8 +245,7 @@ def _cmd_solve(args) -> int:
           f"D_LD = {summary['d_ld']:.6g}")
     if summary["violations"]:
         print(f"bound violations: {summary['violations']}", file=sys.stderr)
-    out_json = args.out_json or (args.out + ".json" if args.out else None)
-    harness.emit(rows, summary, args.out, out_json)
+    harness.emit(rows, summary, args.out, args.out and args.out + ".json")
     return 0
 
 
@@ -270,7 +267,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_positive(("--m", args.m), ("--nv", args.nv))
-    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, distribution=args.dist)
+    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed)
     A = _resolve_matrix(args)
     rows, summary = harness.estimator_study(A, args.factor, args.rank, (probes,))
     for row in rows:

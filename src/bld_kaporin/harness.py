@@ -9,6 +9,7 @@ matio so identical arguments produce byte-identical files.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -70,10 +71,10 @@ def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str =
 
 def check_grid(grid) -> None:
     """DomainError unless grid is (min, max, count, "log"|"linear") with
-    0 < min < max < inf and count >= 2."""
+    0 < min < max < inf and an integer count >= 2."""
     amin, amax, count, scale = grid
-    if not count >= 2:
-        raise DomainError("alpha grid needs at least 2 points")
+    if not (isinstance(count, Integral) and count >= 2):
+        raise DomainError(f"alpha grid needs at least 2 points, an integer count, got {count!r}")
     if not 0 < amin < amax < math.inf:
         raise DomainError("alpha grid needs 0 < min < max < inf")
     if scale not in ("log", "linear"):
@@ -147,10 +148,10 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
     carries per-battery pass flags and the worst violation magnitudes;
     nothing raises on a miss.
     """
-    if trials < 1:
-        raise DomainError("trials >= 1 required")
-    if not 1 <= n_range[0] <= n_range[1]:
-        raise DomainError(f"order range needs 1 <= low <= high, got {tuple(n_range)}")
+    if not (isinstance(trials, Integral) and trials >= 1):
+        raise DomainError(f"trials >= 1 required, an integer, got {trials!r}")
+    if not (all(isinstance(k, Integral) for k in n_range) and 1 <= n_range[0] <= n_range[1]):
+        raise DomainError(f"order range needs integers 1 <= low <= high, got {tuple(n_range)}")
     tols = {
         "nonnegativity": 1e-10,
         "identity_of_indiscernibles": 1e-9,
@@ -395,14 +396,13 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
     return rows, summary
 
 
-def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
-                      alphas=None, seed: int = 0):
+def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None):
     """Observe how the complement scaling changes actual PCG behavior.
 
     factor and rank select the correction as build_preconditioner does;
-    alphas defaults to alpha_star times 1/4, 1/2, 1, 2 and 4.  Every
-    alpha solves the same system, b = A x for a standard normal x drawn
-    from seed, under the default SolveConfig.
+    the alphas are alpha_star times 1/4, 1/2, 1, 2 and 4.  Every alpha
+    solves the same system, b = A x for a standard normal x drawn from
+    seed 0, under the default SolveConfig.
 
     In exact arithmetic the preconditioned iterates are expected to be
     insensitive to the scaling; this experiment reports what finite
@@ -412,14 +412,11 @@ def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None 
     """
     core, term, rest = _select(A, factor, rank)
     alpha_star = rest.alpha_star
-    if alphas is None:
-        alphas = [alpha_star / 4.0, alpha_star / 2.0, alpha_star, 2.0 * alpha_star, 4.0 * alpha_star]
-    rng = np.random.default_rng(seed)
-    b = A.matvec(rng.standard_normal(A.n))
+    b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
     reference = None
     rows = []
-    for alpha in alphas:
-        P = pc.Preconditioner(core.factor, term, float(alpha))
+    for alpha in (alpha_star * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)):
+        P = pc.Preconditioner(core.factor, term, alpha)
         report = pg.pcg_solve(A, b, P)
         if reference is None:
             reference = report.x

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg as sla
@@ -436,9 +437,8 @@ def lanczos(apply, v0, m) -> LanczosResult:
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError("starting vector must have unit 2-norm")
     n = v.shape[0]
-    m = int(m)
-    if m < 1:
-        raise ValueError("m >= 1 required")
+    if not (isinstance(m, Integral) and m >= 1):
+        raise ValueError(f"m >= 1 required, an integer, got {m!r}")
     m = min(m, n)
 
     basis = np.empty((m, n))

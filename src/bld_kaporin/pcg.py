@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,8 +44,8 @@ __all__ = [
 class SolveConfig:
     """Knobs for one PCG run.
 
-    max_iter defaults to 10n.  known_solution enables A-norm error
-    tracking, at one extra A product per iteration (and one at the
+    max_iter, an integer, defaults to 10n.  known_solution enables A-norm
+    error tracking, at one extra A product per iteration (and one at the
     start); without it a run spends exactly one A product per iteration.
     """
 
@@ -55,8 +56,9 @@ class SolveConfig:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0.0):
             raise DomainError("tol must be finite and positive")
-        if self.max_iter is not None and not self.max_iter >= 1:
-            raise DomainError("max_iter must be >= 1")
+        if self.max_iter is not None and not (isinstance(self.max_iter, Integral)
+                                              and self.max_iter >= 1):
+            raise DomainError(f"max_iter must be >= 1 and an integer, got {self.max_iter!r}")
 
 
 @dataclass

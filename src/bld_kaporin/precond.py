@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -175,12 +176,11 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
 
 
 def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
-    r = int(r)
-    if not 0 <= r < core.n:
-        raise RankError(f"rank must satisfy 0 <= r < {core.n}")
+    if not (isinstance(r, Integral) and 0 <= r < core.n):
+        raise RankError(f"rank must satisfy 0 <= r < {core.n} and be an integer, got {r!r}")
     selection = order[:r]
     return LowRankTerm(
-        r=r,
+        r=int(r),
         V=core.eig.vectors_at(selection),
         D=core.thetas[selection].copy(),
         selection=selection.copy(),

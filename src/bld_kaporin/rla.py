@@ -1,14 +1,16 @@
 """Randomized trace and log-determinant estimation.
 
 slq_trace_logdet is stochastic Lanczos quadrature.  Each probe runs m
-Lanczos steps from a unit random vector, eigendecomposes the tridiagonal
-T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k) with tau the first
-row of V, for f = identity and f = log.  The estimates are n times the
-probe mean.  Its trace term is Hutchinson's estimate (e1' T_m e1 = z' M z
-for the unit probe z), so no separate trace estimator is kept.  Lanczos
-keeps its basis orthogonal by partial reorthogonalization
-(linalg.lanczos), which the quadrature needs and no more (Ubaru, Chen and
-Saad, SIMAX 2017); the report counts the steps that swept.
+Lanczos steps from a normalized Rademacher vector (entries +-1, the
+minimum-variance probe for Hutchinson's estimator), eigendecomposes the
+tridiagonal T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k) with tau
+the first row of V, for f = identity and f = log.  The estimates are n
+times the probe mean.  Its trace term is Hutchinson's estimate
+(e1' T_m e1 = z' M z for the unit probe z), so no separate trace
+estimator is kept.  Lanczos keeps its basis orthogonal by partial
+reorthogonalization (linalg.lanczos), which the quadrature needs and no
+more (Ubaru, Chen and Saad, SIMAX 2017); the report counts the steps
+that swept.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
@@ -23,6 +25,7 @@ batching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,7 +35,6 @@ from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
 
 __all__ = [
-    "DISTRIBUTIONS",
     "ProbeConfig",
     "EstimateReport",
     "slq_trace_logdet",
@@ -42,27 +44,18 @@ __all__ = [
 ]
 
 
-DISTRIBUTIONS = ("rademacher", "gaussian")
-
-
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe schedule: m Lanczos steps for each of n_v start vectors.
-
-    distribution, one of DISTRIBUTIONS, picks the probe law; SLQ
-    normalizes every probe to unit 2-norm.
-    """
+    """Probe schedule: m Lanczos steps for each of n_v Rademacher start
+    vectors, both integers; probe i draws from SeedSequence([seed, i])."""
 
     m: int = 30
     n_v: int = 10
     seed: int = 0
-    distribution: str = "rademacher"
 
     def __post_init__(self):
-        if not (self.m >= 1 and self.n_v >= 1):
-            raise DomainError("m >= 1 and n_v >= 1 required")
-        if self.distribution not in DISTRIBUTIONS:
-            raise DomainError(f"unknown distribution {self.distribution!r}")
+        if not all(isinstance(k, Integral) and k >= 1 for k in (self.m, self.n_v)):
+            raise DomainError("m >= 1 and n_v >= 1 required, both integers")
 
 
 @dataclass(frozen=True)
@@ -83,8 +76,8 @@ class EstimateReport:
     logdet_est: float
     per_probe_trace: np.ndarray
     per_probe_logdet: np.ndarray
-    breakdowns: int = 0
-    reorthogonalized: int = 0
+    breakdowns: int
+    reorthogonalized: int
 
     @property
     def probes_used(self) -> int:
@@ -105,16 +98,6 @@ def _stderr(n: int, per_probe: np.ndarray) -> float | None:
     return n * float(np.std(per_probe, ddof=1)) / float(np.sqrt(per_probe.size))
 
 
-def _probe_rng(cfg: ProbeConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(cfg.seed) & (2**64 - 1), index]))
-
-
-def _draw(rng, n, distribution) -> np.ndarray:
-    if distribution == "rademacher":
-        return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-    return rng.standard_normal(n)
-
-
 def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """Joint SLQ estimates of trace(M) and log det(M) for SPD M.
 
@@ -125,7 +108,8 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     ld_contribs = np.empty(cfg.n_v)
     breakdowns = reorthogonalized = 0
     for i in range(cfg.n_v):
-        z = _draw(_probe_rng(cfg, i), n, cfg.distribution)
+        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed) & (2**64 - 1), i]))
+        z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
         nz = np.linalg.norm(z)
         if nz == 0.0:
             raise DomainError("zero probe vector drawn")

@@ -11,6 +11,8 @@ for exercising zero-fill factorizations at a given order and density.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -28,7 +30,8 @@ __all__ = [
 
 def make_spectrum(n: int, generator: str, params) -> np.ndarray:
     """Non-increasing spectrum of order n: generator uniform with params
-    (a, b), geometric with (kappa,) or clustered with (values, mults)."""
+    (a, b), geometric with (kappa,) or clustered with (values, mults), the
+    mults integers >= 0."""
     if generator == "uniform":
         a, b = params
         if not 0.0 < a <= b < np.inf:
@@ -41,6 +44,8 @@ def make_spectrum(n: int, generator: str, params) -> np.ndarray:
         spec = kappa ** (-np.arange(n) / max(n - 1, 1))
     elif generator == "clustered":
         values, mults = params
+        if not all(isinstance(k, Integral) and k >= 0 for k in mults):
+            raise DomainError(f"clustered multiplicities must be integers >= 0, got {list(mults)}")
         spec = np.repeat(np.asarray(values, dtype=np.float64), np.asarray(mults, dtype=int))
         if spec.size != n:
             raise DomainError("clustered multiplicities must sum to n")

@@ -27,6 +27,19 @@ class TestExitCodes:
         assert rc == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [["estimate", "--dist", "gaussian"],
+                                      ["sweep-alpha", "--out-json", "x"],
+                                      ["solve", "--out-json", "x"]])
+    def test_removed_flag_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({argv[1][2:].replace("-", "_"): argv[2]}))
+        base = [argv[0], "--synthetic", "network", "--n", "30", "--out", "t.csv"]
+        for extra in (argv[1:], ["--spec", str(spec)]):
+            assert run([*base, *extra]) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
     def test_missing_matrix_source(self, capsys):
         assert run(["info"]) == 1
 
@@ -227,6 +240,7 @@ class TestSolveVerifyEstimate:
         assert rc == 0
         assert out.exists()
         assert "iterations" in capsys.readouterr().out
+        assert "iterations" in json.loads((tmp_path / "ov.csv.json").read_text())
 
     def test_verify_all_pass(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

@@ -99,7 +99,7 @@ class TestSweepAlpha:
     @pytest.mark.parametrize("grid", [(1.0, 2.0, 1, "log"), (2.0, 1.0, 5, "log"),
                                       (0.0, 2.0, 5, "log"), (0.5, 2.0, 5, "cubic"),
                                       (math.nan, 2.0, 5, "log"), (1.0, math.inf, 5, "log"),
-                                      (1.0, 2.0, math.nan, "log")])
+                                      (1.0, 2.0, math.nan, "log"), (1.0, 2.0, 2.5, "log")])
     def test_out_of_range_grid_rejected(self, grid):
         with pytest.raises(DomainError, match="grid"):
             sweep_alpha(make_sparse_network(30, seed=2), grid=grid)
@@ -161,8 +161,10 @@ class TestVerifyTheorems:
     def test_trials_domain(self):
         with pytest.raises(Exception):
             verify_theorems(0)
+        with pytest.raises(DomainError, match="trials"):
+            verify_theorems(2.5)
 
-    @pytest.mark.parametrize("n_range", [(0, 0), (0, 5), (5, 2), (-3, 4)])
+    @pytest.mark.parametrize("n_range", [(0, 0), (0, 5), (5, 2), (-3, 4), (10.5, 12)])
     def test_order_range_domain(self, n_range):
         with pytest.raises(DomainError, match="order range"):
             verify_theorems(1, n_range)
@@ -200,10 +202,9 @@ class TestBoundOverlay:
 class TestAlphaSensitivity:
     def test_observational_table(self):
         rows, summary = alpha_sensitivity(make_sparse_network(70, seed=10), factor="ic0", rank=7)
-        assert len(rows) == 5
+        assert [r["alpha"] for r in rows] == [summary["alpha_star"] * f
+                                              for f in (0.25, 0.5, 1.0, 2.0, 4.0)]
         assert all(r["converged"] for r in rows)
-        star_rows = [r for r in rows if r["alpha"] == pytest.approx(summary["alpha_star"])]
-        assert len(star_rows) == 1
         # nothing asserted about the gaps themselves: they are the data
         assert all(np.isfinite(r["iterate_gap_vs_first"]) for r in rows)
 
@@ -217,6 +218,11 @@ class TestMakeSpectrum:
     def test_non_finite_parameter_rejected(self, generator, params):
         with pytest.raises(DomainError):
             make_spectrum(3, generator, params)
+
+    @pytest.mark.parametrize("mults", [[-1, 4], [2.5, 1]])
+    def test_multiplicity_not_a_count_rejected(self, mults):
+        with pytest.raises(DomainError, match="multiplicities"):
+            make_spectrum(3, "clustered", ([1.0, 2.0], mults))
 
     def test_infinite_kappa_rejected_at_order_one(self):
         # inf ** -0.0 is 1.0: the order-1 spectrum would look valid

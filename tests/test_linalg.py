@@ -635,6 +635,12 @@ class TestLanczos:
         with pytest.raises(ValueError):
             lanczos(lambda x: x, np.array([1.0, 1.0]), m=2)
 
+    def test_step_count_must_be_an_integer(self):
+        v0 = np.array([0.6, 0.8])
+        with pytest.raises(ValueError, match="m >= 1 required"):
+            lanczos(lambda x: x, v0, m=2.5)
+        assert lanczos(lambda x: np.array([2.0, 3.0]) * x, v0, m=np.int64(2)).m == 2
+
 
 def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
     """Reference Lanczos: two classical Gram-Schmidt sweeps at every step."""

@@ -154,9 +154,10 @@ class TestSolver:
 
     def test_max_iter_nan_rejected(self):
         # unchecked, a NaN cap would stop the loop before its first step
-        for max_iter in (0, math.nan):
+        for max_iter in (0, math.nan, 2.5):
             with pytest.raises(DomainError, match="max_iter"):
                 SolveConfig(max_iter=max_iter)
+        assert SolveConfig(max_iter=np.int64(3)).max_iter == 3
 
     def test_pinv_norm_uses_preconditioner(self):
         rng = np.random.default_rng(4)

@@ -177,6 +177,9 @@ class TestTruncations:
             bld_truncate(core, 3)
         with pytest.raises(RankError):
             tsvd_truncate(core, -1)
+        with pytest.raises(RankError, match="integer"):
+            bld_truncate(core, 2.5)
+        assert bld_truncate(core, np.int64(2)).r == 2
 
     def test_orthonormal_columns(self):
         A, Q = _planted_core(np.linspace(-0.4, 2.0, 12), seed=8)

@@ -56,17 +56,11 @@ class TestHutchinson:
         rep = slq_trace_logdet(lambda x: A @ x, 40, ProbeConfig(m=1, n_v=12, seed=5))
         assert rep.trace_est == pytest.approx(40 * rep.per_probe_trace.mean(), rel=1e-14)
 
-    @pytest.mark.parametrize("counts", [{"m": 0}, {"n_v": 0}, {"m": math.nan}, {"n_v": math.nan}])
+    @pytest.mark.parametrize("counts", [{"m": 0}, {"n_v": 0}, {"m": math.nan}, {"n_v": math.nan},
+                                        {"m": 2.5}])
     def test_probe_counts_below_one_or_nan_rejected(self, counts):
         with pytest.raises(DomainError, match="m >= 1 and n_v >= 1"):
             ProbeConfig(**counts)
-
-    def test_gaussian_distribution_unbiased_enough(self):
-        # a normalized Gaussian probe is uniform on the sphere: E[z z'] = I/n
-        rng = np.random.default_rng(6)
-        A = random_spd(60, rng)
-        rep = slq_trace_logdet(lambda x: A @ x, 60, ProbeConfig(m=1, n_v=400, seed=7, distribution="gaussian"))
-        assert abs(rep.trace_est - np.trace(A)) <= 0.15 * np.trace(A)
 
     def test_unbiased_over_many_seeds(self):
         rng = np.random.default_rng(8)
