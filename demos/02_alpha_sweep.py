@@ -9,7 +9,8 @@ rank-r correction did not touch.  Three curves as a function of alpha:
     unique minimum at alpha* = mean of the unselected 1 + theta,
   * ln K(P_alpha^-1 A): same minimizer, same minimum value.
 
-Writes the table to out/alpha_sweep.csv for external plotting.
+Writes the table to out/alpha_sweep.csv for external plotting and the
+summary to out/alpha_sweep.csv.json.
 """
 
 import os
@@ -24,7 +25,7 @@ os.makedirs("out", exist_ok=True)
 A = make_sparse_network(494, seed=494)
 
 rows, summary = sweep_alpha(A, factor="ic0", rank=49)
-emit(rows, summary, "out/alpha_sweep.csv", "out/alpha_sweep.json")
+emit(rows, summary, "out/alpha_sweep.csv")
 
 lo, hi = summary["interval"]
 print(f"n = {summary['n']}, rank = {summary['rank']}, ic0 shift = {summary['factor_shift']}")

@@ -21,7 +21,7 @@ from bld_kaporin.harness import emit
 os.makedirs("out", exist_ok=True)
 
 rows, summary = bound_overlay(make_sparse_network(300, seed=7), factor="ic0", rank=30)
-emit(rows, summary, "out/pcg_bounds.csv", "out/pcg_bounds.json")
+emit(rows, summary, "out/pcg_bounds.csv")
 
 print(f"n = {summary['n']}, rank = {summary['rank']}, alpha = {summary['alpha']:.6f}")
 print(f"kappa2 = {summary['kappa2']:.4f}   ln K = {summary['ln_k']:.6f}   "

@@ -4,13 +4,12 @@ Subcommands: info, precondition, sweep-alpha, solve, verify, estimate.
 Exit codes: 0 success, 1 usage error, 2 numerical/domain error.
 Diagnostics go to stderr; human-readable summaries to stdout; machine
 output only to the file named by --out, and the summary of a table
-command (sweep-alpha, solve) to <out>.json beside it.
+command (sweep-alpha, solve, estimate) to <out>.json beside it.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -109,23 +108,8 @@ def build_parser() -> _Parser:
     _add_precond_flags(p)
     p.add_argument("--m", type=int, default=ProbeConfig.m, help="Lanczos steps per probe")
     p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
-    p.add_argument("--out", help="CSV output path")
-
-    for sp in sub.choices.values():
-        sp.add_argument("--spec", help="JSON file overriding the flags", default=None)
+    p.add_argument("--out", help="CSV output path; the summary goes to <out>.json")
     return parser
-
-
-def _spec_flags(path) -> list[str]:
-    """The --spec JSON object as flags: {"max_iter": 50} -> --max-iter 50."""
-    with open(path) as fh:
-        try:
-            blob = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"--spec {path} is not valid JSON: {exc}") from exc
-    if not isinstance(blob, dict):
-        raise UsageError(f"--spec {path} must hold a JSON object")
-    return [tok for key, val in blob.items() for tok in (f"--{key.replace('_', '-')}", str(val))]
 
 
 def _require_positive(*flags) -> None:
@@ -230,7 +214,7 @@ def _cmd_sweep_alpha(args) -> int:
     print(f"alpha* = {summary['alpha_star']:.12g}  interval = "
           f"[{summary['interval'][0]:.12g}, {summary['interval'][1]:.12g}]  "
           f"D_LD(alpha*) = {summary['d_ld_at_alpha_star']:.12g}")
-    harness.emit(rows, summary, args.out, args.out and args.out + ".json")
+    harness.emit(rows, summary, args.out)
     return 0
 
 
@@ -245,7 +229,7 @@ def _cmd_solve(args) -> int:
           f"D_LD = {summary['d_ld']:.6g}")
     if summary["violations"]:
         print(f"bound violations: {summary['violations']}", file=sys.stderr)
-    harness.emit(rows, summary, args.out, args.out and args.out + ".json")
+    harness.emit(rows, summary, args.out)
     return 0
 
 
@@ -275,8 +259,7 @@ def _cmd_estimate(args) -> int:
               f"hat={row['ln_k_hat']:.6g}  alpha exact={row['alpha_exact']:.6g} "
               f"hat={row['alpha_hat']:.6g}  D exact={row['d_ld_exact']:.6g} "
               f"hat={row['d_ld_hat']:.6g}")
-    if args.out:
-        harness.emit(rows, summary, args.out, None)
+    harness.emit(rows, summary, args.out)
     return 0
 
 
@@ -295,10 +278,6 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.spec:
-            # the spec's flags follow the command line's, so they override
-            # it, and the parser checks their names, types and choices
-            args = parser.parse_args([*argv, *_spec_flags(args.spec)])
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

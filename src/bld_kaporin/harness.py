@@ -580,9 +580,9 @@ def _validate_rows(rows, allow_none=(), allow_inf=()):
                 raise DomainError(f"non-finite value in column {key}")
 
 
-def emit(rows, summary, out_csv=None, out_json=None):
-    """Write rows as CSV and the summary as JSON (either may be omitted)."""
-    if out_csv is not None:
-        write_table(rows, out_csv)
-    if out_json is not None:
-        write_json(summary, out_json)
+def emit(rows, summary, out):
+    """Write rows as CSV to out and the summary as JSON to <out>.json;
+    write nothing when out is None."""
+    if out is not None:
+        write_table(rows, out)
+        write_json(summary, f"{out}.json")

@@ -47,7 +47,8 @@ __all__ = [
 @dataclass(frozen=True)
 class ProbeConfig:
     """Probe schedule: m Lanczos steps for each of n_v Rademacher start
-    vectors, both integers; probe i draws from SeedSequence([seed, i])."""
+    vectors, both integers >= 1; probe i draws from SeedSequence([seed, i])
+    for an integer seed >= 0."""
 
     m: int = 30
     n_v: int = 10
@@ -56,6 +57,8 @@ class ProbeConfig:
     def __post_init__(self):
         if not all(isinstance(k, Integral) and k >= 1 for k in (self.m, self.n_v)):
             raise DomainError("m >= 1 and n_v >= 1 required, both integers")
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise DomainError(f"probe seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +111,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     ld_contribs = np.empty(cfg.n_v)
     breakdowns = reorthogonalized = 0
     for i in range(cfg.n_v):
-        rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed) & (2**64 - 1), i]))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
         nz = np.linalg.norm(z)
         if nz == 0.0:

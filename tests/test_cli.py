@@ -29,16 +29,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [["estimate", "--dist", "gaussian"],
                                       ["sweep-alpha", "--out-json", "x"],
-                                      ["solve", "--out-json", "x"]])
+                                      ["solve", "--out-json", "x"],
+                                      ["precondition", "--spec", "s.json"]])
     def test_removed_flag_is_usage_error(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({argv[1][2:].replace("-", "_"): argv[2]}))
         base = [argv[0], "--synthetic", "network", "--n", "30", "--out", "t.csv"]
-        for extra in (argv[1:], ["--spec", str(spec)]):
-            assert run([*base, *extra]) == 1
-            assert "unrecognized arguments" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+        assert run([*base, *argv[1:]]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_matrix_source(self, capsys):
         assert run(["info"]) == 1
@@ -269,6 +267,7 @@ class TestSolveVerifyEstimate:
         assert float(cells["trace_stderr"]) > 0.0
         assert float(cells["logdet_stderr"]) > 0.0
         assert cells["breakdowns"] == "0"
+        assert json.loads((tmp_path / "est.csv.json").read_text())["seeds"] == [3]
 
     def test_precondition_summary(self, mtx_path, capsys):
         rc = run(["precondition", "--matrix", str(mtx_path), "--factor", "exact", "--rank", "1"])
@@ -303,65 +302,3 @@ class TestSolveVerifyEstimate:
         assert run(["precondition", "--synthetic", "network", "--n", "30", "--factor", "identity",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["factor"] == "identity"
-
-    def test_spec_json_overrides_flags(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"synthetic": "network", "n": 50, "seed": 6, "rank": 5}))
-        rc = run(["sweep-alpha", "--spec", str(spec)])
-        assert rc == 0
-        assert "alpha*" in capsys.readouterr().out
-
-
-class TestSpec:
-    def test_verify_reads_spec(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"trials": 1, "seed": 3}))
-        out = tmp_path / "v.json"
-        assert run(["verify", "--trials", "2", "--spec", str(spec), "--out", str(out)]) == 0
-        echo = json.loads(out.read_text())["spec_echo"]
-        assert echo["trials"] == 1
-        assert echo["seed"] == 3
-
-    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"synthetic": "network", "n": 30, "rnak": 3}))
-        out = tmp_path / "p.json"
-        assert run(["precondition", "--spec", str(spec), "--out", str(out)]) == 1
-        assert "rnak" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_key_of_another_subcommand_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"trials": 1}))
-        assert run(["precondition", "--synthetic", "network", "--n", "30",
-                    "--spec", str(spec)]) == 1
-
-    def test_values_are_parsed_like_flags(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        out = tmp_path / "p.json"
-        spec.write_text(json.dumps({"synthetic": "network", "n": "30", "rank": 3}))
-        assert run(["precondition", "--rank", "5", "--spec", str(spec), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["rank"] == 3
-        for bad in ({"n": "thirty"}, {"factor": "lu"}):
-            spec.write_text(json.dumps({"synthetic": "network", **bad}))
-            assert run(["precondition", "--spec", str(spec)]) == 1
-
-    def test_flag_the_subcommand_does_not_read_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"truncation": "tsvd"}))
-        out = tmp_path / "s.csv"
-        assert run(["solve", "--synthetic", "network", "--n", "60", "--spec", str(spec),
-                    "--out", str(out)]) == 1
-        assert "--truncation" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_invalid_json_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text('{"n": ')
-        assert run(["info", "--synthetic", "network", "--spec", str(spec)]) == 1
-        assert "--spec" in capsys.readouterr().err
-
-    def test_non_object_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.json"
-        spec.write_text("[1, 2]")
-        assert run(["info", "--synthetic", "network", "--spec", str(spec)]) == 1

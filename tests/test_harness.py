@@ -140,9 +140,8 @@ class TestSweepAlpha:
         for tag in ("a", "b"):
             rows, summary = sweep_alpha(A, factor="ic0", rank=6)
             csv = tmp_path / f"{tag}.csv"
-            js = tmp_path / f"{tag}.json"
-            emit(rows, summary, csv, js)
-            paths.append((csv.read_bytes(), js.read_bytes()))
+            emit(rows, summary, csv)
+            paths.append((csv.read_bytes(), (tmp_path / f"{tag}.csv.json").read_bytes()))
         assert paths[0] == paths[1]
 
 

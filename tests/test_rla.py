@@ -62,6 +62,18 @@ class TestHutchinson:
         with pytest.raises(DomainError, match="m >= 1 and n_v >= 1"):
             ProbeConfig(**counts)
 
+    @pytest.mark.parametrize("seed", [2.5, -1, math.nan, np.int64(3)])
+    def test_seed_is_an_integer_at_least_zero(self, seed):
+        if not isinstance(seed, np.integer):
+            with pytest.raises(DomainError, match="probe seed"):
+                ProbeConfig(seed=seed)
+            return
+        A = random_spd(20, np.random.default_rng(9))
+        rep = slq_trace_logdet(lambda x: A @ x, 20, ProbeConfig(m=5, n_v=3, seed=seed))
+        ref = slq_trace_logdet(lambda x: A @ x, 20, ProbeConfig(m=5, n_v=3, seed=3))
+        assert rep.per_probe_trace.tobytes() == ref.per_probe_trace.tobytes()
+        assert rep.per_probe_logdet.tobytes() == ref.per_probe_logdet.tobytes()
+
     def test_unbiased_over_many_seeds(self):
         rng = np.random.default_rng(8)
         A = random_spd(50, rng)
