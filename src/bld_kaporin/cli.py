@@ -29,7 +29,11 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; the contract reserves 2 for
-    # numerical failures, so usage problems are rerouted to exit 1
+    # numerical failures, so usage problems are rerouted to exit 1.  A
+    # flag is only ever its full name: an abbreviation is unrecognized.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 

@@ -15,10 +15,11 @@ at the steps where Simon's omega-recurrence estimates that the basis has
 lost orthogonality past REORTH_TOL = 1e-11 (and at the step after each),
 so a run that stays orthogonal does little or no Gram-Schmidt work.
 
-Memory: the dense kernels work in blocks of PANEL = 256 columns, so none
-holds more than two n x n arrays at once, and most hold one.  tri_solve
-solves a wide right-hand side a panel at a time, into one new output or in
-place (out=b); sym_eig and spd_cholesky check and symmetrize a dense copy
+Memory: the dense kernels work in blocks of PANEL = 64 columns, so none
+holds more than two n x n arrays at once, most hold one, and a kernel's
+work space beside them is a few n x PANEL arrays.  tri_solve solves a wide
+right-hand side a panel at a time, into one new output or in place
+(out=b); sym_eig and spd_cholesky check and symmetrize a dense copy
 of their input in place, a pair of blocks at a time (matio._symmetrized),
 and LAPACK then overwrites that copy; sym_eig(S, overwrite=True) does so
 in S itself, with no copy; vectors_at applies the reflectors a panel at a
@@ -97,9 +98,12 @@ class LowerTriFactor:
         object.__setattr__(self, "values", values)
         # natural column order and no row pivoting keep both permutations the
         # identity: SuperLU splits Q into its unit lower part and diagonal
-        # with no fill, and its solves are plain substitutions with Q
+        # with no fill, and its solves are plain substitutions with Q.  Q is
+        # already triangular, so the factorization eliminates nothing, and a
+        # one-column panel keeps its work space small; the solves' bits are
+        # those of the default panel
         lu = splu(values.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"Equil": False})
+                  panel_size=1, options={"Equil": False})
         object.__setattr__(self, "_lu", lu)
 
     @property
@@ -382,8 +386,8 @@ def tri_solve(L: LowerTriFactor, b, mode="forward", out=None):
     than PANEL columns, or any given an out array, is solved a panel at a
     time, each panel read before its solution is written.  So out=b solves
     in place, and beside b and x a solve holds SuperLU's copy and work
-    space for one panel only.  Without out a wide solve writes one new
-    F-ordered x.  Where the factor's supernodes are single columns, as in
+    space for one panel only, two n x PANEL arrays.  Without out a wide
+    solve writes one new F-ordered x.  Where the factor's supernodes are single columns, as in
     the IC(0) factors of the package's sparse matrices, SuperLU solves each
     column on its own and the result has the bits of a whole solve.  Wider
     supernodes (a dense Cholesky factor) go through BLAS-3 kernels, whose

@@ -25,8 +25,10 @@ import scipy.sparse as sp
 
 from .errors import MatrixMarketError, SchemaError, SymmetryError
 
-# Column block of the dense kernels: _symmetrized and linalg's.
-PANEL = 256
+# Column block of the dense kernels: _symmetrized and linalg's.  The
+# smallest multiple of linalg._DORMQR_NB that keeps every dormqr panel
+# blocked; wider panels only hold more memory.
+PANEL = 64
 
 __all__ = [
     "SparseSymMatrix",

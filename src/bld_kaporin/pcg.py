@@ -155,8 +155,9 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
             report = _finish(x, False, res2, res_pinv, err_a)
             raise PcgBreakdownError(f"nonpositive curvature at iteration {k}", report)
         a = rho / curv
-        x = x + a * p
-        r = r - a * Ap
+        # x and r are the loop's own arrays, never a caller's or apply_h's
+        x += a * p
+        r -= a * Ap
         k += 1
         res2.append(float(np.linalg.norm(r)))
         if err_a is not None:

@@ -93,6 +93,22 @@ class TestExitCodes:
         assert run([*argv, *matrix]) == 1
         assert argv[1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, named", [
+        # prefixes of --rank and --truncation: no flag is read by a prefix
+        (["precondition", "--synthetic", "network", "--n", "30", "--ran", "3",
+          "--trunc", "tsvd"], "--ran 3 --trunc tsvd"),
+        # a prefix of both --n-min and --n-max is named, not ambiguous
+        (["verify", "--n", "30"], "--n 30"),
+        (["solve", "--synthetic", "network", "--n", "30", "--max", "3"], "--max 3"),
+        # the top parser's only flag is --help
+        (["--hel", "info", "--synthetic", "network"], "--hel"),
+    ])
+    def test_abbreviated_flag_is_unrecognized(self, argv, named, capsys):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert named in err
+
     @pytest.mark.parametrize("argv", [
         ["precondition", "--factor", "ic1"],
         ["precondition", "--truncation", "svd"],

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import lapack
+from scipy.sparse.linalg import splu
 
 import bld_kaporin
-from bld_kaporin import linalg, rla
+from bld_kaporin import linalg, matio, rla
 from bld_kaporin.errors import FactorizationError, NotPositiveDefiniteError, SingularFactorError
 from bld_kaporin.linalg import (
     EigenDecomposition,
@@ -468,15 +469,24 @@ def one_call_vectors_at(e, idx):
 
 
 class TestPanelledBackTransform:
-    # 64 and the default leave a last panel of at most 32 reflectors at
-    # n = 517 (and 64 at n = 130), which joins the panel before it; 96
-    # leaves a ragged last panel of 36 at n = 517
-    @pytest.mark.parametrize("panel", [linalg.PANEL, 64, 96])
+    # 64 and 256 leave a last panel of at most 32 reflectors at n = 517
+    # (and 64 at n = 130), which joins the panel before it; 96 leaves a
+    # ragged last panel of 36 at n = 517
+    @pytest.mark.parametrize("panel", [64, 96, 256])
     @pytest.mark.parametrize("n", [2, 3, 130, 517])
     def test_bitwise_equal_to_one_call(self, n, panel, monkeypatch):
-        monkeypatch.setattr(linalg, "PANEL", panel)
         A = make_sparse_network(n, seed=n)
-        core = error_core(A, ic0(A))
+        Q = ic0(A)
+        # one panel of n columns: E from whole triangular solves
+        monkeypatch.setattr(linalg, "PANEL", n)
+        monkeypatch.setattr(matio, "PANEL", n)
+        whole = error_core(A, Q).thetas
+        monkeypatch.setattr(linalg, "PANEL", panel)
+        monkeypatch.setattr(matio, "PANEL", panel)
+        core = error_core(A, Q)
+        # IC(0) has single-column supernodes: E's bits do not depend on
+        # how many columns tri_solve solves together
+        np.testing.assert_array_equal(core.thetas, whole)
         r = min(50, n - 1)
         for idx in (bld_truncate(core, r).selection, tsvd_truncate(core, r).selection,
                     np.arange(n)):
@@ -533,10 +543,22 @@ class TestTriSolve:
             np.testing.assert_array_equal(x[:, j], tri_solve(Q, b[:, j], mode))
 
     @pytest.mark.parametrize("mode", ["forward", "adjoint"])
+    def test_one_column_panel_handle_solves_like_default(self, mode):
+        # the factor's handle is built with panel_size=1; on an IC(0)
+        # factor its solves have the bits of a default-panel handle
+        Q = ic0(make_sparse_network(1500, seed=7))
+        default = splu(Q.values.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"Equil": False})
+        trans = "N" if mode == "forward" else "T"
+        b = np.random.default_rng(35).standard_normal((Q.n, 5))
+        for rhs in (b, b[:, 0]):
+            np.testing.assert_array_equal(tri_solve(Q, rhs, mode), default.solve(rhs, trans=trans))
+
+    @pytest.mark.parametrize("mode", ["forward", "adjoint"])
     @pytest.mark.parametrize("kind", ["ic0", "cholesky"])
     def test_in_place_equals_out_of_place(self, kind, mode):
-        # n = 600: panels of 256, 256 and a ragged 88; the dense Cholesky
-        # factor's wide supernodes go through BLAS-3 on each panel
+        # n = 600 = 9*64 + 24: nine full panels and a ragged tenth; the dense
+        # Cholesky factor's wide supernodes go through BLAS-3 on each panel
         A = make_sparse_network(600, seed=6)
         Q = ic0(A) if kind == "ic0" else cholesky(A)
         b = np.random.default_rng(33).standard_normal((600, 600))

@@ -202,7 +202,7 @@ BUS_PATH = os.environ.get("BLD_KAPORIN_494_BUS", "494_bus.mtx")
 
 
 class TestSymmetrized:
-    N = 2 * PANEL + 37  # two full block rows and a ragged third
+    N = 8 * PANEL + 37  # eight full block rows and a ragged ninth
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_in_place_equals_new_array(self, order):
@@ -216,7 +216,8 @@ class TestSymmetrized:
         np.testing.assert_array_equal(S, want)
         np.testing.assert_array_equal(S, S.T)
 
-    @pytest.mark.parametrize("i, j", [(1, 0), (N - 1, 0), (N - 1, N - 2), (PANEL, PANEL - 1)])
+    @pytest.mark.parametrize("i, j", [(1, 0), (N - 1, 0), (N - 1, N - 2),
+                                      (4 * PANEL, 4 * PANEL - 1)])
     def test_asymmetric_rejected(self, i, j):
         S = np.eye(self.N)
         S[i, j] = 1e-6
