@@ -1,13 +1,9 @@
 """Run every identity and inequality battery on random instances.
 
-Each trial draws random SPD pairs and a factored sparse instance, then
-checks the full list: divergence nonnegativity and congruence
-invariance, the divergence-vs-ln K inequality and its unit-trace
-equality case, Kaporin scale/similarity invariances and the kappa2
-sandwich, the c-scaling identity, the dual-coordinate identity, the
-optimality and flat-interval facts of the complement scaling, and the
-gamma-greedy-beats-TSVD comparison.  Failures would be reported as
-data, not exceptions.
+The batteries are the rows of harness.BATTERIES, each a name, a
+tolerance and a function returning one trial's violation.  Each trial
+draws random SPD pairs and a factored sparse instance that the batteries
+share.  Failures would be reported as data, not exceptions.
 """
 
 import json

@@ -140,140 +140,162 @@ def sweep_alpha(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None
 # Theorem verification
 
 
-def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
-    """Run every divergence/preconditioner invariant battery.
+def _ln_k(spec: np.ndarray) -> float:
+    return dv.ln_kaporin_k(spec.sum(), np.log(spec).sum(), spec.size)
 
-    Trial t draws its order and matrices from SeedSequence([seed, t]) and
-    the trials run one after another.  Failures are data: the report
-    carries per-battery pass flags and the worst violation magnitudes;
-    nothing raises on a miss.
+
+class _Trial:
+    """What the batteries of one trial share, drawn from SeedSequence([seed, t])
+    in a fixed order: the order n, the dense SPD pair A, P, and the seed of a
+    sparse network As of order max(12, n), selected by IC(0) at rank
+    max(1, As.n // 5) with P_star its P_alpha*."""
+
+    def __init__(self, seed: int, t: int, n_range):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+        self.n = n = int(rng.integers(n_range[0], n_range[1] + 1))
+        self.A, self.P = random_spd(n, rng), random_spd(n, rng)
+        self.As = make_sparse_network(max(12, n), seed=int(rng.integers(0, 2**31)))
+        self.d = dv.bregman_logdet(self.A, self.P)
+        self.spec = dv.preconditioned_spectrum(self.A, self.P)
+        self.ln_k = _ln_k(self.spec)
+        self.core, self.term, self.rest = _select(self.As, "ic0", max(1, self.As.n // 5))
+        self.a_star = self.rest.alpha_star
+        self.d_star = self.rest.divergence(self.a_star)
+        self.P_star = pc.Preconditioner(self.core.factor, self.term, self.a_star)
+
+
+def _congruence_invariance(tr: _Trial, rng) -> float:
+    P0 = rng.standard_normal((tr.n, tr.n)) + 2.0 * np.eye(tr.n)
+    return abs(tr.d - dv.bregman_logdet(P0.T @ tr.A @ P0, P0.T @ tr.P @ P0)) / (1.0 + tr.d)
+
+
+def _unit_trace_equality(tr: _Trial, rng) -> float:
+    _, cP = pc.scale_to_unit_trace(tr.A, tr.P)
+    return abs(dv.bregman_logdet(tr.A, cP) - tr.ln_k) / tr.n
+
+
+def _scale_invariance_ln_k(tr: _Trial, rng) -> float:
+    return abs(_ln_k(float(rng.uniform(1e-3, 1e3)) * tr.spec) - tr.ln_k)
+
+
+def _similarity_invariance(tr: _Trial, rng) -> float:
+    """ln K and kappa2 of X^-1 A X, for an SPD X with kappa 100, against A's."""
+    X = random_spd(tr.n, rng, kappa=100.0)
+    sim = np.real(np.linalg.eigvals(np.linalg.solve(X, tr.A @ X)))
+    ref = np.linalg.eigvalsh(tr.A)
+    ln_k, k2 = _ln_k(ref), dv.kappa2(ref)
+    return max(abs(_ln_k(sim) - ln_k) / (1.0 + ln_k), abs(dv.kappa2(sim) - k2) / k2)
+
+
+def _kappa_sandwich(tr: _Trial, rng) -> float:
+    """B <= kappa2 <= (sqrt k2 + 1/sqrt k2)^2 <= 4 K, the last link in log space."""
+    k2 = dv.kappa2(tr.spec)
+    bound = math.sqrt(k2) + 1.0 / math.sqrt(k2)
+    return max(dv.kaporin_b(tr.spec) - k2, k2 - bound**2,
+               2.0 * math.log(bound) - math.log(4.0) - tr.ln_k)
+
+
+def _c_scaling_identity(tr: _Trial, rng) -> float:
+    """D(A, P) - D(A, cP) = n (c - 1 - ln c) at c = trace(P^-1 A) / n."""
+    c = tr.spec.sum() / tr.n
+    gap = tr.d - dv.bregman_logdet(tr.A, c * tr.P) - tr.n * (c - 1.0 - math.log(c))
+    return abs(gap) / (1.0 + abs(tr.d))
+
+
+def _dual_identity(tr: _Trial, rng) -> float:
+    B = random_spd(tr.n, rng)
+    d_ab = dv.bregman_logdet(tr.A, B)
+    return abs(d_ab - dv.dual_divergence(dv.dual_coords(B), dv.dual_coords(tr.A))) / (1.0 + d_ab)
+
+
+def _alpha_star_grid_minimum(tr: _Trial, rng) -> float:
+    grid = np.geomspace(tr.a_star / 4.0, tr.a_star * 4.0, 101)
+    return tr.d_star - min(tr.rest.divergence(a) for a in grid)
+
+
+def _four_way_identity(tr: _Trial, rng) -> float:
+    """D = ln K = -ln det(P_alpha*^-1 A) = -ln det(P_1^-1 A) + (n - r) ln alpha*."""
+    P_one = pc.Preconditioner(tr.core.factor, tr.term, 1.0)
+    four = [tr.d_star, tr.rest.ln_kaporin(tr.a_star), -pc.preconditioned_logdet(tr.As, tr.P_star),
+            -pc.preconditioned_logdet(tr.As, P_one) + (tr.As.n - tr.term.r) * math.log(tr.a_star)]
+    return (max(four) - min(four)) / max(abs(tr.d_star), 1e-30)
+
+
+def _kappa2_flat_interval(tr: _Trial, rng) -> float:
+    """kappa2 is constant on [lo, hi] and above hi/lo outside it."""
+    rest, lo, hi = tr.rest, tr.rest.lo, tr.rest.hi
+    kvals = [rest.kappa2(a) for a in np.linspace(lo, hi, 20)]
+    flat = (max(kvals) - min(kvals)) / max(kvals)
+    outside_ok = rest.kappa2(2.0 * hi) > hi / lo and rest.kappa2(lo / 2.0) > hi / lo
+    return flat if outside_ok else max(flat, 1.0)
+
+
+def _bld_beats_tsvd(tr: _Trial, rng) -> float:
+    """At alpha = 1 the gamma pick leaves no more divergence than TSVD."""
+    core = tr.core
+    return max(core.rest(pc.bld_truncate(core, r)).divergence(1.0)
+               - core.rest(pc.tsvd_truncate(core, r)).divergence(1.0)
+               for r in sorted({0, 1, tr.term.r, tr.As.n // 3}))
+
+
+def _dense_vs_spectral_divergence(tr: _Trial, rng) -> float:
+    dense_d = dv.bregman_logdet(tr.As.to_dense(), tr.P_star.dense())
+    return abs(dense_d - tr.d_star) / max(tr.d_star, 1e-12)
+
+
+# (name, tol, fn): fn(trial, rng) returns the trial's violation, a miss when
+# above tol.  Row k draws only from rng, its own SeedSequence([seed, t, k]),
+# so a row appended here changes no other row's numbers.
+BATTERIES = (
+    ("nonnegativity", 1e-10, lambda tr, rng: -tr.d),
+    ("identity_of_indiscernibles", 1e-9, lambda tr, rng: abs(dv.bregman_logdet(tr.A, tr.A))),
+    ("congruence_invariance", 1e-8, _congruence_invariance),
+    ("divergence_dominates_ln_k", 1e-10, lambda tr, rng: tr.ln_k - tr.d),
+    ("unit_trace_equality", 1e-10, _unit_trace_equality),
+    ("scale_invariance_ln_k", 1e-10, _scale_invariance_ln_k),
+    ("similarity_invariance", 1e-8, _similarity_invariance),
+    ("kappa_sandwich", 1e-9, _kappa_sandwich),
+    ("k_at_least_one", 1e-12, lambda tr, rng: -tr.ln_k),
+    ("c_scaling_identity", 1e-9, _c_scaling_identity),
+    ("dual_identity", 1e-9, _dual_identity),
+    ("alpha_star_grid_minimum", 1e-12, _alpha_star_grid_minimum),
+    ("four_way_identity", 1e-9, _four_way_identity),
+    ("kappa2_flat_interval", 1e-12, _kappa2_flat_interval),
+    ("bld_beats_tsvd", 1e-12, _bld_beats_tsvd),
+    ("alpha_star_inside_interval", 0.0,
+     lambda tr, rng: max(tr.rest.lo - tr.a_star, tr.a_star - tr.rest.hi)),
+    ("dense_vs_spectral_divergence", 1e-8, _dense_vs_spectral_divergence),
+)
+
+
+def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
+    """Run every battery of BATTERIES on trials random instances.
+
+    Trial t draws the _Trial its batteries share from SeedSequence([seed, t]),
+    and the batteries run in table order.  Failures are data: the report
+    carries per-battery pass flags and the worst violation magnitudes, a NaN
+    violation a miss; nothing raises on a miss.
     """
     if not (isinstance(trials, Integral) and trials >= 1):
         raise DomainError(f"trials >= 1 required, an integer, got {trials!r}")
-    if not (all(isinstance(k, Integral) for k in n_range) and 1 <= n_range[0] <= n_range[1]):
-        raise DomainError(f"order range needs integers 1 <= low <= high, got {tuple(n_range)}")
-    tols = {
-        "nonnegativity": 1e-10,
-        "identity_of_indiscernibles": 1e-9,
-        "congruence_invariance": 1e-8,
-        "divergence_dominates_ln_k": 1e-10,
-        "unit_trace_equality": 1e-10,
-        "scale_invariance_ln_k": 1e-10,
-        "similarity_invariance": 1e-8,
-        "kappa_sandwich": 1e-9,
-        "k_at_least_one": 1e-12,
-        "c_scaling_identity": 1e-9,
-        "dual_identity": 1e-9,
-        "alpha_star_grid_minimum": 1e-12,
-        "four_way_identity": 1e-9,
-        "kappa2_flat_interval": 1e-12,
-        "bld_beats_tsvd": 1e-12,
-        "alpha_star_inside_interval": 0.0,
-        "dense_vs_spectral_divergence": 1e-8,
-    }
-
-    def one_trial(t: int):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        worst = {k: 0.0 for k in tols}
-        A, P = random_spd(n, rng), random_spd(n, rng)
-
-        d = dv.bregman_logdet(A, P)
-        worst["nonnegativity"] = max(worst["nonnegativity"], -d)
-        worst["identity_of_indiscernibles"] = abs(dv.bregman_logdet(A, A))
-
-        P0 = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-        d_cong = dv.bregman_logdet(P0.T @ A @ P0, P0.T @ P @ P0)
-        worst["congruence_invariance"] = abs(d - d_cong) / (1.0 + d)
-
-        spec_m = dv.preconditioned_spectrum(A, P)
-        ln_k = dv.ln_kaporin_k(spec_m.sum(), np.log(spec_m).sum(), n)
-        worst["divergence_dominates_ln_k"] = max(0.0, ln_k - d)
-
-        _, cP = pc.scale_to_unit_trace(A, P)
-        worst["unit_trace_equality"] = abs(dv.bregman_logdet(A, cP) - ln_k) / n
-
-        cs = float(rng.uniform(1e-3, 1e3))
-        ln_k_scaled = dv.ln_kaporin_k(cs * spec_m.sum(), np.log(cs * spec_m).sum(), n)
-        worst["scale_invariance_ln_k"] = abs(ln_k_scaled - ln_k)
-
-        X = random_spd(n, rng, kappa=100.0)
-        sim_vals = np.sort(np.real(np.linalg.eigvals(np.linalg.solve(X, A @ X))))[::-1]
-        ref_vals = np.sort(np.linalg.eigvalsh(A))[::-1]
-        scale = max(np.abs(ref_vals).max(), 1.0)
-        worst["similarity_invariance"] = np.abs(sim_vals - ref_vals).max() / scale
-
-        b_val = dv.kaporin_b(spec_m)
-        k2 = dv.kappa2(spec_m)
-        chain = max(
-            b_val - k2,
-            k2 - (math.sqrt(k2) + 1.0 / math.sqrt(k2)) ** 2,
-            2.0 * math.log(math.sqrt(k2) + 1.0 / math.sqrt(k2)) - math.log(4.0) - ln_k,
-        )
-        worst["kappa_sandwich"] = max(0.0, chain)
-        worst["k_at_least_one"] = max(0.0, -ln_k)
-
-        c_id = spec_m.sum() / n
-        gap = (dv.bregman_logdet(A, P) - dv.bregman_logdet(A, c_id * P)
-               - n * (c_id - 1.0 - math.log(c_id)))
-        worst["c_scaling_identity"] = abs(gap) / (1.0 + abs(d))
-
-        B = random_spd(n, rng)
-        d_ab = dv.bregman_logdet(A, B)
-        d_dual = dv.dual_divergence(dv.dual_coords(B), dv.dual_coords(A))
-        worst["dual_identity"] = abs(d_ab - d_dual) / (1.0 + d_ab)
-
-        # factored batteries on a sparse instance
-        ns = max(12, n)
-        As = make_sparse_network(ns, seed=int(rng.integers(0, 2**31)))
-        core, term, rest = _select(As, "ic0", max(1, ns // 5))
-        a_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
-        d_star = rest.divergence(a_star)
-        grid = np.geomspace(a_star / 4.0, a_star * 4.0, 101)
-        dvals = np.array([rest.divergence(a) for a in grid])
-        worst["alpha_star_grid_minimum"] = max(0.0, d_star - dvals.min())
-
-        ln_k_star = rest.ln_kaporin(a_star)
-        P_star = pc.Preconditioner(core.factor, term, a_star)
-        neg_logdet = -pc.preconditioned_logdet(As, P_star)
-        P_one = pc.Preconditioner(core.factor, term, 1.0)
-        via_alpha = -pc.preconditioned_logdet(As, P_one) + (ns - term.r) * math.log(a_star)
-        four = [d_star, ln_k_star, neg_logdet, via_alpha]
-        ref = max(abs(d_star), 1e-30)
-        worst["four_way_identity"] = (max(four) - min(four)) / ref
-
-        kvals = [rest.kappa2(a) for a in np.linspace(lo, hi, 20)]
-        worst["kappa2_flat_interval"] = (max(kvals) - min(kvals)) / max(kvals)
-        outside_ok = rest.kappa2(2.0 * hi) > hi / lo and rest.kappa2(lo / 2.0) > hi / lo
-        if not outside_ok:
-            worst["kappa2_flat_interval"] = max(worst["kappa2_flat_interval"], 1.0)
-
-        for r_try in sorted({0, 1, term.r, ns // 3}):
-            bld = pc.bld_truncate(core, r_try)
-            tsvd = pc.tsvd_truncate(core, r_try)
-            worst["bld_beats_tsvd"] = max(
-                worst["bld_beats_tsvd"],
-                core.rest(bld).divergence(1.0) - core.rest(tsvd).divergence(1.0),
-            )
-
-        worst["alpha_star_inside_interval"] = max(0.0, lo - a_star, a_star - hi)
-
-        dense_d = dv.bregman_logdet(As.to_dense(), P_star.dense())
-        worst["dense_vs_spectral_divergence"] = abs(dense_d - d_star) / max(d_star, 1e-12)
-        return worst
-
-    results = [one_trial(t) for t in range(trials)]
-
-    worst_all = {k: max(r[k] for r in results) for k in tols}
-    batteries = {
-        k: {"pass": bool(worst_all[k] <= tols[k]), "worst": worst_all[k], "tol": tols[k]}
-        for k in tols
+    if not (len(n_range) == 2 and all(isinstance(k, Integral) for k in n_range)
+            and 1 <= n_range[0] <= n_range[1]):
+        raise DomainError(f"order range needs two integers 1 <= low <= high, got {tuple(n_range)}")
+    worst = {name: 0.0 for name, _, _ in BATTERIES}
+    for t in range(trials):
+        trial = _Trial(seed, t, n_range)
+        for k, (name, _, fn) in enumerate(BATTERIES):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, k]))
+            worst[name] = float(np.maximum(worst[name], fn(trial, rng)))
+    results = {
+        name: {"pass": bool(worst[name] <= tol), "worst": worst[name], "tol": tol}
+        for name, tol, _ in BATTERIES
     }
     return {
         "experiment": "verify_theorems",
         "spec_echo": {"trials": trials, "n_range": list(n_range), "seed": seed},
-        "results": batteries,
-        "violations": [k for k, v in batteries.items() if not v["pass"]],
+        "results": results,
+        "violations": [name for name, res in results.items() if not res["pass"]],
     }
 
 

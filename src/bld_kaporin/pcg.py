@@ -281,7 +281,9 @@ def iter_estimate_kaporin(ln_k: float, eps: float, sigma: float = 2.0) -> int:
         raise DomainError("eps in (0, 1) required")
     if not 2.0 <= sigma < math.inf:
         raise DomainError("finite sigma >= 2 required")
-    denom = sigma * math.log(sigma) - (sigma - 1.0) * math.log(sigma - 1.0)
+    # sigma ln sigma - (sigma-1) ln(sigma-1), rearranged so that the large
+    # sigma of a tiny ln K does not cancel it to 0
+    denom = math.log(sigma) - (sigma - 1.0) * math.log1p(-1.0 / sigma)
     return max(1, math.ceil((sigma * ln_k + 2.0 * math.log(1.0 / eps)) / denom))
 
 

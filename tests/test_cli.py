@@ -41,6 +41,15 @@ class TestExitCodes:
     def test_missing_matrix_source(self, capsys):
         assert run(["info"]) == 1
 
+    @pytest.mark.parametrize("rank", [None, "0", "1"])
+    @pytest.mark.parametrize("n", ["1", "2", "3", "12"])
+    @pytest.mark.parametrize("factor", ["ic0", "exact", "identity"])
+    @pytest.mark.parametrize("command", ["precondition", "sweep-alpha", "solve", "estimate"])
+    def test_no_exception_escapes(self, command, factor, n, rank, capsys):
+        # every failure on a small network is reported through an exit code
+        argv = [command, "--synthetic", "network", "--n", n, "--factor", factor]
+        assert run(argv if rank is None else [*argv, "--rank", rank]) in (0, 1, 2)
+
     def test_numerical_error_is_two(self, tmp_path):
         bad = tmp_path / "indef.mtx"
         bad.write_text(
@@ -262,6 +271,10 @@ class TestSolveVerifyEstimate:
         assert rc == 0
         report = json.loads(out.read_text())
         assert report["violations"] == []
+
+    def test_solve_at_tiny_ln_k_is_zero(self, capsys):
+        # the exact factor leaves ln K at roundoff, so the recommended sigma is huge
+        assert run(["solve", "--synthetic", "network", "--n", "300", "--factor", "exact"]) == 0
 
     def test_estimate_prints_comparison(self, capsys):
         rc = run([

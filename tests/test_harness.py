@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bld_kaporin import precond
+from bld_kaporin import harness, precond
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     FACTORS,
@@ -163,10 +163,38 @@ class TestVerifyTheorems:
         with pytest.raises(DomainError, match="trials"):
             verify_theorems(2.5)
 
-    @pytest.mark.parametrize("n_range", [(0, 0), (0, 5), (5, 2), (-3, 4), (10.5, 12)])
+    @pytest.mark.parametrize("n_range", [(0, 0), (0, 5), (5, 2), (-3, 4), (10.5, 12),
+                                         (10, 20, 30), (10,)])
     def test_order_range_domain(self, n_range):
         with pytest.raises(DomainError, match="order range"):
             verify_theorems(1, n_range)
+
+    def test_batteries_draw_independently(self, monkeypatch):
+        # dropping a battery that draws, making an early one draw far more,
+        # and appending one more leave every other worst value bit for bit
+        def worst():
+            report = verify_theorems(3, (10, 20), seed=3)
+            return {name: res["worst"] for name, res in report["results"].items()}
+
+        def greedy(tr, rng):
+            return 0.0 * rng.standard_normal(1000).sum()
+
+        full = worst()
+        changed = {"congruence_invariance": greedy}
+        monkeypatch.setattr(harness, "BATTERIES", tuple(
+            (name, tol, changed.get(name, fn))
+            for name, tol, fn in harness.BATTERIES if name != "dual_identity"
+        ) + (("appended", 1.0, greedy),))
+        kept = {k: v for k, v in full.items() if k not in ("dual_identity", *changed)}
+        assert worst() == {**kept, "congruence_invariance": 0.0, "appended": 0.0}
+
+    @pytest.mark.parametrize("violation", [1.0, math.nan])
+    def test_miss_is_named_and_exits_two(self, violation, monkeypatch, capsys):
+        missing = ("always_misses", 0.5, lambda tr, rng: violation)
+        monkeypatch.setattr(harness, "BATTERIES", harness.BATTERIES + (missing,))
+        assert verify_theorems(2, (10, 12))["violations"] == ["always_misses"]
+        assert run(["verify", "--trials", "2", "--n-min", "10", "--n-max", "12"]) == 2
+        assert "always_misses" in capsys.readouterr().err
 
 
 class TestBoundOverlay:

@@ -284,6 +284,22 @@ class TestIterationEstimates:
             math.log(1.0 / eps) / math.log(2.0)
         )
 
+    @pytest.mark.parametrize("ln_k", [1e-15, 1e-17, 1e-300])
+    def test_tiny_ln_k_at_recommended_sigma(self, ln_k):
+        # sigma ~ 1e16 and beyond: sigma ln sigma - (sigma-1) ln(sigma-1)
+        # cancels to 0 in floating point, the rearranged form does not
+        est = iter_estimate_kaporin(ln_k, 1e-6, recommended_sigma(ln_k, 1e-6))
+        assert 1 <= est <= iter_estimate_kaporin(ln_k, 1e-6, 2.0)
+
+    def test_sigma_two_denominator_unchanged(self):
+        # at sigma = 2 the rearranged denominator is 2 ln 2 - ln 1 to the last bit
+        textbook = 2.0 * math.log(2.0) - 1.0 * math.log(1.0)
+        for ln_k in np.geomspace(1e-12, 1e4, 33):
+            for eps in np.geomspace(1e-14, 0.99, 17):
+                ln_k, eps = float(ln_k), float(eps)
+                expected = max(1, math.ceil((2.0 * ln_k + 2.0 * math.log(1.0 / eps)) / textbook))
+                assert iter_estimate_kaporin(ln_k, eps, 2.0) == expected
+
     def test_sigma_below_two_rejected(self):
         for sigma in (1.5, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
