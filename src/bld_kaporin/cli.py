@@ -10,6 +10,7 @@ command (sweep-alpha, solve, estimate) to <out>.json beside it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -246,7 +247,10 @@ def _cmd_verify(args) -> int:
         status = "pass" if res["pass"] else "FAIL"
         print(f"{status}  {name:32s} worst={res['worst']:.3e} tol={res['tol']:.1e}")
     if args.out:
-        write_json(report, args.out)
+        # JSON has no NaN or inf: such a worst value, always a miss, is null
+        results = {name: {**res, "worst": res["worst"] if math.isfinite(res["worst"]) else None}
+                   for name, res in report["results"].items()}
+        write_json({**report, "results": results}, args.out)
     if report["violations"]:
         print(f"violations: {report['violations']}", file=sys.stderr)
         return 2

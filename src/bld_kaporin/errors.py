@@ -46,7 +46,8 @@ class ConvergenceError(RuntimeError):
 
 
 class PcgBreakdownError(RuntimeError):
-    """PCG encountered nonpositive curvature; carries the partial history."""
+    """PCG met a nonpositive or non-finite r'Hr or curvature; carries the
+    partial history."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

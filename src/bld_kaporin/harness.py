@@ -51,14 +51,6 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
     factor is the preconditioner's.  The core is not returned, so its
     n x n reflectors are freed before the caller solves or estimates.
     """
-    core, term, rest = _select(A, factor, rank, truncation)
-    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else rest.alpha_star)
-    return term, rest, P
-
-
-def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str = "bld"):
-    """The error core of FACTORS[factor], its rank-r term and the RestStats
-    of what the term leaves: the part of build_preconditioner before alpha."""
     if truncation not in TRUNCATIONS:
         raise DomainError(f"unknown truncation {truncation!r}")
     if factor not in FACTORS:
@@ -66,7 +58,9 @@ def _select(A: SparseSymMatrix, factor: str, rank: int | None, truncation: str =
     core = pc.error_core(A, FACTORS[factor](A))
     r = rank if rank is not None else min(-(-A.n // 10), A.n - 1)
     term = TRUNCATIONS[truncation](core, r)
-    return core, term, core.rest(term)
+    rest = core.rest(term)
+    P = pc.Preconditioner(core.factor, term, alpha if alpha is not None else rest.alpha_star)
+    return term, rest, P
 
 
 def check_grid(grid) -> None:
@@ -110,7 +104,7 @@ def sweep_alpha(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None
     """
     if grid is not None:
         check_grid(grid)
-    core, term, rest = _select(A, factor, rank)
+    term, rest, P = build_preconditioner(A, factor, rank)
     alpha_star, lo, hi = rest.alpha_star, rest.lo, rest.hi
     rows = [
         {
@@ -126,7 +120,7 @@ def sweep_alpha(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None
         "n": A.n,
         "rank": term.r,
         "factor": factor,
-        "factor_shift": core.factor.shift,
+        "factor_shift": P.factor.shift,
         "alpha_star": alpha_star,
         "interval": [lo, hi],
         "d_ld_at_alpha_star": rest.divergence(alpha_star),
@@ -158,7 +152,11 @@ class _Trial:
         self.d = dv.bregman_logdet(self.A, self.P)
         self.spec = dv.preconditioned_spectrum(self.A, self.P)
         self.ln_k = _ln_k(self.spec)
-        self.core, self.term, self.rest = _select(self.As, "ic0", max(1, self.As.n // 5))
+        # the core itself, not build_preconditioner: bld_beats_tsvd truncates
+        # it again at other ranks
+        self.core = pc.error_core(self.As, ic0(self.As))
+        self.term = pc.bld_truncate(self.core, max(1, self.As.n // 5))
+        self.rest = self.core.rest(self.term)
         self.a_star = self.rest.alpha_star
         self.d_star = self.rest.divergence(self.a_star)
         self.P_star = pc.Preconditioner(self.core.factor, self.term, self.a_star)
@@ -303,10 +301,42 @@ def verify_theorems(trials: int, n_range=(10, 60), seed: int = 0):
 # Bound overlays
 
 
+def _from_one(bound):
+    """bound(m, k) for k >= 1 and None at k = 0, where only the kappa2 bound
+    says anything."""
+    return lambda m, k: bound(m, k) if k >= 1 else None
+
+
+def _bound_3lnd(m, k):
+    """(3D/k)^(k/2) on its window, k even with 3D <= k < n; None off it."""
+    if k % 2 == 0 and 3.0 * m["d_ld"] <= k < m["n"]:
+        return pg.bound_3lnd(m["d_ld"], k, m["n"])
+    return None
+
+
+# (name, history it bounds, bound(m, k) or None where the theorem says
+# nothing), m the order n and the measures kappa2, ln_k and d_ld of P_alpha.
+# The kappa2 and 3 ln D bounds cap the A-norm error curve, the Kaporin and
+# divergence bounds the P^-1-norm residual curve.  bound_overlay writes a
+# bound_<name> and a viol_<name> column per row, in table order.
+BOUNDS = (
+    ("kappa", "rel_err_a", lambda m, k: pg.bound_kappa(m["kappa2"], k)),
+    ("kaporin", "rel_res_pinv", _from_one(lambda m, k: pg.bound_kaporin(m["ln_k"], k))),
+    ("divergence", "rel_res_pinv", _from_one(lambda m, k: pg.bound_divergence(m["d_ld"], k))),
+    ("3lnd", "rel_err_a", _from_one(_bound_3lnd)),
+)
+
+# a history point violates its bound b when above b * _SLACK + _FLOOR: a
+# multiplicative theorem slack plus an absolute floor, so an exactly
+# converged iterate (bound 0, residual at roundoff) is not flagged
+_SLACK = 1.0 + 1e-6
+_FLOOR = 1e-12
+
+
 def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = None,
                   alpha: float | None = None, tol: float = pg.SolveConfig.tol,
                   max_iter: int | None = None, seed: int = 0):
-    """Solve one instrumented system and tabulate every bound curve.
+    """Solve one instrumented system and tabulate every bound curve of BOUNDS.
 
     factor, rank and alpha build P_alpha as build_preconditioner does.
     The right-hand side is A x for a standard normal x drawn from seed,
@@ -314,8 +344,8 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
     against that known x.
 
     Returns (rows, summary); rows carry per-iteration residual/error
-    ratios, the four bound values, and violation flags; the summary holds
-    the iteration estimates against the observed counts.
+    ratios, then a bound value and a violation flag per row of BOUNDS; the
+    summary holds the iteration estimates against the observed counts.
     """
     n = A.n
     rng = np.random.default_rng(seed)
@@ -332,39 +362,19 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
 
     report = pg.pcg_solve(A, A.matvec(x_true), P, cfg)
 
-    rel2 = report.rel_res2()
-    relp = report.rel_res_pinv()
-    rele = report.rel_err_a()
-    # multiplicative theorem slack plus an absolute floor so an exactly
-    # converged iterate (bound 0, residual at roundoff) is not flagged
-    slack = 1.0 + 1e-6
-    floor = 1e-12
+    history = {"rel_res_2": report.rel_res2(), "rel_res_pinv": report.rel_res_pinv(),
+               "rel_err_a": report.rel_err_a()}
+    measures = {"n": n, "kappa2": kap2, "ln_k": ln_k, "d_ld": d_ld}
     rows = []
     for k in range(report.iterations + 1):
-        bk = pg.bound_kappa(kap2, k)
-        bkap = pg.bound_kaporin(ln_k, k) if k >= 1 else None
-        bdiv = pg.bound_divergence(d_ld, k) if k >= 1 else None
-        valid_3 = k >= 2 and k % 2 == 0 and 3.0 * d_ld <= k < n
-        b3 = pg.bound_3lnd(d_ld, k, n) if valid_3 else None
-        rows.append(
-            {
-                "k": k,
-                "rel_res_2": float(rel2[k]),
-                "rel_res_pinv": float(relp[k]),
-                "rel_err_a": float(rele[k]),
-                "bound_kappa": bk,
-                "bound_kaporin": bkap,
-                "bound_divergence": bdiv,
-                "bound_3lnd": b3,
-                # kappa and 3lnD bound the A-norm error curve, the Kaporin
-                # and divergence bounds the P^-1-norm residual curve
-                "viol_kappa": bool(rele[k] > bk * slack + floor),
-                "viol_kaporin": bool(k >= 1 and relp[k] > bkap * slack + floor),
-                "viol_divergence": bool(k >= 1 and relp[k] > bdiv * slack + floor),
-                "viol_3lnd": bool(valid_3 and rele[k] > b3 * slack + floor),
-            }
-        )
+        row = {"k": k, **{hist: float(values[k]) for hist, values in history.items()}}
+        flags = {}
+        for name, hist, bound in BOUNDS:
+            b = row[f"bound_{name}"] = bound(measures, k)
+            flags[f"viol_{name}"] = b is not None and bool(history[hist][k] > b * _SLACK + _FLOOR)
+        rows.append({**row, **flags})
 
+    relp = history["rel_res_pinv"]
     estimates = []
     estimate_overruns = []
     for eps in EPS_LEVELS:
@@ -403,18 +413,14 @@ def bound_overlay(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = No
         "converged": report.converged,
         "estimates": estimates,
         "violations": [
-            f"{name}@k={row['k']}"
-            for row in rows
-            for name in ("viol_kappa", "viol_kaporin", "viol_divergence", "viol_3lnd")
-            if row[name]
+            f"viol_{name}@k={row['k']}" for row in rows for name, _, _ in BOUNDS
+            if row[f"viol_{name}"]
         ],
         "estimate_overruns": estimate_overruns,
     }
-    _validate_rows(
-        rows,
-        allow_none=("bound_3lnd", "bound_kaporin", "bound_divergence"),
-        allow_inf=("bound_kaporin", "bound_divergence"),
-    )
+    # None and inf are both a bound that says nothing
+    bound_columns = [f"bound_{name}" for name, _, _ in BOUNDS]
+    _validate_rows(rows, allow_none=bound_columns, allow_inf=bound_columns)
     return rows, summary
 
 
@@ -432,14 +438,13 @@ def alpha_sensitivity(A: SparseSymMatrix, factor: str = "ic0", rank: int | None 
     of each final iterate from the first alpha's.
     Nothing here is asserted, the table is observational.
     """
-    core, term, rest = _select(A, factor, rank)
+    term, rest, P_star = build_preconditioner(A, factor, rank)
     alpha_star = rest.alpha_star
     b = A.matvec(np.random.default_rng(0).standard_normal(A.n))
     reference = None
     rows = []
     for alpha in (alpha_star * f for f in (0.25, 0.5, 1.0, 2.0, 4.0)):
-        P = pc.Preconditioner(core.factor, term, alpha)
-        report = pg.pcg_solve(A, b, P)
+        report = pg.pcg_solve(A, b, pc.Preconditioner(P_star.factor, term, alpha))
         if reference is None:
             reference = report.x
         rows.append(

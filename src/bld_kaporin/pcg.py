@@ -116,7 +116,7 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     a known solution of another length, naming both.
     Raises PcgBreakdownError (with the partial report attached) when the
     curvature p' A p or the preconditioned residual product r' H r turns
-    nonpositive before convergence.
+    nonpositive or non-finite before convergence.
     """
     cfg = config or SolveConfig()
     matvec, n = as_matvec(A)
@@ -146,14 +146,18 @@ def pcg_solve(A, b, H=None, config: SolveConfig | None = None) -> SolveReport:
     converged = res2[0] <= stop
     k = 0
     while not converged and k < max_iter:
-        if rho <= 0.0:
+        # each test is written so that a NaN fails it too
+        if not 0.0 < rho < math.inf:
             report = _finish(x, False, res2, res_pinv, err_a)
-            raise PcgBreakdownError(f"nonpositive r'Hr at iteration {k}: H is not SPD", report)
+            if rho <= 0.0:
+                raise PcgBreakdownError(f"nonpositive r'Hr at iteration {k}: H is not SPD", report)
+            raise PcgBreakdownError(f"non-finite r'Hr at iteration {k}", report)
         Ap = matvec(p)
         curv = float(p @ Ap)
-        if curv <= 0.0:
+        if not 0.0 < curv < math.inf:
             report = _finish(x, False, res2, res_pinv, err_a)
-            raise PcgBreakdownError(f"nonpositive curvature at iteration {k}", report)
+            kind = "nonpositive" if curv <= 0.0 else "non-finite"
+            raise PcgBreakdownError(f"{kind} curvature at iteration {k}", report)
         a = rho / curv
         # x and r are the loop's own arrays, never a caller's or apply_h's
         x += a * p

@@ -70,8 +70,8 @@ class EstimateReport:
     n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
     probe), and probes_used is the number of probes.  breakdowns counts
     the probes whose Lanczos run exhausted its Krylov space before m
-    steps, reorthogonalized the Lanczos steps, summed over probes, that
-    swept the new vector against the kept basis.
+    steps.  reorthogonalized counts the Lanczos steps that swept the new
+    vector against the kept basis, summed over probes.
     """
 
     n: int

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bld_kaporin import harness, precond
+from bld_kaporin import harness, pcg, precond
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     FACTORS,
@@ -189,12 +189,21 @@ class TestVerifyTheorems:
         assert worst() == {**kept, "congruence_invariance": 0.0, "appended": 0.0}
 
     @pytest.mark.parametrize("violation", [1.0, math.nan])
-    def test_miss_is_named_and_exits_two(self, violation, monkeypatch, capsys):
+    def test_miss_is_named_and_exits_two(self, violation, monkeypatch, capsys, tmp_path):
         missing = ("always_misses", 0.5, lambda tr, rng: violation)
         monkeypatch.setattr(harness, "BATTERIES", harness.BATTERIES + (missing,))
         assert verify_theorems(2, (10, 12))["violations"] == ["always_misses"]
-        assert run(["verify", "--trials", "2", "--n-min", "10", "--n-max", "12"]) == 2
-        assert "always_misses" in capsys.readouterr().err
+        out = tmp_path / "r.json"
+        assert run(["verify", "--trials", "2", "--n-min", "10", "--n-max", "12",
+                    "--out", str(out)]) == 2
+        std = capsys.readouterr()
+        assert "always_misses" in std.err
+        assert f"FAIL  {'always_misses':32s} worst={violation:.3e}" in std.out
+        # JSON has no NaN: a NaN worst value is written as null
+        report = json.loads(out.read_text())
+        assert report["violations"] == ["always_misses"]
+        assert report["results"]["always_misses"] == {
+            "pass": False, "worst": None if math.isnan(violation) else violation, "tol": 0.5}
 
 
 class TestBoundOverlay:
@@ -224,6 +233,34 @@ class TestBoundOverlay:
                 assert entry["observed_iterations"] <= entry["i_kaporin_recommended"]
             if "i_divergence" in entry:
                 assert entry["observed_iterations"] <= entry["i_divergence"]
+
+
+    def test_columns_in_table_order(self, tmp_path):
+        rows, summary = bound_overlay(make_sparse_network(150, seed=9), factor="ic0", rank=15)
+        emit(rows, summary, tmp_path / "o.csv")
+        header = (tmp_path / "o.csv").read_text().splitlines()[0].split(",")
+        bounds = ("kappa", "kaporin", "divergence", "3lnd")
+        assert header == ["k", "rel_res_2", "rel_res_pinv", "rel_err_a",
+                          *(f"bound_{name}" for name in bounds),
+                          *(f"viol_{name}" for name in bounds)]
+
+    def test_3lnd_bound_empty_exactly_off_its_window(self):
+        rows, summary = bound_overlay(make_sparse_network(150, seed=9), factor="ic0", rank=1)
+        d_ld, n = summary["d_ld"], summary["n"]
+        window = [k >= 2 and k % 2 == 0 and 3.0 * d_ld <= k < n for k in range(len(rows))]
+        assert [row["bound_3lnd"] is not None for row in rows] == window
+        # 3D lies above 2 here, so the window's lower end drops an even k
+        assert 3.0 * d_ld > 2.0 and any(window)
+
+    def test_violations_follow_the_flags(self, monkeypatch):
+        # a kappa2 bound of 0 leaves only the floor: every A-norm error above
+        # it is flagged, and listed in row order
+        monkeypatch.setattr(pcg, "bound_kappa", lambda kappa2, k: 0.0)
+        rows, summary = bound_overlay(make_sparse_network(150, seed=9), factor="ic0", rank=15)
+        flags = [row["rel_err_a"] > 1e-12 for row in rows]
+        assert [row["viol_kappa"] for row in rows] == flags and any(flags)
+        assert summary["violations"] == [f"viol_kappa@k={row['k']}"
+                                         for row, flag in zip(rows, flags) if flag]
 
 
 class TestAlphaSensitivity:

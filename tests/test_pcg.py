@@ -6,6 +6,7 @@ import pytest
 
 from bld_kaporin.divergence import bregman_logdet, ln_kaporin_k, preconditioned_spectrum
 from bld_kaporin.errors import DomainError, PcgBreakdownError
+from bld_kaporin.harness import build_preconditioner
 from bld_kaporin.linalg import LowerTriFactor, ic0
 from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.pcg import (
@@ -21,7 +22,7 @@ from bld_kaporin.pcg import (
     recommended_sigma,
 )
 from bld_kaporin.precond import LowRankTerm, Preconditioner
-from bld_kaporin.synth import random_spd
+from bld_kaporin.synth import make_sparse_network, random_spd
 
 
 class TestSolver:
@@ -139,6 +140,23 @@ class TestSolver:
             pcg_solve(A, np.array([1.0, 0.0]), H=np.asarray(H))
         assert exc.value.report.iterations == 0
         assert not exc.value.report.converged
+
+    def test_overflowing_curvature_breaks_down_at_once(self):
+        # at alpha = 1e-300, P^-1 scales the complement by 1e300 and p'Ap
+        # overflows: a NaN that a nonpositivity test alone lets through
+        A = make_sparse_network(30)
+        _, _, P = build_preconditioner(A, "ic0", None, 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PcgBreakdownError, match="non-finite curvature at iteration 0") as exc:
+            pcg_solve(A, np.ones(30), P)
+        assert exc.value.report.iterations == 0
+        assert not exc.value.report.converged
+
+    def test_infinite_r_h_r_breaks_down(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(PcgBreakdownError, match="non-finite r'Hr at iteration 0") as exc:
+            pcg_solve(np.eye(2), np.array([10.0, 0.0]), H=1e308 * np.eye(2))
+        assert exc.value.report.iterations == 0
 
     def test_max_iter_cap(self):
         rng = np.random.default_rng(3)
