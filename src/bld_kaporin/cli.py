@@ -282,11 +282,17 @@ _COMMANDS = {
 
 
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute; returns the exit code."""
+    """Parse argv (without the program name) and execute; returns the exit code.
+
+    A command runs with numpy's floating-point warnings off: the library's
+    own checks name every non-finite result it meets, and its error is the
+    one diagnostic printed.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,10 +10,12 @@ dense or sparse, is stored as a CSR lower triangle; its triangular solves
 go through one SuperLU handle built when the factor is made.  The
 zero-fill incomplete Cholesky and the Lanczos recurrence are implemented
 here because their contracts (pattern equality, shift reporting, breakdown
-flags) are part of this package's surface.  Lanczos reorthogonalizes only
-at the steps where Simon's omega-recurrence estimates that the basis has
-lost orthogonality past REORTH_TOL = 1e-11 (and at the step after each),
-so a run that stays orthogonal does little or no Gram-Schmidt work.
+flags) are part of this package's surface.  Lanczos runs in two phases.
+It first keeps no basis, only the last two Lanczos vectors, while Simon's
+omega-recurrence estimates that orthogonality has been lost by no more
+than SEMI_ORTH_TOL = sqrt(eps); a run that passes that level is rerun
+from the same start with a kept basis, reorthogonalized at the steps
+where the estimate passes REORTH_TOL = 1e-11 (and at the step after each).
 
 Memory: the dense kernels work in blocks of PANEL = 64 columns, so none
 holds more than two n x n arrays at once, most hold one, and a kernel's
@@ -49,8 +51,12 @@ from .errors import (
 )
 from .matio import PANEL, SparseSymMatrix, _check_lower, _symmetrized, as_dense
 
-# Estimated loss of orthogonality at which lanczos reorthogonalizes.
+# Estimated loss of orthogonality at which lanczos reorthogonalizes a kept basis.
 REORTH_TOL = 1e-11
+
+# Estimated loss of orthogonality up to which lanczos keeps no basis: below
+# it the tridiagonal is, to working precision, that of an orthogonal run.
+SEMI_ORTH_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 # dormqr's block size: it applies reflectors in blocks of this many, and a
 # set of at most this many unblocked.  PANEL is a multiple of it, so that
@@ -203,19 +209,22 @@ class LanczosResult:
     """Tridiagonal reduction after m steps.
 
     alphas has length m, betas length m-1 (strictly positive up to any
-    breakdown).  basis has the m Lanczos vectors as columns; it is an
-    n x m view of row-major storage, so not C-contiguous.  breakdown is
-    True when the recurrence exhausted the Krylov space before the
-    requested step count.  reorthogonalized counts the steps whose new
-    vector was swept against the kept basis.  m, the steps taken, is the
-    length of alphas.
+    breakdown).  breakdown is True when the recurrence exhausted the Krylov
+    space before the requested step count.  rerun is True when the
+    basis-free run lost semi-orthogonality and the result comes from the
+    kept-basis rerun.  basis is None on a basis-free run; on a rerun it has
+    the m Lanczos vectors as columns, an n x m view of row-major storage,
+    so not C-contiguous.  reorthogonalized counts the steps whose new
+    vector was swept against the kept basis (0 without a rerun).  m, the
+    steps taken, is the length of alphas.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
-    basis: np.ndarray
+    basis: np.ndarray | None
     breakdown: bool
     reorthogonalized: int
+    rerun: bool
 
     @property
     def m(self) -> int:
@@ -416,23 +425,32 @@ def lanczos(apply, v0, m) -> LanczosResult:
     below 1e-12 * (running norm estimate) truncates the run and sets the
     breakdown flag; a non-finite alpha or beta raises DomainError.
 
-    Partial reorthogonalization (Simon, Math. Comp. 1984): each step
-    advances Simon's recurrence for omega_i, an estimate of |v_{k+1}' v_i|
-    seeded at eps1 = eps sqrt(n) and grown by an eps1 (beta_i + beta_k)
-    rounding term.  Only when max_i omega_i exceeds REORTH_TOL = 1e-11,
-    and again at the step after, does the new vector get two classical
-    Gram-Schmidt sweeps against every kept one; its beta is then measured
-    again and its omegas reset to eps1.  The result's reorthogonalized
-    counts the steps that swept.
+    Each step advances Simon's recurrence for omega_i (Math. Comp. 1984),
+    an estimate of |v_{k+1}' v_i| seeded at eps1 = eps sqrt(n) and grown by
+    an eps1 (beta_i + beta_k) rounding term.  The run has two phases:
 
-    So the estimated |v_i' v_j| of any two basis vectors stays at most
-    REORTH_TOL.  omega is a model of the rounding, not a bound, but a
+    - Basis-free: the three-term recurrence holds only v_{k-1}, v_k and
+      the new vector.  While max_i omega_i stays at most SEMI_ORTH_TOL =
+      sqrt(eps), the vectors are semi-orthogonal and the tridiagonal is, to
+      working precision, that of an exactly orthogonal run (Simon; Paige).
+      A run that ends there returns basis None and rerun False.
+    - Kept-basis rerun: once omega passes SEMI_ORTH_TOL the basis-free run
+      is dropped, since past that level the quadrature of its tridiagonal
+      can drift (Greenbaum, LAA 1989), and the run restarts from v0
+      keeping every Lanczos vector.  Partial reorthogonalization: only when
+      max_i omega_i exceeds REORTH_TOL = 1e-11, and again at the step
+      after, does the new vector get two classical Gram-Schmidt sweeps
+      against every kept one; its beta is then measured again and its
+      omegas reset to eps1.  reorthogonalized counts the steps that swept.
+
+    So a rerun keeps the estimated |v_i' v_j| of any two basis vectors at
+    most REORTH_TOL.  omega is a model of the rounding, not a bound, but a
     pessimistic one: on the package's test operators the measured
     max |v_i' v_j| stayed below 1e-12 whether 0 or half of the steps swept,
     where the recurrence alone loses orthogonality to 1e-2 once Ritz
     values converge.
 
-    The basis is built one Lanczos vector per row of a C-contiguous
+    The kept basis is built one Lanczos vector per row of a C-contiguous
     m x n array, so each step reads and updates contiguous rows; the
     result's n x m basis is a transposed view of it, not a copy.
     """
@@ -440,15 +458,25 @@ def lanczos(apply, v0, m) -> LanczosResult:
     nrm = np.linalg.norm(v)
     if abs(nrm - 1.0) > 1e-12:
         raise ValueError("starting vector must have unit 2-norm")
-    n = v.shape[0]
     if not (isinstance(m, Integral) and m >= 1):
         raise ValueError(f"m >= 1 required, an integer, got {m!r}")
-    m = min(m, n)
+    m = min(m, v.shape[0])
+    res = _lanczos_run(apply, v, m, keep=False)
+    return res if res is not None else _lanczos_run(apply, v, m, keep=True)
 
-    basis = np.empty((m, n))
+
+def _lanczos_run(apply, v, m, keep):
+    """m Lanczos steps from the unit vector v.  keep=False holds no basis
+    and returns None once omega passes SEMI_ORTH_TOL; keep=True keeps the
+    basis and sweeps against it once omega passes REORTH_TOL."""
+    n = v.shape[0]
+    basis = np.empty((m, n)) if keep else None
+    tol = REORTH_TOL if keep else SEMI_ORTH_TOL
     alphas = np.zeros(m)
     betas = np.zeros(max(m - 1, 0))
-    basis[0] = v
+    if keep:
+        basis[0] = v
+        v = basis[0]
     v_prev = np.zeros(n)
     beta_prev = 0.0
     norm_est = 0.0
@@ -464,13 +492,12 @@ def lanczos(apply, v0, m) -> LanczosResult:
     reorthogonalized = 0
 
     for k in range(m):
-        vk = basis[k]
-        w = np.asarray(apply(vk), dtype=np.float64)
-        alpha = float(vk @ w)
+        w = np.asarray(apply(v), dtype=np.float64)
+        alpha = float(v @ w)
         if not np.isfinite(alpha):
             raise DomainError(f"lanczos step {k}: operator returned a non-finite alpha")
         # out of place first: apply may return its argument or an array it keeps
-        w = w - alpha * vk
+        w = w - alpha * v
         w -= beta_prev * v_prev
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)
@@ -492,7 +519,9 @@ def lanczos(apply, v0, m) -> LanczosResult:
             omega_prev[:k] = t / beta
             omega_prev[k:k + 2] = eps1, 1.0
             omega, omega_prev = omega_prev, omega
-            if sweep_next or np.abs(omega[:k + 1]).max() > REORTH_TOL:
+            if sweep_next or np.abs(omega[:k + 1]).max() > tol:
+                if not keep:
+                    return None
                 # two classical Gram-Schmidt sweeps against the kept rows
                 kept = basis[: k + 1]
                 for _ in range(2):
@@ -506,14 +535,15 @@ def lanczos(apply, v0, m) -> LanczosResult:
             breakdown = True
             break
         betas[k] = beta
-        v_prev = vk
-        np.divide(w, beta, out=basis[k + 1])
+        v_prev = v
+        v = np.divide(w, beta, out=basis[k + 1] if keep else None)
         beta_prev = beta
 
     return LanczosResult(
         alphas=alphas[:k_done].copy(),
         betas=betas[: max(k_done - 1, 0)].copy(),
-        basis=basis[:k_done].T,
+        basis=basis[:k_done].T if keep else None,
         breakdown=breakdown,
         reorthogonalized=reorthogonalized,
+        rerun=keep,
     )

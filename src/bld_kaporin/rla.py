@@ -7,18 +7,21 @@ tridiagonal T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k) with tau
 the first row of V, for f = identity and f = log.  The estimates are n
 times the probe mean.  Its trace term is Hutchinson's estimate
 (e1' T_m e1 = z' M z for the unit probe z), so no separate trace
-estimator is kept.  Lanczos keeps its basis orthogonal by partial
-reorthogonalization (linalg.lanczos), which the quadrature needs and no
-more (Ubaru, Chen and Saad, SIMAX 2017); the report counts the steps
-that swept.
+estimator is kept.  The quadrature reads only the tridiagonal, and needs
+it as from an orthogonal basis (Ubaru, Chen and Saad, SIMAX 2017).  So a
+probe holds three Lanczos vectors, not a basis, while its run stays
+semi-orthogonal (linalg.lanczos, SEMI_ORTH_TOL = sqrt(eps)); a probe whose
+run passes that level reruns with a kept m x n basis and partial
+reorthogonalization.  The report counts the probes that reran and the
+steps that swept.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
 surrogate -Gamma + (n - r) ln(alpha).
 
 Determinism: probe i draws from a generator seeded by (seed, i), and
-its Lanczos run decides when to reorthogonalize from its own recurrence
-alone, so a config reproduces bit-identical estimates regardless of probe
+its Lanczos run decides when to rerun and when to reorthogonalize from its
+own recurrence alone, so a config reproduces bit-identical estimates regardless of probe
 batching.
 """
 
@@ -70,8 +73,10 @@ class EstimateReport:
     n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
     probe), and probes_used is the number of probes.  breakdowns counts
     the probes whose Lanczos run exhausted its Krylov space before m
-    steps.  reorthogonalized counts the Lanczos steps that swept the new
-    vector against the kept basis, summed over probes.
+    steps.  reruns counts the probes whose basis-free Lanczos run lost
+    semi-orthogonality and was rerun with a kept basis.  reorthogonalized
+    counts the Lanczos steps that swept the new vector against the kept
+    basis, summed over probes; only the probes that reran sweep.
     """
 
     n: int
@@ -80,6 +85,7 @@ class EstimateReport:
     per_probe_trace: np.ndarray
     per_probe_logdet: np.ndarray
     breakdowns: int
+    reruns: int
     reorthogonalized: int
 
     @property
@@ -109,7 +115,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
-    breakdowns = reorthogonalized = 0
+    breakdowns = reruns = reorthogonalized = 0
     for i in range(cfg.n_v):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
@@ -118,9 +124,10 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
             raise DomainError("zero probe vector drawn")
         res = lanczos(apply, z / nz, cfg.m)
         breakdowns += int(res.breakdown)
+        reruns += int(res.rerun)
         reorthogonalized += res.reorthogonalized
         alphas, betas = res.alphas, res.betas
-        # the m x n basis goes before the next probe's lanczos makes its own
+        # a rerun's m x n basis goes before the next probe's lanczos runs
         del res
         ritz, vecs = sla.eigh_tridiagonal(alphas, betas)
         if np.any(ritz <= 0.0):
@@ -132,7 +139,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         tr_contribs[i] = float(tau2 @ ritz)
         ld_contribs[i] = float(tau2 @ np.log(ritz))
     return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
-                          tr_contribs, ld_contribs, breakdowns, reorthogonalized)
+                          tr_contribs, ld_contribs, breakdowns, reruns, reorthogonalized)
 
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,19 @@ class TestExitCodes:
         # every failure on a small network is reported through an exit code
         argv = [command, "--synthetic", "network", "--n", n, "--factor", factor]
         assert run(argv if rank is None else [*argv, "--rank", rank]) in (0, 1, 2)
+
+    def test_overflow_is_one_error_and_no_numpy_warning(self):
+        # at alpha = 1e-300 p'Ap overflows: PCG names it, and numpy's own
+        # RuntimeWarning blocks do not reach stderr before that error
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-m", "bld_kaporin.cli", "solve", "--synthetic",
+                              "network", "--n", "30", "--alpha", "1e-300"],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "curvature" in out.stderr
+        assert "RuntimeWarning" not in out.stderr
 
     def test_numerical_error_is_two(self, tmp_path):
         bad = tmp_path / "indef.mtx"
@@ -296,6 +313,8 @@ class TestSolveVerifyEstimate:
         assert float(cells["trace_stderr"]) > 0.0
         assert float(cells["logdet_stderr"]) > 0.0
         assert cells["breakdowns"] == "0"
+        # n = 70 probes stay semi-orthogonal for 20 steps: none reruns, none sweeps
+        assert cells["reruns"] == "0" and cells["reorthogonalized"] == "0"
         assert json.loads((tmp_path / "est.csv.json").read_text())["seeds"] == [3]
 
     def test_precondition_summary(self, mtx_path, capsys):

@@ -643,15 +643,18 @@ class TestLanczos:
         assert ritz.min() >= lam.min() - delta
         assert ritz.max() <= lam.max() + delta
 
-    def test_basis_is_a_view_of_row_storage(self):
-        rng = np.random.default_rng(12)
-        M = random_spd(40, rng)
-        v0 = rng.standard_normal(40)
-        v0 /= np.linalg.norm(v0)
-        res = lanczos(lambda x: M @ x, v0, m=8)
-        assert res.basis.shape == (40, 8)
+    def test_basis_is_a_view_of_row_storage(self, forced_loss_operator):
+        # 30 steps lose semi-orthogonality here, so the run keeps a basis;
+        # 8 steps stay semi-orthogonal and keep none
+        n, M = forced_loss_operator
+        v0 = _unit(n, 4)
+        res = lanczos(lambda x: M @ x, v0, m=30)
+        assert res.rerun
+        assert res.basis.shape == (n, 30)
         assert res.basis.base is not None and res.basis.flags.f_contiguous
         np.testing.assert_array_equal(res.basis[:, 0], v0)
+        short = lanczos(lambda x: M @ x, v0, m=8)
+        assert not short.rerun and short.basis is None
 
     def test_non_unit_start_rejected(self):
         with pytest.raises(ValueError):
@@ -700,7 +703,17 @@ def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
         beta_prev = beta
     return LanczosResult(alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
                          basis=basis[:k_done].T, breakdown=breakdown,
-                         reorthogonalized=max(k_done - 1, 0))
+                         reorthogonalized=max(k_done - 1, 0), rerun=False)
+
+
+@pytest.fixture(scope="module")
+def forced_loss_operator():
+    """Dense n = 300 operator whose spectrum spans 6 decades: its extreme
+    Ritz values converge fast, so the plain recurrence loses orthogonality."""
+    n = 300
+    W = haar_orthogonal(n, np.random.default_rng(3))
+    M = (W * np.geomspace(1.0, 1e-6, n)) @ W.T
+    return n, 0.5 * (M + M.T)
 
 
 @pytest.fixture(scope="module")
@@ -739,18 +752,19 @@ class TestPartialReorthogonalization:
         d = np.linspace(0.01, 1.0, n)
         v0 = _unit(n, 2)
         res, ref = lanczos(lambda x: d * x, v0, 30), full_reorth_lanczos(lambda x: d * x, v0, 30)
-        assert res.reorthogonalized == 0
+        assert not res.rerun and res.basis is None and res.reorthogonalized == 0
         np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
         np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
 
-    def test_forced_loss_of_orthogonality(self):
-        n = 300
+    def test_forced_loss_of_orthogonality(self, forced_loss_operator):
+        n, M = forced_loss_operator
         lam = np.geomspace(1.0, 1e-6, n)
-        W = haar_orthogonal(n, np.random.default_rng(3))
-        M = (W * lam) @ W.T
-        M = 0.5 * (M + M.T)
         res = lanczos(lambda x: M @ x, _unit(n, 4), 150)
-        assert res.m == 150 and res.reorthogonalized > 0
+        assert res.m == 150 and res.rerun and res.reorthogonalized > 0
+        # the rerun is the kept-basis run from the same start, bit for bit
+        kept = linalg._lanczos_run(lambda x: M @ x, _unit(n, 4), 150, keep=True)
+        np.testing.assert_array_equal(res.alphas, kept.alphas)
+        np.testing.assert_array_equal(res.betas, kept.betas)
         U = res.basis
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
         norm = np.linalg.norm(M, 2)
@@ -769,3 +783,17 @@ class TestPartialReorthogonalization:
         np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)
         np.testing.assert_allclose(est.per_probe_logdet, ref.per_probe_logdet, rtol=1e-12)
         assert 0 < est.reorthogonalized < ref.reorthogonalized
+
+    def test_slq_without_reruns_matches_full_reorthogonalization(self, monkeypatch):
+        # at n = 150 (rank 15) no probe's run passes sqrt(eps) in 30 steps:
+        # every probe keeps no basis and still gives the swept values
+        A = make_sparse_network(150, seed=14)
+        core = error_core(A, ic0(A))
+        op = sym_preconditioned_operator(A, Preconditioner(core.factor, bld_truncate(core, 15), 1.0))
+        cfg = rla.ProbeConfig(m=30, n_v=30, seed=15)
+        est = rla.slq_trace_logdet(op, 150, cfg)
+        assert est.reruns == 0 and est.reorthogonalized == 0
+        monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
+        ref = rla.slq_trace_logdet(op, 150, cfg)
+        np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)
+        np.testing.assert_allclose(est.per_probe_logdet, ref.per_probe_logdet, rtol=1e-12)

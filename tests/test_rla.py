@@ -174,12 +174,13 @@ class TestSlq:
         assert rep.breakdowns == 3
 
     def test_reorthogonalized_summed_over_probes(self, monkeypatch):
-        counts = []
+        counts, reruns = [], []
         lanczos = linalg.lanczos
 
         def recorded(apply, v0, m):
             res = lanczos(apply, v0, m)
             counts.append(res.reorthogonalized)
+            reruns.append(res.rerun)
             return res
 
         monkeypatch.setattr(rla, "lanczos", recorded)
@@ -187,6 +188,7 @@ class TestSlq:
         rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=40, n_v=4, seed=25))
         assert len(counts) == 4 and sum(counts) > 0
         assert rep.reorthogonalized == sum(counts)
+        assert rep.reruns == sum(reruns) > 0
 
     def test_monotone_accuracy_in_m(self):
         spec = np.linspace(0.5, 5.0, 100)
@@ -210,16 +212,33 @@ class TestSlq:
 
     def test_one_lanczos_basis_live_at_a_time(self):
         # the previous probe's m x n basis is dropped before the next probe
-        # builds its own: holding both reads about 2.2 bases
+        # builds its own: holding both reads about 2.2 bases.  Four outliers
+        # converge within 30 steps, so every probe reruns with a kept basis
+        n, m = 19600, 30
+        d = np.linspace(1.0, 10.0, n)
+        d[:4] = 100.0, 300.0, 1000.0, 3000.0
+        tracemalloc.start()
+        try:
+            rep = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=3, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reruns == 3
+        assert peak <= 1.5 * (8 * m * n)
+
+    def test_semi_orthogonal_probes_keep_no_basis(self):
+        # no probe reruns on an evenly spread spectrum, so each holds a few
+        # n-vectors, well under one m x n basis
         n, m = 19600, 30
         d = np.linspace(1.0, 10.0, n)
         tracemalloc.start()
         try:
-            slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=3, seed=0))
+            rep = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=3, seed=0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * (8 * m * n)
+        assert rep.reruns == 0
+        assert peak <= 12 * 8 * n
 
 
 class TestDerivedQuantities:
