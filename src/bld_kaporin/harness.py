@@ -526,9 +526,9 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
     probes is an iterable of ProbeConfig, one row each, carrying the
     config's m and n_v, the estimates of a one-config call, the standard
     errors of the trace and log-det estimates (empty for n_v = 1), the
-    number of probes whose Lanczos run broke down, the number that reran
-    with a kept basis, and the number of Lanczos steps that
-    reorthogonalized.  Requires n <= 2000, for the dense reference.
+    number of probes whose Lanczos run broke down, and the number that
+    lost semi-orthogonality and reran with full reorthogonalization.
+    Requires n <= 2000, for the dense reference.
     """
     n = A.n
     if n > 2000:
@@ -569,7 +569,6 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
                 "logdet_stderr": est.logdet_stderr,
                 "breakdowns": est.breakdowns,
                 "reruns": est.reruns,
-                "reorthogonalized": est.reorthogonalized,
             }
         )
     summary = {

@@ -205,7 +205,7 @@ def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
 
 def optimal_alpha(core: ErrorCore, term: LowRankTerm) -> float:
     """Divergence-minimizing complement scaling: mean of unselected 1+theta.
-    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 2)."""
     return core.rest(term).alpha_star
 
 
@@ -290,19 +290,19 @@ class Preconditioner:
 def divergence_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """Divergence of (A, P_alpha): trace - log det - n of P_alpha^-1 A, the
     sum of gamma((1+theta_i)/alpha - 1) over the unselected indices.
-    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 2)."""
     return core.rest(term).divergence(alpha)
 
 
 def ln_kaporin_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     """ln K of P_alpha^-1 A from its trace and log det.
-    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 2)."""
     return core.rest(term).ln_kaporin(alpha)
 
 
 def flat_interval(core: ErrorCore, term: LowRankTerm) -> tuple[float, float]:
     """[min, max] of the unselected 1+theta: the kappa2-flat alpha range.
-    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1)."""
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 2)."""
     rest = core.rest(term)
     return rest.lo, rest.hi
 
@@ -312,7 +312,7 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
 
     Equals max(1, L/alpha)/min(1, l/alpha) with [l, L] the flat interval;
     constant (= L/l) for alpha inside it, and for every alpha at rank 0.
-    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 1).
+    Kept for its one caller, benchmarks/workloads.py (ROADMAP item 2).
     """
     return core.rest(term).kappa2(alpha)
 

@@ -11,17 +11,16 @@ estimator is kept.  The quadrature reads only the tridiagonal, and needs
 it as from an orthogonal basis (Ubaru, Chen and Saad, SIMAX 2017).  So a
 probe holds three Lanczos vectors, not a basis, while its run stays
 semi-orthogonal (linalg.lanczos, SEMI_ORTH_TOL = sqrt(eps)); a probe whose
-run passes that level reruns with a kept m x n basis and partial
-reorthogonalization.  The report counts the probes that reran and the
-steps that swept.
+run passes that level reruns with full reorthogonalization, against a
+kept m x n basis.  The report counts the probes that reran.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
 surrogate -Gamma + (n - r) ln(alpha).
 
 Determinism: probe i draws from a generator seeded by (seed, i), and
-its Lanczos run decides when to rerun and when to reorthogonalize from its
-own recurrence alone, so a config reproduces bit-identical estimates regardless of probe
+its Lanczos run decides whether to rerun from its own recurrence alone,
+so a config reproduces bit-identical estimates regardless of probe
 batching.
 """
 
@@ -74,9 +73,7 @@ class EstimateReport:
     probe), and probes_used is the number of probes.  breakdowns counts
     the probes whose Lanczos run exhausted its Krylov space before m
     steps.  reruns counts the probes whose basis-free Lanczos run lost
-    semi-orthogonality and was rerun with a kept basis.  reorthogonalized
-    counts the Lanczos steps that swept the new vector against the kept
-    basis, summed over probes; only the probes that reran sweep.
+    semi-orthogonality and was rerun with full reorthogonalization.
     """
 
     n: int
@@ -86,7 +83,6 @@ class EstimateReport:
     per_probe_logdet: np.ndarray
     breakdowns: int
     reruns: int
-    reorthogonalized: int
 
     @property
     def probes_used(self) -> int:
@@ -115,7 +111,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
-    breakdowns = reruns = reorthogonalized = 0
+    breakdowns = reruns = 0
     for i in range(cfg.n_v):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
@@ -125,7 +121,6 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         res = lanczos(apply, z / nz, cfg.m)
         breakdowns += int(res.breakdown)
         reruns += int(res.rerun)
-        reorthogonalized += res.reorthogonalized
         alphas, betas = res.alphas, res.betas
         # a rerun's m x n basis goes before the next probe's lanczos runs
         del res
@@ -139,7 +134,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         tr_contribs[i] = float(tau2 @ ritz)
         ld_contribs[i] = float(tau2 @ np.log(ritz))
     return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
-                          tr_contribs, ld_contribs, breakdowns, reruns, reorthogonalized)
+                          tr_contribs, ld_contribs, breakdowns, reruns)
 
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:

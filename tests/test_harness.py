@@ -358,5 +358,4 @@ class TestEstimatorStudy:
         assert row["rel_err_d_ld"] <= 0.1
         assert row["sign_ln_k_gap"] in (-1, 0, 1)
         # every probe's run stays semi-orthogonal for 30 steps: none reruns
-        # with a kept basis, so none sweeps
-        assert row["reruns"] == 0 and row["reorthogonalized"] == 0
+        assert row["reruns"] == 0

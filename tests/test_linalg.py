@@ -702,8 +702,7 @@ def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
         basis[k + 1] = w / beta
         beta_prev = beta
     return LanczosResult(alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
-                         basis=basis[:k_done].T, breakdown=breakdown,
-                         reorthogonalized=max(k_done - 1, 0), rerun=False)
+                         basis=basis[:k_done].T, breakdown=breakdown, rerun=False)
 
 
 @pytest.fixture(scope="module")
@@ -730,18 +729,26 @@ def _unit(n, seed):
     return v / np.linalg.norm(v)
 
 
+def _assert_same_run(res, ref):
+    np.testing.assert_array_equal(res.alphas, ref.alphas)
+    np.testing.assert_array_equal(res.betas, ref.betas)
+    np.testing.assert_array_equal(res.basis, ref.basis)
+
+
 class TestPartialReorthogonalization:
+    """The basis-free regime while omega stays at most sqrt(eps), and the
+    full-reorthogonalization rerun past it, against full_reorth_lanczos."""
+
     def test_matches_full_reorthogonalization_on_network(self, network_operator):
         # the Ritz values converge within 30 steps: the unswept three-term
-        # recurrence loses orthogonality to 1e-2 here, so sweeps are needed,
-        # but only at some steps
+        # recurrence loses orthogonality to 1e-2 here, so the run reruns,
+        # and the rerun is the full-reorthogonalization run bit for bit
         n, op = network_operator
         v0 = _unit(n, 1)
         res, ref = lanczos(op, v0, 30), full_reorth_lanczos(op, v0, 30)
         assert res.m == ref.m == 30 and not res.breakdown
-        assert 0 < res.reorthogonalized < res.m - 1
-        np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
-        np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
+        assert res.rerun
+        _assert_same_run(res, ref)
         U = res.basis
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
 
@@ -752,21 +759,39 @@ class TestPartialReorthogonalization:
         d = np.linspace(0.01, 1.0, n)
         v0 = _unit(n, 2)
         res, ref = lanczos(lambda x: d * x, v0, 30), full_reorth_lanczos(lambda x: d * x, v0, 30)
-        assert not res.rerun and res.basis is None and res.reorthogonalized == 0
+        assert not res.rerun and res.basis is None
         np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
         np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
+
+    def test_rerun_repeats_the_dropped_steps(self, network_operator):
+        # a basis-free run makes one apply per step; a rerun restarts from v0
+        # and repeats the applies of the run it dropped
+        def counted(op):
+            def apply(x):
+                calls.append(1)
+                return op(x)
+            return apply
+
+        d = np.linspace(0.01, 1.0, 2000)
+        calls = []
+        assert not lanczos(counted(lambda x: d * x), _unit(2000, 2), 30).rerun
+        assert len(calls) == 30
+        n, op = network_operator
+        calls = []
+        assert lanczos(counted(op), _unit(n, 1), 30).rerun
+        assert 30 + 1 <= len(calls) <= 2 * 30 - 1
 
     def test_forced_loss_of_orthogonality(self, forced_loss_operator):
         n, M = forced_loss_operator
         lam = np.geomspace(1.0, 1e-6, n)
         res = lanczos(lambda x: M @ x, _unit(n, 4), 150)
-        assert res.m == 150 and res.rerun and res.reorthogonalized > 0
-        # the rerun is the kept-basis run from the same start, bit for bit
-        kept = linalg._lanczos_run(lambda x: M @ x, _unit(n, 4), 150, keep=True)
-        np.testing.assert_array_equal(res.alphas, kept.alphas)
-        np.testing.assert_array_equal(res.betas, kept.betas)
+        assert res.m == 150 and res.rerun
+        # the rerun is the full-reorthogonalization run from the same start,
+        # bit for bit
+        _assert_same_run(res, full_reorth_lanczos(lambda x: M @ x, _unit(n, 4), 150))
         U = res.basis
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
+        assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-13
         norm = np.linalg.norm(M, 2)
         assert np.abs(U.T @ (M @ U) - res.tridiagonal()).max() <= 1e-8 * norm
         ritz = np.linalg.eigvalsh(res.tridiagonal())
@@ -780,9 +805,10 @@ class TestPartialReorthogonalization:
         est = rla.slq_trace_logdet(op, n, cfg)
         monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
         ref = rla.slq_trace_logdet(op, n, cfg)
-        np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)
-        np.testing.assert_allclose(est.per_probe_logdet, ref.per_probe_logdet, rtol=1e-12)
-        assert 0 < est.reorthogonalized < ref.reorthogonalized
+        # every probe reruns, so every probe is the reference's bit for bit
+        assert est.reruns == 4
+        np.testing.assert_array_equal(est.per_probe_trace, ref.per_probe_trace)
+        np.testing.assert_array_equal(est.per_probe_logdet, ref.per_probe_logdet)
 
     def test_slq_without_reruns_matches_full_reorthogonalization(self, monkeypatch):
         # at n = 150 (rank 15) no probe's run passes sqrt(eps) in 30 steps:
@@ -792,7 +818,7 @@ class TestPartialReorthogonalization:
         op = sym_preconditioned_operator(A, Preconditioner(core.factor, bld_truncate(core, 15), 1.0))
         cfg = rla.ProbeConfig(m=30, n_v=30, seed=15)
         est = rla.slq_trace_logdet(op, 150, cfg)
-        assert est.reruns == 0 and est.reorthogonalized == 0
+        assert est.reruns == 0
         monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
         ref = rla.slq_trace_logdet(op, 150, cfg)
         np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)

@@ -173,21 +173,19 @@ class TestSlq:
         rep = slq_trace_logdet(lambda x: 2.0 * x, 12, ProbeConfig(m=5, n_v=3, seed=23))
         assert rep.breakdowns == 3
 
-    def test_reorthogonalized_summed_over_probes(self, monkeypatch):
-        counts, reruns = [], []
+    def test_reruns_summed_over_probes(self, monkeypatch):
+        reruns = []
         lanczos = linalg.lanczos
 
         def recorded(apply, v0, m):
             res = lanczos(apply, v0, m)
-            counts.append(res.reorthogonalized)
             reruns.append(res.rerun)
             return res
 
         monkeypatch.setattr(rla, "lanczos", recorded)
         A = make_sparse_network(200, seed=24).to_dense()
         rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=40, n_v=4, seed=25))
-        assert len(counts) == 4 and sum(counts) > 0
-        assert rep.reorthogonalized == sum(counts)
+        assert len(reruns) == 4
         assert rep.reruns == sum(reruns) > 0
 
     def test_monotone_accuracy_in_m(self):
