@@ -2,6 +2,7 @@
 
 Subcommands: info, precondition, sweep-alpha, solve, verify, estimate.
 Exit codes: 0 success, 1 usage error, 2 numerical/domain error.
+Every subcommand takes --seed, an integer at least 0.
 Diagnostics go to stderr; human-readable summaries to stdout; machine
 output only to the file named by --out, and the summary of a table
 command (sweep-alpha, solve, estimate) to <out>.json beside it.
@@ -291,6 +292,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         with np.errstate(all="ignore"):
             return _COMMANDS[args.command](args)
     except UsageError as exc:

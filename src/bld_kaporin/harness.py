@@ -141,8 +141,8 @@ def _ln_k(spec: np.ndarray) -> float:
 class _Trial:
     """What the batteries of one trial share, drawn from SeedSequence([seed, t])
     in a fixed order: the order n, the dense SPD pair A, P, and the seed of a
-    sparse network As of order max(12, n), selected by IC(0) at rank
-    max(1, As.n // 5) with P_star its P_alpha*."""
+    sparse network As of order max(12, n), and build_preconditioner's
+    (term, rest, P_star) for As with IC(0) at rank max(1, As.n // 5)."""
 
     def __init__(self, seed: int, t: int, n_range):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
@@ -152,14 +152,10 @@ class _Trial:
         self.d = dv.bregman_logdet(self.A, self.P)
         self.spec = dv.preconditioned_spectrum(self.A, self.P)
         self.ln_k = _ln_k(self.spec)
-        # the core itself, not build_preconditioner: bld_beats_tsvd truncates
-        # it again at other ranks
-        self.core = pc.error_core(self.As, ic0(self.As))
-        self.term = pc.bld_truncate(self.core, max(1, self.As.n // 5))
-        self.rest = self.core.rest(self.term)
+        self.term, self.rest, self.P_star = build_preconditioner(self.As, "ic0",
+                                                                 max(1, self.As.n // 5))
         self.a_star = self.rest.alpha_star
         self.d_star = self.rest.divergence(self.a_star)
-        self.P_star = pc.Preconditioner(self.core.factor, self.term, self.a_star)
 
 
 def _congruence_invariance(tr: _Trial, rng) -> float:
@@ -213,7 +209,7 @@ def _alpha_star_grid_minimum(tr: _Trial, rng) -> float:
 
 def _four_way_identity(tr: _Trial, rng) -> float:
     """D = ln K = -ln det(P_alpha*^-1 A) = -ln det(P_1^-1 A) + (n - r) ln alpha*."""
-    P_one = pc.Preconditioner(tr.core.factor, tr.term, 1.0)
+    P_one = pc.Preconditioner(tr.P_star.factor, tr.term, 1.0)
     four = [tr.d_star, tr.rest.ln_kaporin(tr.a_star), -pc.preconditioned_logdet(tr.As, tr.P_star),
             -pc.preconditioned_logdet(tr.As, P_one) + (tr.As.n - tr.term.r) * math.log(tr.a_star)]
     return (max(four) - min(four)) / max(abs(tr.d_star), 1e-30)
@@ -230,7 +226,7 @@ def _kappa2_flat_interval(tr: _Trial, rng) -> float:
 
 def _bld_beats_tsvd(tr: _Trial, rng) -> float:
     """At alpha = 1 the gamma pick leaves no more divergence than TSVD."""
-    core = tr.core
+    core = pc.error_core(tr.As, tr.P_star.factor)
     return max(core.rest(pc.bld_truncate(core, r)).divergence(1.0)
                - core.rest(pc.tsvd_truncate(core, r)).divergence(1.0)
                for r in sorted({0, 1, tr.term.r, tr.As.n // 3}))

@@ -15,7 +15,8 @@ regimes.  It first keeps no basis, only the last two Lanczos vectors,
 while Simon's omega-recurrence estimates that orthogonality has been lost
 by no more than SEMI_ORTH_TOL = sqrt(eps); a run that passes that level
 is rerun from the same start with full reorthogonalization, a kept basis
-against which every new vector is swept twice.
+against which every new vector is swept twice.  Either regime hands back
+only the tridiagonal; the rerun's basis is freed with the run.
 
 Memory: the dense kernels work in blocks of PANEL = 64 columns, so none
 holds more than two n x n arrays at once, most hold one, and a kernel's
@@ -82,8 +83,8 @@ class LowerTriFactor:
     shift records the relative diagonal boost that was needed to complete
     an ic0 run (0 when none was).  values holds Q as float64 CSR, and a
     float64 CSR argument is kept, not copied; it gives the order n.  A
-    non-square values, or one storing an entry above the diagonal, raises
-    ValueError naming it, as SparseSymMatrix does.  A SuperLU handle on it
+    non-square values, or one storing an entry above the diagonal or a
+    non-finite entry, raises ValueError naming it.  A SuperLU handle on it
     is built once here and serves every triangular solve.
     """
 
@@ -96,6 +97,11 @@ class LowerTriFactor:
         if values.shape[0] != values.shape[1]:
             raise ValueError(f"factor must be square, got shape {values.shape}")
         _check_lower(values)
+        bad = np.flatnonzero(~np.isfinite(values.data))
+        if bad.size:
+            row = np.searchsorted(values.indptr, bad[0], side="right") - 1
+            raise ValueError(f"factor has a non-finite entry at (row, col) = "
+                             f"({row}, {values.indices[bad[0]]})")
         if np.any(values.diagonal() <= 0):
             raise SingularFactorError("factor has a nonpositive diagonal entry")
         object.__setattr__(self, "values", values)
@@ -203,33 +209,23 @@ class EigenDecomposition:
 
 @dataclass(frozen=True)
 class LanczosResult:
-    """Tridiagonal reduction after m steps.
-
-    alphas has length m, betas length m-1 (strictly positive up to any
-    breakdown).  breakdown is True when the recurrence exhausted the Krylov
-    space before the requested step count.  rerun is True when the
-    basis-free run lost semi-orthogonality and the result comes from the
-    rerun with full reorthogonalization.  basis is None on a basis-free
-    run; on a rerun it has the m Lanczos vectors as columns, an n x m view
-    of row-major storage, so not C-contiguous.  m, the steps taken, is the
-    length of alphas.
+    """The Lanczos tridiagonal after m steps, and nothing else: its
+    diagonal alphas (length m) and off-diagonal betas (length m-1, strictly
+    positive up to any breakdown).  breakdown is True when the recurrence
+    exhausted the Krylov space before the requested step count.  rerun is
+    True when the basis-free run lost semi-orthogonality and the
+    tridiagonal comes from the rerun with full reorthogonalization.  m, the
+    steps taken, is the length of alphas.
     """
 
     alphas: np.ndarray
     betas: np.ndarray
-    basis: np.ndarray | None
     breakdown: bool
     rerun: bool
 
     @property
     def m(self) -> int:
         return self.alphas.size
-
-    def tridiagonal(self) -> np.ndarray:
-        T = np.diag(self.alphas)
-        if self.m > 1:
-            T += np.diag(self.betas, 1) + np.diag(self.betas, -1)
-        return T
 
 
 def spd_cholesky(X, what="matrix") -> np.ndarray:
@@ -290,18 +286,18 @@ def ic0(A: SparseSymMatrix) -> LowerTriFactor:
     The loop runs over flat raw buffers: memoryviews of the lower CSR's
     own indptr, indices and data, and each attempt overwrites a fresh copy
     of data entry by entry.  So every access is a Python int or float, not
-    a numpy scalar, and no per-row array is built.  The factor keeps the
-    pattern, indices and indptr of A's lower triangle.
+    a numpy scalar, and no per-row array is built.  A's lower triangle is
+    a canonical float64 CSR (SparseSymMatrix), and the factor keeps its
+    pattern, indices and indptr.
     """
     if not isinstance(A, SparseSymMatrix):
         A = SparseSymMatrix.from_dense(A)
     if np.any(A.diagonal() <= 0):
         raise NotPositiveDefiniteError("ic0 requires a strictly positive diagonal")
-    lower = A.lower.tocsr()
+    lower = A.lower
     ptr, col = memoryview(lower.indptr), memoryview(lower.indices)
-    data = np.asarray(lower.data, dtype=np.float64)
     beta = 0.0
-    while (val := _ic0_attempt(ptr, col, data, beta)) is None:
+    while (val := _ic0_attempt(ptr, col, lower.data, beta)) is None:
         beta = 1e-3 if beta == 0.0 else 2.0 * beta
         if beta > 1.0:
             raise FactorizationError("ic0 breakdown persists past shift 1.0")
@@ -428,7 +424,7 @@ def lanczos(apply, v0, m) -> LanczosResult:
       term.  While max_i omega_i stays at most SEMI_ORTH_TOL = sqrt(eps),
       the vectors are semi-orthogonal and the tridiagonal is, to working
       precision, that of an exactly orthogonal run (Simon; Paige).  A run
-      that ends there returns basis None and rerun False.
+      that ends there says rerun False.
     - Full reorthogonalization: once omega passes SEMI_ORTH_TOL the
       basis-free run is dropped, since past that level the quadrature of
       its tridiagonal can drift (Greenbaum, LAA 1989), and the run
@@ -441,9 +437,9 @@ def lanczos(apply, v0, m) -> LanczosResult:
     2m - 1.  With m = 30 on an IC(0)-preconditioned network matrix of
     order 2000, a run gives up after 15 or 16 applies and makes 45 or 46.
 
-    The kept basis is built one Lanczos vector per row of a C-contiguous
-    m x n array, so each step reads and updates contiguous rows; the
-    result's n x m basis is a transposed view of it, not a copy.
+    Either way the result is the tridiagonal alone.  A rerun keeps its
+    basis one Lanczos vector per row of a C-contiguous m x n array, so each
+    step reads and updates contiguous rows, and frees it when it returns.
     """
     v = np.asarray(v0, dtype=np.float64)
     nrm = np.linalg.norm(v)
@@ -459,7 +455,8 @@ def lanczos(apply, v0, m) -> LanczosResult:
 def _lanczos_run(apply, v, m, keep):
     """m Lanczos steps from the unit vector v.  keep=False holds no basis
     and returns None once omega passes SEMI_ORTH_TOL; keep=True keeps the
-    basis and sweeps every new vector twice against it."""
+    basis, a local freed on return, and sweeps every new vector twice
+    against it."""
     n = v.shape[0]
     basis = np.empty((m, n)) if keep else None
     alphas = np.zeros(m)
@@ -521,10 +518,5 @@ def _lanczos_run(apply, v, m, keep):
         v = np.divide(w, beta, out=basis[k + 1] if keep else None)
         beta_prev = beta
 
-    return LanczosResult(
-        alphas=alphas[:k_done].copy(),
-        betas=betas[: max(k_done - 1, 0)].copy(),
-        basis=basis[:k_done].T if keep else None,
-        breakdown=breakdown,
-        rerun=keep,
-    )
+    return LanczosResult(alphas[:k_done].copy(), betas[: max(k_done - 1, 0)].copy(),
+                         breakdown, rerun=keep)

@@ -7,7 +7,8 @@ The on-disk format is the coordinate Matrix Market exchange format
 (`%%MatrixMarket matrix coordinate real symmetric|general`).  A symmetric
 matrix is held as its lower triangle; both triangles are assembled into
 one CSR matrix the first time a product or a dense copy asks for them,
-and kept for every later one.  Its entries are finite by construction.
+and kept for every later one.  Its lower triangle is a canonical CSR with
+finite entries by construction.
 """
 
 from __future__ import annotations
@@ -49,16 +50,28 @@ class SparseSymMatrix:
     Only entries with row >= col are stored; products go through `full`,
     both triangles as one CSR matrix built on first use.  The order n is
     lower's; a non-square lower, or one storing an entry above the
-    diagonal, raises ValueError.  Both builders reject a non-finite entry;
-    positive definiteness is not checked here.
+    diagonal, raises ValueError.  lower is kept as a canonical float64
+    CSR, columns sorted within each row and duplicates summed: an input
+    that is one is kept without a copy, any other is canonicalized in a
+    copy, so the caller's arrays never change.  A non-finite entry, after
+    duplicates are summed, raises MatrixMarketError.  Positive
+    definiteness is not checked here.
     """
 
     lower: sp.csr_matrix = field(repr=False)
 
     def __post_init__(self):
-        if self.lower.shape[0] != self.lower.shape[1]:
-            raise ValueError(f"lower triangle must be square, got shape {self.lower.shape}")
-        _check_lower(self.lower.tocsr())
+        lower = sp.csr_matrix(self.lower, dtype=np.float64)
+        if lower.shape[0] != lower.shape[1]:
+            raise ValueError(f"lower triangle must be square, got shape {lower.shape}")
+        if not lower.has_canonical_format:
+            lower = lower.copy()
+            lower.sum_duplicates()
+        _check_lower(lower)
+        # after summing, so duplicates summing to inf + -inf are caught
+        if not np.isfinite(lower.data).all():
+            raise MatrixMarketError("matrix has a non-finite entry")
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n(self) -> int:
@@ -70,7 +83,8 @@ class SparseSymMatrix:
 
         Entries may address either triangle; each is folded onto the lower
         one.  Duplicate coordinates are summed, Matrix Market style, and a
-        sum that is not finite raises MatrixMarketError.
+        sum that is not finite raises MatrixMarketError (the constructor's
+        check).
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -80,10 +94,6 @@ class SparseSymMatrix:
         lo_r = np.maximum(rows, cols)
         lo_c = np.minimum(rows, cols)
         lower = sp.coo_matrix((vals, (lo_r, lo_c)), shape=(n, n)).tocsr()
-        lower.sum_duplicates()
-        # after assembly, so duplicates summing to inf + -inf are caught
-        if not np.isfinite(lower.data).all():
-            raise MatrixMarketError("matrix has a non-finite entry")
         lower.eliminate_zeros()
         return SparseSymMatrix(lower)
 

@@ -215,7 +215,8 @@ class Preconditioner:
 
     alpha = 1 gives the plain low-rank corrected factorization
     P = Q(I + V D V^T) Q^T.  Immutable; apply_inverse is reentrant.  V must
-    have one row per row of Q, else ValueError.
+    have one row per row of Q, else ValueError, and 1 + D must be finite
+    and positive, else DomainError.
     """
 
     factor: LowerTriFactor
@@ -228,8 +229,9 @@ class Preconditioner:
             raise ValueError(f"V must have one row per factor row, got {rows} rows "
                              f"for a factor of order {self.factor.n}")
         _check_alpha(self.alpha)
-        if np.any(1.0 + self.low_rank.D <= 0.0):
-            raise DomainError("I + D must be positive definite")
+        d = 1.0 + self.low_rank.D
+        if not np.all((0.0 < d) & (d < np.inf)):
+            raise DomainError("I + D must be finite and positive definite")
 
     @property
     def n(self) -> int:

@@ -11,8 +11,9 @@ estimator is kept.  The quadrature reads only the tridiagonal, and needs
 it as from an orthogonal basis (Ubaru, Chen and Saad, SIMAX 2017).  So a
 probe holds three Lanczos vectors, not a basis, while its run stays
 semi-orthogonal (linalg.lanczos, SEMI_ORTH_TOL = sqrt(eps)); a probe whose
-run passes that level reruns with full reorthogonalization, against a
-kept m x n basis.  The report counts the probes that reran.
+run passes that level reruns with full reorthogonalization, against an
+m x n basis that the run frees when it hands back its tridiagonal, the
+only result lanczos gives.  The report counts the probes that reran.
 
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
@@ -121,10 +122,7 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         res = lanczos(apply, z / nz, cfg.m)
         breakdowns += int(res.breakdown)
         reruns += int(res.rerun)
-        alphas, betas = res.alphas, res.betas
-        # a rerun's m x n basis goes before the next probe's lanczos runs
-        del res
-        ritz, vecs = sla.eigh_tridiagonal(alphas, betas)
+        ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
         if np.any(ritz <= 0.0):
             raise NotPositiveDefiniteError(
                 f"nonpositive Ritz value on probe {i}: operator is not SPD",

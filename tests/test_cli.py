@@ -157,6 +157,17 @@ class TestExitCodes:
         assert "usage error" in err
         assert named in err
 
+    @pytest.mark.parametrize("command", ["info", "precondition", "sweep-alpha", "solve",
+                                         "verify", "estimate"])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        matrix = [] if command == "verify" else ["--synthetic", "network", "--n", "30"]
+        out_flag = [] if command == "info" else ["--out", str(out)]
+        assert run([command, *matrix, *out_flag, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and "--seed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0.5,2,5", "0.5,2,5,log,x", "a,2,5,log", "0.5,2,x,log",
                                       "1,2,1,log", "2,1,5,log", "0,2,5,log", "0.5,2,5,cubic",
                                       "1,inf,5,log", "nan,2,5,log"])

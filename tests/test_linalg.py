@@ -247,6 +247,43 @@ class TestIc0MatchesOracle:
         assert _ic0_attempt_csr(A, 0.0) is None
 
 
+class TestCanonicalLower:
+    """SparseSymMatrix canonicalizes a CSR in a copy, so ic0, which walks
+    each row as sorted and free of duplicates, reads the matrix it holds."""
+
+    def test_reversed_rows_give_the_factor_of_the_sorted_matrix(self):
+        A = make_sparse_network(50, seed=0)
+        lo = A.lower
+        data, indices = lo.data.copy(), lo.indices.copy()
+        for i in range(A.n):
+            row = slice(lo.indptr[i], lo.indptr[i + 1])
+            data[row], indices[row] = data[row][::-1], indices[row][::-1]
+        rev = sp.csr_matrix((data, indices, lo.indptr.copy()), shape=lo.shape)
+        given = rev.copy()
+        got, want = ic0(SparseSymMatrix(rev)), ic0(A)
+        assert got.shift == want.shift == 0.0
+        _assert_same_csr(got.values, want.values)
+        _assert_same_csr(rev, given)
+
+    def test_duplicates_summed_before_factoring(self):
+        # diag(2, 2) with its (0, 0) entry stored twice, as 1 + 1
+        dup = sp.csr_matrix((np.array([1.0, 1.0, 2.0]), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                            shape=(2, 2))
+        given = dup.copy()
+        got = ic0(SparseSymMatrix(dup))
+        want = ic0(SparseSymMatrix.from_coo(2, [0, 0, 1], [0, 0, 1], [1.0, 1.0, 2.0]))
+        assert got.shift == want.shift == 0.0
+        assert got.to_dense()[0, 0] == np.sqrt(2.0)
+        _assert_same_csr(got.values, want.values)
+        _assert_same_csr(dup, given)
+
+    def test_canonical_csr_kept_without_copy(self):
+        lo = make_sparse_network(30, seed=1).lower
+        A = SparseSymMatrix(lo)
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A.lower, part), getattr(lo, part))
+
+
 class TestIc0:
     def test_diagonal_input(self):
         A = SparseSymMatrix.from_coo(2, [0, 1], [0, 1], [2.0, 1.0])
@@ -574,6 +611,14 @@ class TestTriSolve:
         with pytest.raises(SingularFactorError):
             LowerTriFactor(np.diag([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad, at", [(np.inf, (1, 1)), (np.nan, (2, 0)), (-np.inf, (2, 1))])
+    def test_non_finite_entry_named(self, bad, at):
+        # an inf pivot would solve to 0 in its component, a NaN fail in SuperLU
+        dense = np.diag([1.0, 2.0, 3.0])
+        dense[at] = bad
+        with pytest.raises(ValueError, match=re.escape(f"non-finite entry at (row, col) = {at}")):
+            LowerTriFactor(sp.csr_matrix(dense))
+
     @pytest.mark.parametrize("shape", [(6, 8), (8, 6)])
     def test_non_square_factor_rejected(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"must be square, got shape {shape}")):
@@ -617,7 +662,7 @@ class TestLanczos:
         d = np.array([1.0, 2.0, 3.0])
         v0 = np.ones(3) / np.sqrt(3.0)
         res = lanczos(lambda x: d * x, v0, m=3)
-        vals = np.sort(np.linalg.eigvalsh(res.tridiagonal()))
+        vals = np.sort(np.linalg.eigvalsh(_tridiagonal(res)))
         np.testing.assert_allclose(vals, [1.0, 2.0, 3.0], rtol=1e-12)
 
     def test_invariant_start_vector(self):
@@ -632,10 +677,14 @@ class TestLanczos:
         M = random_spd(60, rng, kappa=1e3)
         v0 = rng.standard_normal(60)
         v0 /= np.linalg.norm(v0)
+        # the run reruns, so its tridiagonal is the reference's bit for bit,
+        # and the reference's basis stands for the one the rerun freed
         res = lanczos(lambda x: M @ x, v0, m=25)
-        U = res.basis
+        ref, U = full_reorth_lanczos(lambda x: M @ x, v0, 25)
+        assert res.rerun
+        _assert_same_run(res, ref)
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
-        T = res.tridiagonal()
+        T = _tridiagonal(res)
         assert np.abs(U.T @ (M @ U) - T).max() <= 1e-8 * np.linalg.norm(M, 2)
         lam = np.linalg.eigvalsh(M)
         ritz = np.linalg.eigvalsh(T)
@@ -643,18 +692,18 @@ class TestLanczos:
         assert ritz.min() >= lam.min() - delta
         assert ritz.max() <= lam.max() + delta
 
-    def test_basis_is_a_view_of_row_storage(self, forced_loss_operator):
-        # 30 steps lose semi-orthogonality here, so the run keeps a basis;
-        # 8 steps stay semi-orthogonal and keep none
+    def test_rerun_only_past_semi_orthogonality(self, forced_loss_operator):
+        # 30 steps lose semi-orthogonality here, so the run reruns; 8 steps
+        # stay semi-orthogonal and do not
         n, M = forced_loss_operator
         v0 = _unit(n, 4)
-        res = lanczos(lambda x: M @ x, v0, m=30)
-        assert res.rerun
-        assert res.basis.shape == (n, 30)
-        assert res.basis.base is not None and res.basis.flags.f_contiguous
-        np.testing.assert_array_equal(res.basis[:, 0], v0)
-        short = lanczos(lambda x: M @ x, v0, m=8)
-        assert not short.rerun and short.basis is None
+        assert lanczos(lambda x: M @ x, v0, m=30).rerun
+        assert not lanczos(lambda x: M @ x, v0, m=8).rerun
+
+    def test_result_is_the_tridiagonal_alone(self):
+        fields = {f.name for f in dataclasses.fields(LanczosResult)}
+        assert fields == {"alphas", "betas", "breakdown", "rerun"}
+        assert not hasattr(LanczosResult, "tridiagonal")
 
     def test_non_unit_start_rejected(self):
         with pytest.raises(ValueError):
@@ -667,8 +716,10 @@ class TestLanczos:
         assert lanczos(lambda x: np.array([2.0, 3.0]) * x, v0, m=np.int64(2)).m == 2
 
 
-def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
-    """Reference Lanczos: two classical Gram-Schmidt sweeps at every step."""
+def full_reorth_lanczos(apply, v0, m):
+    """Reference Lanczos: two classical Gram-Schmidt sweeps at every step.
+
+    Returns the result and the n x m basis U of its Lanczos vectors."""
     n = v0.shape[0]
     m = min(int(m), n)
     basis = np.empty((m, n))
@@ -701,8 +752,21 @@ def full_reorth_lanczos(apply, v0, m) -> LanczosResult:
         v_prev = vk
         basis[k + 1] = w / beta
         beta_prev = beta
-    return LanczosResult(alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
-                         basis=basis[:k_done].T, breakdown=breakdown, rerun=False)
+    res = LanczosResult(alphas=alphas[:k_done], betas=betas[: max(k_done - 1, 0)],
+                        breakdown=breakdown, rerun=False)
+    return res, basis[:k_done].T
+
+
+def full_reorth_result(apply, v0, m) -> LanczosResult:
+    """full_reorth_lanczos's result alone, in lanczos's place."""
+    return full_reorth_lanczos(apply, v0, m)[0]
+
+
+def _tridiagonal(res) -> np.ndarray:
+    T = np.diag(res.alphas)
+    if res.m > 1:
+        T += np.diag(res.betas, 1) + np.diag(res.betas, -1)
+    return T
 
 
 @pytest.fixture(scope="module")
@@ -732,7 +796,6 @@ def _unit(n, seed):
 def _assert_same_run(res, ref):
     np.testing.assert_array_equal(res.alphas, ref.alphas)
     np.testing.assert_array_equal(res.betas, ref.betas)
-    np.testing.assert_array_equal(res.basis, ref.basis)
 
 
 class TestPartialReorthogonalization:
@@ -745,11 +808,10 @@ class TestPartialReorthogonalization:
         # and the rerun is the full-reorthogonalization run bit for bit
         n, op = network_operator
         v0 = _unit(n, 1)
-        res, ref = lanczos(op, v0, 30), full_reorth_lanczos(op, v0, 30)
+        res, (ref, U) = lanczos(op, v0, 30), full_reorth_lanczos(op, v0, 30)
         assert res.m == ref.m == 30 and not res.breakdown
         assert res.rerun
         _assert_same_run(res, ref)
-        U = res.basis
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
 
     def test_no_sweep_while_orthogonality_holds(self):
@@ -758,8 +820,8 @@ class TestPartialReorthogonalization:
         n = 2000
         d = np.linspace(0.01, 1.0, n)
         v0 = _unit(n, 2)
-        res, ref = lanczos(lambda x: d * x, v0, 30), full_reorth_lanczos(lambda x: d * x, v0, 30)
-        assert not res.rerun and res.basis is None
+        res, ref = lanczos(lambda x: d * x, v0, 30), full_reorth_result(lambda x: d * x, v0, 30)
+        assert not res.rerun
         np.testing.assert_allclose(res.alphas, ref.alphas, rtol=1e-12)
         np.testing.assert_allclose(res.betas, ref.betas, rtol=1e-12)
 
@@ -788,13 +850,13 @@ class TestPartialReorthogonalization:
         assert res.m == 150 and res.rerun
         # the rerun is the full-reorthogonalization run from the same start,
         # bit for bit
-        _assert_same_run(res, full_reorth_lanczos(lambda x: M @ x, _unit(n, 4), 150))
-        U = res.basis
+        ref, U = full_reorth_lanczos(lambda x: M @ x, _unit(n, 4), 150)
+        _assert_same_run(res, ref)
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-10
         assert np.abs(U.T @ U - np.eye(res.m)).max() <= 1e-13
         norm = np.linalg.norm(M, 2)
-        assert np.abs(U.T @ (M @ U) - res.tridiagonal()).max() <= 1e-8 * norm
-        ritz = np.linalg.eigvalsh(res.tridiagonal())
+        assert np.abs(U.T @ (M @ U) - _tridiagonal(res)).max() <= 1e-8 * norm
+        ritz = np.linalg.eigvalsh(_tridiagonal(res))
         assert ritz.min() >= lam.min() - 1e-8 * norm
         assert ritz.max() <= lam.max() + 1e-8 * norm
 
@@ -803,7 +865,7 @@ class TestPartialReorthogonalization:
         n, op = network_operator
         cfg = rla.ProbeConfig(m=30, n_v=4, seed=5)
         est = rla.slq_trace_logdet(op, n, cfg)
-        monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
+        monkeypatch.setattr(rla, "lanczos", full_reorth_result)
         ref = rla.slq_trace_logdet(op, n, cfg)
         # every probe reruns, so every probe is the reference's bit for bit
         assert est.reruns == 4
@@ -819,7 +881,7 @@ class TestPartialReorthogonalization:
         cfg = rla.ProbeConfig(m=30, n_v=30, seed=15)
         est = rla.slq_trace_logdet(op, 150, cfg)
         assert est.reruns == 0
-        monkeypatch.setattr(rla, "lanczos", full_reorth_lanczos)
+        monkeypatch.setattr(rla, "lanczos", full_reorth_result)
         ref = rla.slq_trace_logdet(op, 150, cfg)
         np.testing.assert_allclose(est.per_probe_trace, ref.per_probe_trace, rtol=1e-12)
         np.testing.assert_allclose(est.per_probe_logdet, ref.per_probe_logdet, rtol=1e-12)

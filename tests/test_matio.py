@@ -307,6 +307,17 @@ class TestNonFiniteEntries:
             SparseSymMatrix.from_coo(2, [0, 1, 1], [0, 1, 1], [1.0, np.inf, -np.inf])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects(self, bad):
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            SparseSymMatrix(sp.csr_matrix(np.diag([1.0, bad])))
+
+    def test_constructor_rejects_duplicates_summing_to_nan(self):
+        lower = sp.csr_matrix((np.array([1.0, np.inf, -np.inf]), np.array([0, 1, 1]),
+                               np.array([0, 1, 3])), shape=(2, 2))
+        with pytest.raises(MatrixMarketError, match="non-finite"):
+            SparseSymMatrix(lower)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_dense_rejects(self, bad):
         a = np.eye(3)
         a[2, 2] = bad

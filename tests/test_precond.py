@@ -314,6 +314,13 @@ class TestShapes:
         with pytest.raises(ValueError, match="factor order 4 does not match the matrix order 6"):
             error_core(make_sparse_network(6, seed=0), identity_factor(4))
 
+    @pytest.mark.parametrize("D", [np.nan, np.inf, -1.0, -2.0])
+    def test_preconditioner_rejects_one_plus_D_not_finite_and_positive(self, D):
+        # NaN fails every comparison, so "1 + D <= 0" alone would let it through
+        term = LowRankTerm(r=1, V=np.eye(4, 1), D=np.array([D]), selection=np.zeros(1, int))
+        with pytest.raises(DomainError, match="I \\+ D must be finite and positive definite"):
+            Preconditioner(identity_factor(4), term, 1.0)
+
     def test_preconditioner_rejects_V_of_another_order(self):
         term = LowRankTerm(r=1, V=np.eye(5, 1), D=np.ones(1), selection=np.zeros(1, int))
         with pytest.raises(ValueError, match="got 5 rows for a factor of order 6"):
