@@ -21,7 +21,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 from .linalg import spd_cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .pcg import SolveConfig
-from .rla import ProbeConfig
+from .rla import DEPTH_WINDOW, ProbeConfig
 from .synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
@@ -114,6 +114,9 @@ def build_parser() -> _Parser:
     _add_precond_flags(p)
     p.add_argument("--m", type=int, default=ProbeConfig.m, help="Lanczos steps per probe")
     p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
+    p.add_argument("--depth-tol", type=float, default=ProbeConfig.depth_tol,
+                   help="stop a probe once its log det moved at most this many nats "
+                   f"over {DEPTH_WINDOW} steps; 0 runs every probe --m steps")
     p.add_argument("--out", help="CSV output path; the summary goes to <out>.json")
     return parser
 
@@ -260,11 +263,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_positive(("--m", args.m), ("--nv", args.nv))
-    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed)
+    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, depth_tol=args.depth_tol)
     A = _resolve_matrix(args)
     rows, summary = harness.estimator_study(A, args.factor, args.rank, (probes,))
     for row in rows:
-        print(f"m={row['m']} nv={row['n_v']}  ln K exact={row['ln_k_exact']:.6g} "
+        print(f"m={row['m']} nv={row['n_v']} steps={row['steps']:.4g}  ln K exact={row['ln_k_exact']:.6g} "
               f"hat={row['ln_k_hat']:.6g}  alpha exact={row['alpha_exact']:.6g} "
               f"hat={row['alpha_hat']:.6g}  D exact={row['d_ld_exact']:.6g} "
               f"hat={row['d_ld_hat']:.6g}")

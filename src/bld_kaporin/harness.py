@@ -522,8 +522,10 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
     probes is an iterable of ProbeConfig, one row each, carrying the
     config's m and n_v, the estimates of a one-config call, the standard
     errors of the trace and log-det estimates (empty for n_v = 1), the
-    number of probes whose Lanczos run broke down, and the number that
-    lost semi-orthogonality and reran with full reorthogonalization.
+    mean Lanczos steps per probe (below m where the depth rule or a
+    breakdown ended runs early), the number of probes whose Lanczos run
+    broke down, and the number that lost semi-orthogonality and reran
+    with full reorthogonalization.
     Requires n <= 2000, for the dense reference.
     """
     n = A.n
@@ -563,6 +565,7 @@ def estimator_study(A: SparseSymMatrix, factor: str = "ic0", rank: int | None = 
                 "sign_ln_k_gap": int(np.sign(ln_k_hat - ln_k_exact)),
                 "trace_stderr": est.trace_stderr,
                 "logdet_stderr": est.logdet_stderr,
+                "steps": float(np.mean(est.steps)),
                 "breakdowns": est.breakdowns,
                 "reruns": est.reruns,
             }

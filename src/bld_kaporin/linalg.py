@@ -16,7 +16,8 @@ while Simon's omega-recurrence estimates that orthogonality has been lost
 by no more than SEMI_ORTH_TOL = sqrt(eps); a run that passes that level
 is rerun from the same start with full reorthogonalization, a kept basis
 against which every new vector is swept twice.  Either regime hands back
-only the tridiagonal; the rerun's basis is freed with the run.
+only the tridiagonal; the rerun's basis is freed with the run.  A caller's
+predicate may end a run early, after any step.
 
 Memory: the dense kernels work in blocks of PANEL = 64 columns, so none
 holds more than two n x n arrays at once, most hold one, and a kernel's
@@ -215,7 +216,8 @@ class LanczosResult:
     exhausted the Krylov space before the requested step count.  rerun is
     True when the basis-free run lost semi-orthogonality and the
     tridiagonal comes from the rerun with full reorthogonalization.  m, the
-    steps taken, is the length of alphas.
+    steps taken, is the length of alphas: fewer than asked after a
+    breakdown or a caller's stop.
     """
 
     alphas: np.ndarray
@@ -409,7 +411,7 @@ def tri_solve(L: LowerTriFactor, b, mode="forward", out=None):
     return out
 
 
-def lanczos(apply, v0, m) -> LanczosResult:
+def lanczos(apply, v0, m, stop=None) -> LanczosResult:
     """Symmetric Lanczos tridiagonalization from a unit starting vector.
 
     `apply` must implement a symmetric operator on n-vectors.  beta falling
@@ -440,6 +442,12 @@ def lanczos(apply, v0, m) -> LanczosResult:
     Either way the result is the tridiagonal alone.  A rerun keeps its
     basis one Lanczos vector per row of a C-contiguous m x n array, so each
     step reads and updates contiguous rows, and frees it when it returns.
+
+    stop, if given, is asked stop(alphas, betas) after every step k < m,
+    with views of the tridiagonal so far (k alphas, k - 1 betas), before
+    the step's new vector is measured.  True ends the run with those k
+    steps: a stop is not a breakdown.  It is asked in order from step 1,
+    and again from step 1 by a rerun, which honours it the same way.
     """
     v = np.asarray(v0, dtype=np.float64)
     nrm = np.linalg.norm(v)
@@ -448,12 +456,13 @@ def lanczos(apply, v0, m) -> LanczosResult:
     if not (isinstance(m, Integral) and m >= 1):
         raise ValueError(f"m >= 1 required, an integer, got {m!r}")
     m = min(m, v.shape[0])
-    res = _lanczos_run(apply, v, m, keep=False)
-    return res if res is not None else _lanczos_run(apply, v, m, keep=True)
+    res = _lanczos_run(apply, v, m, stop, keep=False)
+    return res if res is not None else _lanczos_run(apply, v, m, stop, keep=True)
 
 
-def _lanczos_run(apply, v, m, keep):
-    """m Lanczos steps from the unit vector v.  keep=False holds no basis
+def _lanczos_run(apply, v, m, stop, keep):
+    """m Lanczos steps from the unit vector v, fewer on a breakdown or a
+    stop (see lanczos).  keep=False holds no basis
     and returns None once omega passes SEMI_ORTH_TOL; keep=True keeps the
     basis, a local freed on return, and sweeps every new vector twice
     against it."""
@@ -487,7 +496,7 @@ def _lanczos_run(apply, v, m, keep):
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)
         k_done = k + 1
-        if k == m - 1:
+        if k == m - 1 or (stop is not None and stop(alphas[:k_done], betas[:k])):
             break
         if keep:
             # two classical Gram-Schmidt sweeps against the kept rows

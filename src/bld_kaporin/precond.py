@@ -131,7 +131,8 @@ class LowRankTerm:
 
     selection indexes into the core's eigendecomposition; V has orthonormal
     columns and every 1 + D entry is positive.  V must be 2-D with r
-    columns and D and selection must have r entries, else ValueError.
+    columns and D and selection must have r entries, else ValueError; a
+    non-finite entry of V raises DomainError.
     """
 
     r: int
@@ -147,6 +148,8 @@ class LowRankTerm:
             if np.shape(values) != (self.r,):
                 raise ValueError(f"{name} must have r = {self.r} entries, "
                                  f"got shape {np.shape(values)}")
+        if not np.isfinite(self.V).all():
+            raise DomainError("V must be finite")
 
 
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:

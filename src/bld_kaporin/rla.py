@@ -15,29 +15,52 @@ run passes that level reruns with full reorthogonalization, against an
 m x n basis that the run frees when it hands back its tridiagonal, the
 only result lanczos gives.  The report counts the probes that reran.
 
+Depth rule: a probe stops early once its log-det quadrature has settled.
+With G_k = n e1' log(T_k) e1, the probe's n-scaled Gauss-rule log det
+after k steps, it stops after step k > DEPTH_WINDOW = 4 once
+|G_k - G_{k-4}| <= ProbeConfig.depth_tol (default 2.0 nats).  The Gauss
+rule overestimates e1' log(M) e1 and falls toward it step by step (log's
+even derivatives are negative; Golub and Meurant, 2010), so a stopped
+probe keeps a one-signed, upward bias, and its last change understates
+what remains, by up to about 1.6x where it was measured.  On the
+benchmark's IC(0)-preconditioned diffusion operator (n = 19600, m = 30)
+the default stops a probe after about 21 steps and raises the log-det
+estimate by about 1.3 nats on average, against a probe-noise standard
+error near 30.  The trace needs no depth: e1' T_k e1 = z' M z at every k.
+depth_tol = 0 runs every probe its m steps, bit for bit the fixed-depth
+estimator, and so does any run with m >= n, which exhausts the Krylov
+space and gives each probe's quadratic forms exactly.
+
 Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
 surrogate -Gamma + (n - r) ln(alpha).
 
 Determinism: probe i draws from a generator seeded by (seed, i), and
-its Lanczos run decides whether to rerun from its own recurrence alone,
-so a config reproduces bit-identical estimates regardless of probe
-batching.
+its Lanczos run decides whether to rerun, and when to stop, from its own
+recurrence and tridiagonal alone, so a config reproduces bit-identical
+estimates regardless of probe batching.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .divergence import ln_kaporin_k as approx_ln_kaporin  # n ln(tr_hat/n) - Gamma
 from .errors import DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
 
+# Steps over which a probe's Gauss-rule log det must have moved by at most
+# ProbeConfig.depth_tol for the depth rule to stop it.
+DEPTH_WINDOW = 4
+
 __all__ = [
+    "DEPTH_WINDOW",
     "ProbeConfig",
     "EstimateReport",
     "slq_trace_logdet",
@@ -49,19 +72,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Probe schedule: m Lanczos steps for each of n_v Rademacher start
-    vectors, both integers >= 1; probe i draws from SeedSequence([seed, i])
-    for an integer seed >= 0."""
+    """Probe schedule: up to m Lanczos steps for each of n_v Rademacher
+    start vectors, both integers >= 1; probe i draws from
+    SeedSequence([seed, i]) for an integer seed >= 0.  depth_tol, in nats,
+    finite and >= 0, is the depth rule's tolerance (see the module
+    docstring); 0 turns the rule off."""
 
     m: int = 30
     n_v: int = 10
     seed: int = 0
+    depth_tol: float = 2.0
 
     def __post_init__(self):
         if not all(isinstance(k, Integral) and k >= 1 for k in (self.m, self.n_v)):
             raise DomainError("m >= 1 and n_v >= 1 required, both integers")
         if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise DomainError(f"probe seed must be an integer >= 0, got {self.seed!r}")
+        if not (isinstance(self.depth_tol, Real) and math.isfinite(self.depth_tol)
+                and self.depth_tol >= 0):
+            raise DomainError(f"depth_tol must be finite and >= 0, got {self.depth_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -71,10 +100,12 @@ class EstimateReport:
     per_probe_* store unit-vector-scale contributions; the estimator sets
     each estimate to n * mean(per_probe_*), with standard error
     n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
-    probe), and probes_used is the number of probes.  breakdowns counts
-    the probes whose Lanczos run exhausted its Krylov space before m
-    steps.  reruns counts the probes whose basis-free Lanczos run lost
-    semi-orthogonality and was rerun with full reorthogonalization.
+    probe), and probes_used is the number of probes.  steps holds each
+    probe's Lanczos steps: m, unless a breakdown or the depth rule ended
+    its run sooner.  breakdowns counts the probes whose Lanczos run
+    exhausted its Krylov space before m steps.  reruns counts the probes
+    whose basis-free Lanczos run lost semi-orthogonality and was rerun
+    with full reorthogonalization.
     """
 
     n: int
@@ -82,6 +113,7 @@ class EstimateReport:
     logdet_est: float
     per_probe_trace: np.ndarray
     per_probe_logdet: np.ndarray
+    steps: np.ndarray
     breakdowns: int
     reruns: int
 
@@ -107,32 +139,64 @@ def _stderr(n: int, per_probe: np.ndarray) -> float | None:
 def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """Joint SLQ estimates of trace(M) and log det(M) for SPD M.
 
-    A nonpositive Ritz value aborts with NotPositiveDefiniteError carrying
-    the offending probe index.
+    Each probe runs at most cfg.m Lanczos steps, fewer where the depth
+    rule (module docstring) stops it.  A nonpositive Ritz value aborts
+    with NotPositiveDefiniteError carrying the offending probe index.
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
+    steps = np.empty(cfg.n_v, dtype=int)
     breakdowns = reruns = 0
+    depth_rule = cfg.depth_tol > 0 and cfg.m < n
     for i in range(cfg.n_v):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
         nz = np.linalg.norm(z)
         if nz == 0.0:
             raise DomainError("zero probe vector drawn")
-        res = lanczos(apply, z / nz, cfg.m)
+        stop = _settled(n, cfg.m, cfg.depth_tol, i) if depth_rule else None
+        res = lanczos(apply, z / nz, cfg.m, stop=stop)
+        steps[i] = res.m
         breakdowns += int(res.breakdown)
         reruns += int(res.rerun)
         ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
         if np.any(ritz <= 0.0):
-            raise NotPositiveDefiniteError(
-                f"nonpositive Ritz value on probe {i}: operator is not SPD",
-                probe_index=i,
-            )
+            raise _not_spd(i)
         tau2 = vecs[0, :] ** 2
         tr_contribs[i] = float(tau2 @ ritz)
         ld_contribs[i] = float(tau2 @ np.log(ritz))
     return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
-                          tr_contribs, ld_contribs, breakdowns, reruns)
+                          tr_contribs, ld_contribs, steps, breakdowns, reruns)
+
+
+def _not_spd(i: int) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"nonpositive Ritz value on probe {i}: operator is not SPD", probe_index=i)
+
+
+def _settled(n: int, m: int, tol: float, i: int):
+    """Probe i's depth rule, a lanczos stop predicate: true after step
+    k > DEPTH_WINDOW once |G_k - G_{k-DEPTH_WINDOW}| <= tol, for
+    G_k = n e1' log(T_k) e1.  G_k is kept by k, so a rerun, asked again
+    from step 1, overwrites the dropped run's values in order.  A
+    nonpositive Ritz value raises here: by interlacing, every longer run
+    would have one too.  LAPACK's dstev, called directly, costs half of
+    eigh_tridiagonal at these orders; G_k steers the stop only, and the
+    estimate comes from eigh_tridiagonal as at a fixed depth."""
+    g = np.empty(m)
+
+    def stop(alphas, betas):
+        k = alphas.size
+        # dstev's wrapper wants one off-diagonal even at k = 1, where it reads none
+        ritz, vecs, info = lapack.dstev(alphas, betas if k > 1 else np.zeros(1), compute_v=1)
+        if info != 0:
+            return False  # the final eigh_tridiagonal reports the failure
+        if ritz[0] <= 0.0:  # ascending
+            raise _not_spd(i)
+        g[k - 1] = n * float(np.square(vecs[0]) @ np.log(ritz))
+        return k > DEPTH_WINDOW and abs(g[k - 1] - g[k - 1 - DEPTH_WINDOW]) <= tol
+
+    return stop
 
 
 def approx_alpha(trace_est_pinv_a: float, n: int, r: int) -> float:

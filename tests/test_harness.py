@@ -357,5 +357,14 @@ class TestEstimatorStudy:
         assert row["rel_err_alpha"] <= 0.05
         assert row["rel_err_d_ld"] <= 0.1
         assert row["sign_ln_k_gap"] in (-1, 0, 1)
-        # every probe's run stays semi-orthogonal for 30 steps: none reruns
+        # the depth rule stops every probe after 5 steps, long before its
+        # run could lose semi-orthogonality: none reruns
         assert row["reruns"] == 0
+
+    def test_rows_carry_mean_steps_per_probe(self):
+        A = make_sparse_network(150, seed=14)
+        ruled, fixed = (estimator_study(A, factor="ic0", rank=15,
+                                        probes=(ProbeConfig(m=30, n_v=5, seed=15, depth_tol=tol),))
+                        for tol in (2.0, 0))
+        assert fixed[0][0]["steps"] == 30.0
+        assert 4 < ruled[0][0]["steps"] < 30.0

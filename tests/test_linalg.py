@@ -716,8 +716,9 @@ class TestLanczos:
         assert lanczos(lambda x: np.array([2.0, 3.0]) * x, v0, m=np.int64(2)).m == 2
 
 
-def full_reorth_lanczos(apply, v0, m):
-    """Reference Lanczos: two classical Gram-Schmidt sweeps at every step.
+def full_reorth_lanczos(apply, v0, m, stop=None):
+    """Reference Lanczos: two classical Gram-Schmidt sweeps at every step,
+    ending early where stop(alphas, betas) says so, as lanczos does.
 
     Returns the result and the n x m basis U of its Lanczos vectors."""
     n = v0.shape[0]
@@ -741,7 +742,7 @@ def full_reorth_lanczos(apply, v0, m):
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)
         k_done = k + 1
-        if k == m - 1:
+        if k == m - 1 or (stop is not None and stop(alphas[:k_done], betas[:k])):
             break
         beta = float(np.linalg.norm(w))
         norm_est = max(norm_est, beta)
@@ -757,9 +758,9 @@ def full_reorth_lanczos(apply, v0, m):
     return res, basis[:k_done].T
 
 
-def full_reorth_result(apply, v0, m) -> LanczosResult:
+def full_reorth_result(apply, v0, m, stop=None) -> LanczosResult:
     """full_reorth_lanczos's result alone, in lanczos's place."""
-    return full_reorth_lanczos(apply, v0, m)[0]
+    return full_reorth_lanczos(apply, v0, m, stop)[0]
 
 
 def _tridiagonal(res) -> np.ndarray:
@@ -843,6 +844,42 @@ class TestPartialReorthogonalization:
         assert lanczos(counted(op), _unit(n, 1), 30).rerun
         assert 30 + 1 <= len(calls) <= 2 * 30 - 1
 
+    def test_stop_ends_a_basis_free_run_without_a_breakdown(self):
+        d = np.linspace(0.01, 1.0, 2000)
+        v0 = _unit(2000, 2)
+        calls = []
+
+        def apply(x):
+            calls.append(1)
+            return d * x
+
+        full = lanczos(lambda x: d * x, v0, 30)
+        res = lanczos(apply, v0, 30, stop=lambda alphas, betas: alphas.size == 7)
+        assert res.m == 7 and len(calls) == 7
+        assert not res.breakdown and not res.rerun
+        np.testing.assert_array_equal(res.alphas, full.alphas[:7])
+        np.testing.assert_array_equal(res.betas, full.betas[:6])
+
+    def test_a_rerun_is_asked_again_from_step_one(self, network_operator):
+        # the basis-free run gives up after about 15 steps; the rerun asks
+        # stop from step 1 again and ends at step 20, bit for bit the
+        # reference stopped by the same predicate
+        n, op = network_operator
+        v0 = _unit(n, 1)
+        asked = []
+
+        def stop(alphas, betas):
+            asked.append(alphas.size)
+            assert betas.size == alphas.size - 1
+            return alphas.size == 20
+
+        res = lanczos(op, v0, 30, stop=stop)
+        assert res.rerun and res.m == 20 and not res.breakdown
+        gave_up = asked.index(1, 1)
+        assert 1 < gave_up < 20
+        assert asked == list(range(1, gave_up + 1)) + list(range(1, 21))
+        _assert_same_run(res, full_reorth_result(op, v0, 30, lambda a, b: a.size == 20))
+
     def test_forced_loss_of_orthogonality(self, forced_loss_operator):
         n, M = forced_loss_operator
         lam = np.geomspace(1.0, 1e-6, n)
@@ -862,8 +899,10 @@ class TestPartialReorthogonalization:
 
     def test_slq_per_probe_values_match_full_reorthogonalization(self, network_operator,
                                                                  monkeypatch):
+        # the depth rule would stop these probes after 6 steps, before any
+        # loses semi-orthogonality: off, every probe runs 30 steps and reruns
         n, op = network_operator
-        cfg = rla.ProbeConfig(m=30, n_v=4, seed=5)
+        cfg = rla.ProbeConfig(m=30, n_v=4, seed=5, depth_tol=0)
         est = rla.slq_trace_logdet(op, n, cfg)
         monkeypatch.setattr(rla, "lanczos", full_reorth_result)
         ref = rla.slq_trace_logdet(op, n, cfg)
@@ -874,11 +913,12 @@ class TestPartialReorthogonalization:
 
     def test_slq_without_reruns_matches_full_reorthogonalization(self, monkeypatch):
         # at n = 150 (rank 15) no probe's run passes sqrt(eps) in 30 steps:
-        # every probe keeps no basis and still gives the swept values
+        # every probe keeps no basis and still gives the swept values (the
+        # depth rule, off here, would stop them after 5)
         A = make_sparse_network(150, seed=14)
         core = error_core(A, ic0(A))
         op = sym_preconditioned_operator(A, Preconditioner(core.factor, bld_truncate(core, 15), 1.0))
-        cfg = rla.ProbeConfig(m=30, n_v=30, seed=15)
+        cfg = rla.ProbeConfig(m=30, n_v=30, seed=15, depth_tol=0)
         est = rla.slq_trace_logdet(op, 150, cfg)
         assert est.reruns == 0
         monkeypatch.setattr(rla, "lanczos", full_reorth_result)

@@ -321,6 +321,13 @@ class TestShapes:
         with pytest.raises(DomainError, match="I \\+ D must be finite and positive definite"):
             Preconditioner(identity_factor(4), term, 1.0)
 
+    def test_term_rejects_non_finite_V(self):
+        # this V used to build a preconditioner whose applies were all NaN
+        V = np.eye(4, 1)
+        V[2, 0] = np.nan
+        with pytest.raises(DomainError, match="V must be finite"):
+            LowRankTerm(r=1, V=V, D=np.array([0.5]), selection=np.zeros(1, int))
+
     def test_preconditioner_rejects_V_of_another_order(self):
         term = LowRankTerm(r=1, V=np.eye(5, 1), D=np.ones(1), selection=np.zeros(1, int))
         with pytest.raises(ValueError, match="got 5 rows for a factor of order 6"):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -14,7 +15,14 @@ from bld_kaporin.rla import (
     slq_trace_logdet,
 )
 from bld_kaporin.linalg import ic0
-from bld_kaporin.precond import Preconditioner, bld_truncate, error_core, sym_preconditioned_operator
+from bld_kaporin.matio import SparseSymMatrix
+from bld_kaporin.precond import (
+    LowRankTerm,
+    Preconditioner,
+    bld_truncate,
+    error_core,
+    sym_preconditioned_operator,
+)
 from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
 
 
@@ -147,15 +155,17 @@ class TestSlq:
 
     def test_probe_zero_independent_of_batch_size(self):
         # the (seed, i) contract on the package's own operator: probe 0 of a
-        # one-probe run is bit-identical to probe 0 of a seven-probe run
+        # one-probe run is bit-identical to probe 0 of a ten-probe run, and
+        # the depth rule stops it at the same step in both
         A = make_sparse_network(80, seed=19)
         core = error_core(A, ic0(A))
         term = bld_truncate(core, 4)
         op = sym_preconditioned_operator(A, Preconditioner(core.factor, term, 1.0))
         one = slq_trace_logdet(op, 80, ProbeConfig(m=12, n_v=1, seed=20))
-        seven = slq_trace_logdet(op, 80, ProbeConfig(m=12, n_v=7, seed=20))
-        assert one.per_probe_trace[0] == seven.per_probe_trace[0]
-        assert one.per_probe_logdet[0] == seven.per_probe_logdet[0]
+        ten = slq_trace_logdet(op, 80, ProbeConfig(m=12, n_v=10, seed=20))
+        assert one.steps[0] == ten.steps[0] < 12
+        assert one.per_probe_trace[0] == ten.per_probe_trace[0]
+        assert one.per_probe_logdet[0] == ten.per_probe_logdet[0]
 
     def test_standard_errors(self):
         A = random_spd(40, np.random.default_rng(21))
@@ -177,14 +187,16 @@ class TestSlq:
         reruns = []
         lanczos = linalg.lanczos
 
-        def recorded(apply, v0, m):
-            res = lanczos(apply, v0, m)
+        def recorded(apply, v0, m, stop=None):
+            res = lanczos(apply, v0, m, stop=stop)
             reruns.append(res.rerun)
             return res
 
         monkeypatch.setattr(rla, "lanczos", recorded)
+        # the depth rule would stop these probes before any reruns
         A = make_sparse_network(200, seed=24).to_dense()
-        rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=40, n_v=4, seed=25))
+        rep = slq_trace_logdet(lambda x: A @ x, 200,
+                               ProbeConfig(m=40, n_v=4, seed=25, depth_tol=0))
         assert len(reruns) == 4
         assert rep.reruns == sum(reruns) > 0
 
@@ -237,6 +249,93 @@ class TestSlq:
             tracemalloc.stop()
         assert rep.reruns == 0
         assert peak <= 12 * 8 * n
+
+
+def _diffusion(nx: int, seed: int) -> SparseSymMatrix:
+    """5-point diffusion on an nx x nx grid, Dirichlet boundary, every edge
+    coefficient exp(U(-3, 3)): IC(0) leaves it a wide spectrum."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(nx * nx).reshape(nx, nx)
+    horiz = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx - 1)))
+    vert = np.exp(rng.uniform(-3.0, 3.0, size=(nx - 1, nx)))
+    diag = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx)))  # the outside edges, lumped
+    diag[:, :-1] += horiz
+    diag[:, 1:] += horiz
+    diag[:-1, :] += vert
+    diag[1:, :] += vert
+    rows = np.concatenate((idx.ravel(), idx[:, 1:].ravel(), idx[1:, :].ravel()))
+    cols = np.concatenate((idx.ravel(), idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+    vals = np.concatenate((diag.ravel(), -horiz.ravel(), -vert.ravel()))
+    return SparseSymMatrix.from_coo(nx * nx, rows, cols, vals)
+
+
+class TestDepthRule:
+    """A probe stops after step k > DEPTH_WINDOW once its n-scaled Gauss-rule
+    log det moved by at most depth_tol over the last DEPTH_WINDOW steps."""
+
+    def test_zero_tolerance_is_the_fixed_depth_run(self, monkeypatch):
+        d = np.linspace(1.0, 10.0, 500)
+        cfg = ProbeConfig(m=30, n_v=4, seed=31)
+        assert (slq_trace_logdet(lambda x: d * x, 500, cfg).steps < 30).all()
+        off = slq_trace_logdet(lambda x: d * x, 500, dataclasses.replace(cfg, depth_tol=0))
+        lanczos = linalg.lanczos
+        monkeypatch.setattr(rla, "lanczos", lambda apply, v0, m, stop=None: lanczos(apply, v0, m))
+        ignored = slq_trace_logdet(lambda x: d * x, 500, cfg)
+        assert off.steps.tolist() == ignored.steps.tolist() == [30] * 4
+        np.testing.assert_array_equal(off.per_probe_trace, ignored.per_probe_trace)
+        np.testing.assert_array_equal(off.per_probe_logdet, ignored.per_probe_logdet)
+
+    @pytest.mark.parametrize("m", [30, 45])
+    def test_full_krylov_runs_are_never_shortened(self, m):
+        # m >= n: a tolerance that would stop every probe at step 5 is ignored
+        n = 30
+        d = np.random.default_rng(32).uniform(0.5, 4.0, n)
+        loose = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=4, seed=33, depth_tol=1e6))
+        fixed = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=4, seed=33, depth_tol=0))
+        assert loose.steps.tolist() == fixed.steps.tolist() == [n] * 4
+        np.testing.assert_array_equal(loose.per_probe_logdet, fixed.per_probe_logdet)
+
+    def test_rerunning_probes_honour_the_rule(self):
+        # the four-outlier diagonal of test_one_lanczos_basis_live_at_a_time:
+        # every probe reruns, stops early, and equals the fixed-depth run of
+        # its own length bit for bit
+        n = 2000
+        d = np.linspace(1.0, 10.0, n)
+        d[:4] = 100.0, 300.0, 1000.0, 3000.0
+        rep = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=30, n_v=3, seed=0))
+        assert rep.reruns == 3 and (rep.steps < 30).all()
+        for k in set(rep.steps.tolist()):
+            fixed = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=k, n_v=3, seed=0, depth_tol=0))
+            for i in np.flatnonzero(rep.steps == k):
+                assert rep.per_probe_trace[i] == fixed.per_probe_trace[i]
+                assert rep.per_probe_logdet[i] == fixed.per_probe_logdet[i]
+
+    @pytest.mark.parametrize("tol", [0.5, 2.0])
+    def test_stopped_log_det_is_near_the_converged_one(self, tol):
+        # IC(0)-preconditioned diffusion, n = 1600: m = 60 runs to the
+        # converged quadrature, and the Gauss rule only overestimates log
+        A = _diffusion(40, seed=35)
+        term = LowRankTerm(r=0, V=np.empty((A.n, 0)), D=np.empty(0), selection=np.empty(0, int))
+        op = sym_preconditioned_operator(A, Preconditioner(ic0(A), term, 1.0))
+        ruled = slq_trace_logdet(op, A.n, ProbeConfig(m=60, n_v=6, seed=36, depth_tol=tol))
+        deep = slq_trace_logdet(op, A.n, ProbeConfig(m=60, n_v=6, seed=36, depth_tol=0))
+        assert (ruled.steps < 30).all()
+        gap = A.n * (ruled.per_probe_logdet - deep.per_probe_logdet)
+        assert (gap >= 0.0).all() and (gap <= 3 * tol).all()
+
+    @pytest.mark.parametrize("tol", [0, 2.0])
+    def test_indefinite_operator_reports_probe_with_or_without_the_rule(self, tol):
+        # with the rule on, the first nonpositive Ritz value raises from
+        # inside the run; every longer run would have one too
+        d = np.linspace(-1.0, 5.0, 50)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            slq_trace_logdet(lambda x: d * x, 50, ProbeConfig(m=20, n_v=3, seed=18, depth_tol=tol))
+        assert exc.value.probe_index == 0
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "2"])
+    def test_tolerance_is_finite_and_not_negative(self, tol):
+        with pytest.raises(DomainError, match="depth_tol must be finite and >= 0"):
+            ProbeConfig(depth_tol=tol)
 
 
 class TestDerivedQuantities:
