@@ -21,7 +21,7 @@ from .errors import DomainError, NotPositiveDefiniteError
 from .linalg import spd_cholesky
 from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .pcg import SolveConfig
-from .rla import DEPTH_WINDOW, ProbeConfig
+from .rla import ProbeConfig
 from .synth import make_dense_spd, make_sparse_network, make_spectrum
 
 
@@ -112,11 +112,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="randomized estimates vs exact quantities")
     _add_matrix_flags(p)
     _add_precond_flags(p)
-    p.add_argument("--m", type=int, default=ProbeConfig.m, help="Lanczos steps per probe")
+    p.add_argument("--m", type=int, default=ProbeConfig.m, help="most Lanczos steps per probe")
     p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
-    p.add_argument("--depth-tol", type=float, default=ProbeConfig.depth_tol,
-                   help="stop a probe once its log det moved at most this many nats "
-                   f"over {DEPTH_WINDOW} steps; 0 runs every probe --m steps")
     p.add_argument("--out", help="CSV output path; the summary goes to <out>.json")
     return parser
 
@@ -263,7 +260,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_estimate(args) -> int:
     _require_positive(("--m", args.m), ("--nv", args.nv))
-    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed, depth_tol=args.depth_tol)
+    probes = ProbeConfig(m=args.m, n_v=args.nv, seed=args.seed)
     A = _resolve_matrix(args)
     rows, summary = harness.estimator_study(A, args.factor, args.rank, (probes,))
     for row in rows:

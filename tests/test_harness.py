@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bld_kaporin import harness, pcg, precond
+from bld_kaporin import harness, pcg, precond, rla
 from bld_kaporin.errors import DomainError
 from bld_kaporin.harness import (
     FACTORS,
@@ -350,21 +350,23 @@ class TestEstimatorStudy:
             assert row == estimator_study(A, factor="ic0", rank=5, probes=(cfg,))[0][0]
         assert estimator_study(A, factor="ic0", rank=5, probes=iter(configs)) == (rows, summary)
 
-    def test_network_within_tolerances(self):
+    def test_network_within_tolerances(self, monkeypatch):
+        # the fixed-depth run: the depth rule would stop these probes after 5 steps
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
         rows, _ = estimator_study(make_sparse_network(150, seed=14), factor="ic0", rank=15,
                                   probes=(ProbeConfig(m=30, n_v=30, seed=15),))
         row = rows[0]
         assert row["rel_err_alpha"] <= 0.05
         assert row["rel_err_d_ld"] <= 0.1
         assert row["sign_ln_k_gap"] in (-1, 0, 1)
-        # the depth rule stops every probe after 5 steps, long before its
-        # run could lose semi-orthogonality: none reruns
+        # every probe's run stays semi-orthogonal for 30 steps: none reruns
         assert row["reruns"] == 0
 
-    def test_rows_carry_mean_steps_per_probe(self):
+    def test_rows_carry_mean_steps_per_probe(self, monkeypatch):
         A = make_sparse_network(150, seed=14)
-        ruled, fixed = (estimator_study(A, factor="ic0", rank=15,
-                                        probes=(ProbeConfig(m=30, n_v=5, seed=15, depth_tol=tol),))
-                        for tol in (2.0, 0))
+        probes = (ProbeConfig(m=30, n_v=5, seed=15),)
+        ruled = estimator_study(A, factor="ic0", rank=15, probes=probes)
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        fixed = estimator_study(A, factor="ic0", rank=15, probes=probes)
         assert fixed[0][0]["steps"] == 30.0
         assert 4 < ruled[0][0]["steps"] < 30.0

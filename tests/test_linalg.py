@@ -901,8 +901,9 @@ class TestPartialReorthogonalization:
                                                                  monkeypatch):
         # the depth rule would stop these probes after 6 steps, before any
         # loses semi-orthogonality: off, every probe runs 30 steps and reruns
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
         n, op = network_operator
-        cfg = rla.ProbeConfig(m=30, n_v=4, seed=5, depth_tol=0)
+        cfg = rla.ProbeConfig(m=30, n_v=4, seed=5)
         est = rla.slq_trace_logdet(op, n, cfg)
         monkeypatch.setattr(rla, "lanczos", full_reorth_result)
         ref = rla.slq_trace_logdet(op, n, cfg)
@@ -918,7 +919,8 @@ class TestPartialReorthogonalization:
         A = make_sparse_network(150, seed=14)
         core = error_core(A, ic0(A))
         op = sym_preconditioned_operator(A, Preconditioner(core.factor, bld_truncate(core, 15), 1.0))
-        cfg = rla.ProbeConfig(m=30, n_v=30, seed=15, depth_tol=0)
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        cfg = rla.ProbeConfig(m=30, n_v=30, seed=15)
         est = rla.slq_trace_logdet(op, 150, cfg)
         assert est.reruns == 0
         monkeypatch.setattr(rla, "lanczos", full_reorth_result)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -194,13 +193,16 @@ class TestSlq:
 
         monkeypatch.setattr(rla, "lanczos", recorded)
         # the depth rule would stop these probes before any reruns
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
         A = make_sparse_network(200, seed=24).to_dense()
-        rep = slq_trace_logdet(lambda x: A @ x, 200,
-                               ProbeConfig(m=40, n_v=4, seed=25, depth_tol=0))
+        rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=40, n_v=4, seed=25))
         assert len(reruns) == 4
         assert rep.reruns == sum(reruns) > 0
 
-    def test_monotone_accuracy_in_m(self):
+    def test_monotone_accuracy_in_m(self, monkeypatch):
+        # the fixed-depth estimator: the depth rule would stop every probe
+        # of this condition-10 spectrum well before m = 16
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
         spec = np.linspace(0.5, 5.0, 100)
         A = make_dense_spd(spec, basis_seed=17)
         exact = np.log(spec).sum()
@@ -271,31 +273,38 @@ def _diffusion(nx: int, seed: int) -> SparseSymMatrix:
 
 class TestDepthRule:
     """A probe stops after step k > DEPTH_WINDOW once its n-scaled Gauss-rule
-    log det moved by at most depth_tol over the last DEPTH_WINDOW steps."""
+    log det moved by at most DEPTH_TOL over the last DEPTH_WINDOW steps.
+    Tests that need another tolerance, or the fixed-depth estimator
+    (DEPTH_TOL = 0), patch rla.DEPTH_TOL."""
 
     def test_zero_tolerance_is_the_fixed_depth_run(self, monkeypatch):
         d = np.linspace(1.0, 10.0, 500)
         cfg = ProbeConfig(m=30, n_v=4, seed=31)
         assert (slq_trace_logdet(lambda x: d * x, 500, cfg).steps < 30).all()
-        off = slq_trace_logdet(lambda x: d * x, 500, dataclasses.replace(cfg, depth_tol=0))
         lanczos = linalg.lanczos
         monkeypatch.setattr(rla, "lanczos", lambda apply, v0, m, stop=None: lanczos(apply, v0, m))
         ignored = slq_trace_logdet(lambda x: d * x, 500, cfg)
+        monkeypatch.undo()
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        off = slq_trace_logdet(lambda x: d * x, 500, cfg)
         assert off.steps.tolist() == ignored.steps.tolist() == [30] * 4
         np.testing.assert_array_equal(off.per_probe_trace, ignored.per_probe_trace)
         np.testing.assert_array_equal(off.per_probe_logdet, ignored.per_probe_logdet)
 
     @pytest.mark.parametrize("m", [30, 45])
-    def test_full_krylov_runs_are_never_shortened(self, m):
+    def test_full_krylov_runs_are_never_shortened(self, m, monkeypatch):
         # m >= n: a tolerance that would stop every probe at step 5 is ignored
         n = 30
         d = np.random.default_rng(32).uniform(0.5, 4.0, n)
-        loose = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=4, seed=33, depth_tol=1e6))
-        fixed = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=m, n_v=4, seed=33, depth_tol=0))
+        cfg = ProbeConfig(m=m, n_v=4, seed=33)
+        monkeypatch.setattr(rla, "DEPTH_TOL", 1e6)
+        loose = slq_trace_logdet(lambda x: d * x, n, cfg)
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        fixed = slq_trace_logdet(lambda x: d * x, n, cfg)
         assert loose.steps.tolist() == fixed.steps.tolist() == [n] * 4
         np.testing.assert_array_equal(loose.per_probe_logdet, fixed.per_probe_logdet)
 
-    def test_rerunning_probes_honour_the_rule(self):
+    def test_rerunning_probes_honour_the_rule(self, monkeypatch):
         # the four-outlier diagonal of test_one_lanczos_basis_live_at_a_time:
         # every probe reruns, stops early, and equals the fixed-depth run of
         # its own length bit for bit
@@ -304,38 +313,38 @@ class TestDepthRule:
         d[:4] = 100.0, 300.0, 1000.0, 3000.0
         rep = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=30, n_v=3, seed=0))
         assert rep.reruns == 3 and (rep.steps < 30).all()
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
         for k in set(rep.steps.tolist()):
-            fixed = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=k, n_v=3, seed=0, depth_tol=0))
+            fixed = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=k, n_v=3, seed=0))
             for i in np.flatnonzero(rep.steps == k):
                 assert rep.per_probe_trace[i] == fixed.per_probe_trace[i]
                 assert rep.per_probe_logdet[i] == fixed.per_probe_logdet[i]
 
     @pytest.mark.parametrize("tol", [0.5, 2.0])
-    def test_stopped_log_det_is_near_the_converged_one(self, tol):
+    def test_stopped_log_det_is_near_the_converged_one(self, tol, monkeypatch):
         # IC(0)-preconditioned diffusion, n = 1600: m = 60 runs to the
         # converged quadrature, and the Gauss rule only overestimates log
         A = _diffusion(40, seed=35)
         term = LowRankTerm(r=0, V=np.empty((A.n, 0)), D=np.empty(0), selection=np.empty(0, int))
         op = sym_preconditioned_operator(A, Preconditioner(ic0(A), term, 1.0))
-        ruled = slq_trace_logdet(op, A.n, ProbeConfig(m=60, n_v=6, seed=36, depth_tol=tol))
-        deep = slq_trace_logdet(op, A.n, ProbeConfig(m=60, n_v=6, seed=36, depth_tol=0))
+        cfg = ProbeConfig(m=60, n_v=6, seed=36)
+        monkeypatch.setattr(rla, "DEPTH_TOL", tol)
+        ruled = slq_trace_logdet(op, A.n, cfg)
+        monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        deep = slq_trace_logdet(op, A.n, cfg)
         assert (ruled.steps < 30).all()
         gap = A.n * (ruled.per_probe_logdet - deep.per_probe_logdet)
         assert (gap >= 0.0).all() and (gap <= 3 * tol).all()
 
     @pytest.mark.parametrize("tol", [0, 2.0])
-    def test_indefinite_operator_reports_probe_with_or_without_the_rule(self, tol):
+    def test_indefinite_operator_reports_probe_with_or_without_the_rule(self, tol, monkeypatch):
         # with the rule on, the first nonpositive Ritz value raises from
         # inside the run; every longer run would have one too
+        monkeypatch.setattr(rla, "DEPTH_TOL", tol)
         d = np.linspace(-1.0, 5.0, 50)
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            slq_trace_logdet(lambda x: d * x, 50, ProbeConfig(m=20, n_v=3, seed=18, depth_tol=tol))
+            slq_trace_logdet(lambda x: d * x, 50, ProbeConfig(m=20, n_v=3, seed=18))
         assert exc.value.probe_index == 0
-
-    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, "2"])
-    def test_tolerance_is_finite_and_not_negative(self, tol):
-        with pytest.raises(DomainError, match="depth_tol must be finite and >= 0"):
-            ProbeConfig(depth_tol=tol)
 
 
 class TestDerivedQuantities:
