@@ -18,6 +18,7 @@ import io
 import json
 import os
 import secrets
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -249,7 +250,9 @@ def read_matrix_market(path) -> SparseSymMatrix:
 
     `symmetric` files are taken as-is (lower triangle).  `general` files
     must be square and symmetric to 1e-12 relative; the lower triangle of
-    the symmetrized matrix is kept.
+    the symmetrized matrix is kept.  Sizes are plain decimal digits, and
+    entries plain decimal integers and floats; anything else raises
+    MatrixMarketError.
     """
     with open(path, "r", encoding="ascii") as fh:
         return _read_mm_stream(fh)
@@ -270,39 +273,28 @@ def _read_mm_stream(fh) -> SparseSymMatrix:
     if size_line is None:
         raise MatrixMarketError("missing size line")
     parts = size_line.split()
-    if len(parts) != 3:
+    if len(parts) != 3 or not all(p.isascii() and p.isdigit() for p in parts):
         raise MatrixMarketError(f"bad size line: {size_line.strip()!r}")
-    try:
-        n, m, nnz = (int(p) for p in parts)
-    except ValueError as exc:
-        raise MatrixMarketError(f"bad size line: {size_line.strip()!r}") from exc
+    n, m, nnz = (int(p) for p in parts)
     if n != m:
         raise MatrixMarketError(f"matrix must be square, got {n}x{m}")
-    if n <= 0 or nnz < 0:
+    if n == 0:
         raise MatrixMarketError(f"bad dimensions in size line: {size_line.strip()!r}")
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz, dtype=np.float64)
-    k = 0
-    for line in fh:
-        if not line.strip() or line.startswith("%"):
-            continue
-        if k >= nnz:
-            raise MatrixMarketError("more entries than declared")
-        parts = line.split()
-        if len(parts) != 3:
-            raise MatrixMarketError(f"bad entry line: {line.strip()!r}")
-        try:
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        except ValueError as exc:
-            raise MatrixMarketError(f"bad entry line: {line.strip()!r}") from exc
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise MatrixMarketError(f"entry index ({i},{j}) out of range for order {n}")
-        rows[k], cols[k], vals[k] = i - 1, j - 1, v
-        k += 1
-    if k != nnz:
-        raise MatrixMarketError(f"declared {nnz} entries, found {k}")
+    # one strict parse of plain decimal numerals: Python's int and float
+    # would also take digit-group underscores, reading 1_0 as 10
+    try:
+        with warnings.catch_warnings():  # an empty block is the count check's to judge
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, dtype=[("i", np.int64), ("j", np.int64), ("v", np.float64)],
+                              comments="%", ndmin=1)
+    except ValueError as exc:
+        raise MatrixMarketError(f"bad entry block: {exc}") from exc
+    if data.size != nnz:
+        raise MatrixMarketError(f"declared {nnz} entries, found {data.size}")
+    rows, cols, vals = data["i"] - 1, data["j"] - 1, data["v"]
+    if nnz and not (min(rows.min(), cols.min()) >= 0 and max(rows.max(), cols.max()) < n):
+        raise MatrixMarketError(f"entry index out of range for order {n}")
 
     if symmetry == "symmetric":
         if np.any(cols > rows):

@@ -155,8 +155,9 @@ class LowRankTerm:
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     """Form and eigendecompose E = Q^-1 A Q^-T - I.
 
-    Fails with NotPositiveDefiniteError when any eigenvalue of E is at or
-    below -1, i.e. when A is not SPD relative to the factor.
+    Fails with NotPositiveDefiniteError when an eigenvalue 1 + theta of
+    Q^-1 A Q^-T is at or below 1e-12: A is then not positive definite
+    relative to the factor, to working precision, though it may be SPD.
 
     One n x n array holds every stage: the dense copy of A (a copy even of
     a caller's ndarray, which is never changed), then Q^-1 A solved into it
@@ -174,7 +175,8 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     B[np.diag_indices(n)] -= 1.0
     eig = sym_eig(B, overwrite=True)           # checks and symmetrizes E
     if np.any(eig.values <= -1.0 + 1e-12):
-        raise NotPositiveDefiniteError("error core has eigenvalues <= -1: A is not SPD")
+        raise NotPositiveDefiniteError("error core has 1 + theta <= 1e-12: A is not positive "
+                                       "definite relative to the factor, to working precision")
     return ErrorCore(eig=eig, factor=Q)
 
 

@@ -1,15 +1,15 @@
 """Randomized trace and log-determinant estimation.
 
 slq_trace_logdet is stochastic Lanczos quadrature.  Each probe runs m
-Lanczos steps from a normalized Rademacher vector (entries +-1, the
-minimum-variance probe for Hutchinson's estimator), eigendecomposes the
-tridiagonal T_m = V Pi V', and accumulates sum_k tau_k^2 f(pi_k) with tau
-the first row of V, for f = identity and f = log.  The estimates are n
-times the probe mean.  Its trace term is Hutchinson's estimate
-(e1' T_m e1 = z' M z for the unit probe z), so no separate trace
-estimator is kept.  The quadrature reads only the tridiagonal, and needs
-it as from an orthogonal basis (Ubaru, Chen and Saad, SIMAX 2017).  So a
-probe holds three Lanczos vectors, not a basis, while its run stays
+Lanczos steps from a normalized Rademacher vector z (entries +-1, the
+minimum-variance probe for Hutchinson's estimator).  Its trace term is
+Hutchinson's z' M z, the first Lanczos coefficient, so no separate trace
+estimator is kept.  Its log-det term is the Gauss rule e1' log(T_m) e1
+from one LAPACK dstev, the rule the depth rule below measures; a failed
+eigensolve raises ConvergenceError naming the probe.  The estimates are n
+times the probe mean.  The quadrature reads only the tridiagonal, and
+needs it as from an orthogonal basis (Ubaru, Chen and Saad, SIMAX 2017).
+So a probe holds three Lanczos vectors, not a basis, while its run stays
 semi-orthogonal (linalg.lanczos, SEMI_ORTH_TOL = sqrt(eps)); a probe whose
 run passes that level reruns with full reorthogonalization, against an
 m x n basis that the run frees when it hands back its tridiagonal, the
@@ -30,7 +30,7 @@ n_v = 10; at n = 4900, after about 14 steps, by about 0.8 nats.  The
 bias does not fall with n_v, and the log-det standard error, which
 measures probe noise alone, does not include it: at n_v = 100 the bias
 is 0.14 (n = 19600) and 0.18 (n = 4900) of that standard error.  The
-trace needs no depth: e1' T_k e1 = z' M z at every k.  A run with
+trace needs no depth: alpha_1 = z' M z at every k.  A run with
 m >= n is never shortened: it exhausts the Krylov space and gives each
 probe's quadratic forms exactly.  DEPTH_TOL = 0 would run every probe
 its m steps, bit for bit the fixed-depth estimator.
@@ -51,11 +51,10 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from .divergence import ln_kaporin_k as approx_ln_kaporin  # n ln(tr_hat/n) - Gamma
-from .errors import DomainError, NotPositiveDefiniteError, RankError
+from .errors import ConvergenceError, DomainError, NotPositiveDefiniteError, RankError
 from .linalg import lanczos
 
 # The depth rule stops a probe once its Gauss-rule log det moved by at most
@@ -97,17 +96,19 @@ class ProbeConfig:
 class EstimateReport:
     """Estimates plus per-probe quadratic forms.
 
-    per_probe_* store unit-vector-scale contributions; the estimator sets
-    each estimate to n * mean(per_probe_*), with standard error
-    n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None from a single
-    probe), and probes_used is the number of probes.  The standard errors
-    measure probe noise alone: logdet_stderr leaves out the depth rule's
-    upward bias, which more probes do not shrink.  steps holds each
-    probe's Lanczos steps: m, unless a breakdown or the depth rule ended
-    its run sooner.  breakdowns counts the probes whose Lanczos run
-    exhausted its Krylov space before m steps.  reruns counts the probes
-    whose basis-free Lanczos run lost semi-orthogonality and was rerun
-    with full reorthogonalization.
+    per_probe_* store unit-vector-scale contributions: per_probe_trace is
+    each probe's first Lanczos coefficient z' M z, and per_probe_logdet
+    its Gauss rule e1' log(T_k) e1, the number the depth rule measures.
+    The estimator sets each estimate to n * mean(per_probe_*), with
+    standard error n * std(per_probe_*, ddof=1) / sqrt(probes_used) (None
+    from a single probe), and probes_used is the number of probes.  The
+    standard errors measure probe noise alone: logdet_stderr leaves out
+    the depth rule's upward bias, which more probes do not shrink.  steps
+    holds each probe's Lanczos steps: m, unless a breakdown or the depth
+    rule ended its run sooner.  breakdowns counts the probes whose Lanczos
+    run exhausted its Krylov space before m steps.  reruns counts the
+    probes whose basis-free Lanczos run lost semi-orthogonality and was
+    rerun with full reorthogonalization.
     """
 
     n: int
@@ -143,7 +144,8 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
 
     Each probe runs at most cfg.m Lanczos steps, fewer where the depth
     rule (module docstring) stops it.  A nonpositive Ritz value aborts
-    with NotPositiveDefiniteError carrying the offending probe index.
+    with NotPositiveDefiniteError carrying the offending probe index, and
+    a failed tridiagonal eigensolve with ConvergenceError naming it.
     """
     tr_contribs = np.empty(cfg.n_v)
     ld_contribs = np.empty(cfg.n_v)
@@ -161,12 +163,8 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
         steps[i] = res.m
         breakdowns += int(res.breakdown)
         reruns += int(res.rerun)
-        ritz, vecs = sla.eigh_tridiagonal(res.alphas, res.betas)
-        if np.any(ritz <= 0.0):
-            raise _not_spd(i)
-        tau2 = vecs[0, :] ** 2
-        tr_contribs[i] = float(tau2 @ ritz)
-        ld_contribs[i] = float(tau2 @ np.log(ritz))
+        tr_contribs[i] = res.alphas[0]
+        ld_contribs[i] = _gauss_logdet(res.alphas, res.betas, i)
     return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
                           tr_contribs, ld_contribs, steps, breakdowns, reruns)
 
@@ -176,26 +174,32 @@ def _not_spd(i: int) -> NotPositiveDefiniteError:
         f"nonpositive Ritz value on probe {i}: operator is not SPD", probe_index=i)
 
 
+def _gauss_logdet(alphas, betas, i: int) -> float:
+    """Probe i's Gauss-rule log det e1' log(T_k) e1 = sum_j tau_j^2 log(pi_j),
+    for T_k = V Pi V' and tau the first row of V, from LAPACK's dstev, rla's
+    one eigensolve.  A nonpositive Ritz value raises NotPositiveDefiniteError
+    and a failed eigensolve ConvergenceError, both naming probe i."""
+    # dstev's wrapper wants one off-diagonal even at k = 1, where it reads none
+    ritz, vecs, info = lapack.dstev(alphas, betas if alphas.size > 1 else np.zeros(1), compute_v=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolve failed on probe {i} (dstev info {info})")
+    if ritz[0] <= 0.0:  # ascending
+        raise _not_spd(i)
+    return float(np.square(vecs[0]) @ np.log(ritz))
+
+
 def _settled(n: int, m: int, tol: float, i: int):
     """Probe i's depth rule, a lanczos stop predicate: true after step
     k > DEPTH_WINDOW once |G_k - G_{k-DEPTH_WINDOW}| <= tol, for
-    G_k = n e1' log(T_k) e1.  G_k is kept by k, so a rerun, asked again
-    from step 1, overwrites the dropped run's values in order.  A
-    nonpositive Ritz value raises here: by interlacing, every longer run
-    would have one too.  LAPACK's dstev, called directly, costs half of
-    eigh_tridiagonal at these orders; G_k steers the stop only, and the
-    estimate comes from eigh_tridiagonal as at a fixed depth."""
+    G_k = n _gauss_logdet(T_k), the rule the estimate reads.  G_k is kept
+    by k, so a rerun, asked again from step 1, overwrites the dropped run's
+    values in order.  Its errors raise here: by interlacing, a nonpositive
+    Ritz value stays in every longer run."""
     g = np.empty(m)
 
     def stop(alphas, betas):
         k = alphas.size
-        # dstev's wrapper wants one off-diagonal even at k = 1, where it reads none
-        ritz, vecs, info = lapack.dstev(alphas, betas if k > 1 else np.zeros(1), compute_v=1)
-        if info != 0:
-            return False  # the final eigh_tridiagonal reports the failure
-        if ritz[0] <= 0.0:  # ascending
-            raise _not_spd(i)
-        g[k - 1] = n * float(np.square(vecs[0]) @ np.log(ritz))
+        g[k - 1] = n * _gauss_logdet(alphas, betas, i)
         return k > DEPTH_WINDOW and abs(g[k - 1] - g[k - 1 - DEPTH_WINDOW]) <= tol
 
     return stop

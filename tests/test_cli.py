@@ -89,6 +89,16 @@ class TestExitCodes:
         bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n9 9 1.0\n")
         assert run(["info", "--matrix", str(bad)]) == 2
 
+    def test_spd_matrix_below_working_precision_is_two_and_named_so(self, capsys):
+        # eigenvalues 1, 1, 1e-13, 1e-13: positive definite, but 1 + theta <= 1e-12
+        # relative to the identity factor
+        matrix = ["--synthetic", "clustered", "--n", "4", "--clusters", "1:2,1e-13:2"]
+        assert run(["info", *matrix]) == 0
+        assert "positive definite True" in capsys.readouterr().out
+        assert run(["precondition", *matrix, "--factor", "identity"]) == 2
+        err = capsys.readouterr().err
+        assert "relative to the factor, to working precision" in err and "not SPD" not in err
+
     @pytest.mark.parametrize("clusters", ["abc", "1:x", "1:2:3", "2:1.5"])
     def test_malformed_clusters_is_usage_error(self, clusters, capsys):
         rc = run(["precondition", "--synthetic", "clustered", "--n", "4", "--clusters", clusters])

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestReadMatrixMarket:
         assert A.nnz_lower == 2
         assert A.to_dense()[0, 0] == 2.5
 
+    @pytest.mark.parametrize("size, entry", [
+        ("10 10 1", "1_0 1 4.5"),  # a digit-group underscore, row 10 to Python's int
+        ("10 10 1", "1 1 4_5"),
+        ("1_0 10 1", "1 1 4.5"),
+        ("10 10 1", "1 1 0x10"),
+        ("10 10 1", "1 1 1,5"),
+        ("10 10 1", "1 1 1.0abc"),
+        ("10 10 1", "1.0 1 4.5"),
+        ("10 10 1", "1 1"),
+        ("10 10 1", "1 1 4.5 0"),
+    ])
+    def test_only_plain_decimal_numerals_read(self, tmp_path, size, entry):
+        path = _write(tmp_path, f"%%MatrixMarket matrix coordinate real symmetric\n{size}\n{entry}\n")
+        with pytest.raises(MatrixMarketError):
+            read_matrix_market(path)
+
     def test_entry_count_mismatch(self, tmp_path):
         path = _write(
             tmp_path,
@@ -112,6 +129,17 @@ class TestReadMatrixMarket:
         )
         with pytest.raises(MatrixMarketError):
             read_matrix_market(path)
+
+    def test_more_entries_than_declared(self, tmp_path):
+        path = _write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 1 1.0\n2 2 1.0\n")
+        with pytest.raises(MatrixMarketError, match="declared 1 entries, found 2"):
+            read_matrix_market(path)
+
+    def test_empty_entry_block_read_without_a_warning(self, tmp_path):
+        path = _write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n2 2 0\n% end\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert read_matrix_market(path).nnz_lower == 0
 
 
 class TestRoundTrip:

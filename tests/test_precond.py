@@ -31,7 +31,7 @@ from bld_kaporin.precond import (
     sym_preconditioned_operator,
     tsvd_truncate,
 )
-from bld_kaporin.synth import haar_orthogonal, make_sparse_network, random_spd
+from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
 
 
 def _planted_core(thetas, seed=0, lower_seed=None):
@@ -69,6 +69,14 @@ class TestErrorCore:
         A, Q = _planted_core([-1.5, 0.2], seed=1)
         with pytest.raises(NotPositiveDefiniteError):
             error_core(A, Q)
+
+    def test_spd_matrix_below_working_precision_named_as_such(self):
+        # SPD, but 1 + theta = 1e-13 relative to the identity factor
+        A = make_dense_spd(np.array([1.0, 1.0, 1e-13, 1e-13]), basis_seed=0)
+        np.linalg.cholesky(A)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match="not positive definite relative to the factor, to working precision"):
+            error_core(A, identity_factor(4))
 
     def test_gamma_tie_breaks_by_theta_then_index(self):
         # equal gamma values (identical thetas): order by index, deterministic

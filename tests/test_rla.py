@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bld_kaporin import linalg, rla
-from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
+from bld_kaporin.errors import ConvergenceError, DomainError, NotPositiveDefiniteError, RankError
 from bld_kaporin.rla import (
     ProbeConfig,
     approx_alpha,
@@ -23,6 +23,13 @@ from bld_kaporin.precond import (
     sym_preconditioned_operator,
 )
 from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
+
+
+def _unit_probe(seed: int, i: int, n: int) -> np.ndarray:
+    """Probe i's normalized Rademacher start vector, as rla draws it."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+    z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
+    return z / np.linalg.norm(z)
 
 
 @pytest.mark.parametrize("estimator", [slq_trace_logdet])
@@ -56,6 +63,24 @@ class TestHutchinson:
         rep = slq_trace_logdet(lambda x: A @ x, 200, ProbeConfig(m=1, n_v=100, seed=3))
         exact = float(np.trace(A))
         assert abs(rep.trace_est - exact) <= 0.10 * abs(exact)
+
+    @pytest.mark.parametrize("case", ["stopped", "fixed depth", "rerun"])
+    def test_trace_is_the_first_lanczos_coefficient(self, case, monkeypatch):
+        # bit for bit, whether the depth rule stopped the probe, it ran its
+        # m steps, or it reran (the four outliers of
+        # test_rerunning_probes_honour_the_rule)
+        n = 2000
+        d = np.linspace(1.0, 10.0, n)
+        if case == "rerun":
+            d[:4] = 100.0, 300.0, 1000.0, 3000.0
+        if case == "fixed depth":
+            monkeypatch.setattr(rla, "DEPTH_TOL", 0)
+        rep = slq_trace_logdet(lambda x: d * x, n, ProbeConfig(m=30, n_v=3, seed=0))
+        assert ((rep.steps == 30) == (case == "fixed depth")).all()
+        assert rep.reruns == (3 if case == "rerun" else 0)
+        for i in range(3):
+            v0 = _unit_probe(0, i, n)
+            assert rep.per_probe_trace[i] == v0 @ (d * v0)
 
     def test_aggregate_is_n_times_mean(self):
         rng = np.random.default_rng(4)
@@ -116,9 +141,7 @@ class TestSlq:
         rep = slq_trace_logdet(lambda x: M @ x, 3, cfg)
         logM = (W * np.log([1.0, 2.0, 3.0])) @ W.T
         for i in range(cfg.n_v):
-            rng = np.random.default_rng(np.random.SeedSequence([10, i]))
-            z = rng.integers(0, 2, size=3).astype(float) * 2.0 - 1.0
-            v0 = z / np.linalg.norm(z)
+            v0 = _unit_probe(10, i, 3)
             assert rep.per_probe_trace[i] == pytest.approx(float(v0 @ M @ v0), rel=1e-12)
             assert rep.per_probe_logdet[i] == pytest.approx(float(v0 @ logM @ v0), rel=1e-10)
 
@@ -221,6 +244,25 @@ class TestSlq:
         with pytest.raises(NotPositiveDefiniteError) as exc:
             slq_trace_logdet(lambda x: d * x, 4, ProbeConfig(m=4, n_v=3, seed=18))
         assert exc.value.probe_index is not None
+
+    @pytest.mark.parametrize("tol, failing_call, probe", [(0, 3, 2), (2.0, 1, 0)])
+    def test_failed_eigensolve_reports_probe(self, tol, failing_call, probe, monkeypatch):
+        # dstev reports info = 1 from its failing_call-th call on.  Without the
+        # depth rule each probe makes one call, for its estimate; with it the
+        # first call comes from the rule
+        calls = []
+        dstev = rla.lapack.dstev
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            ritz, vecs, info = dstev(*args, **kwargs)
+            return ritz, vecs, 1 if len(calls) >= failing_call else info
+
+        monkeypatch.setattr(rla.lapack, "dstev", failing)
+        monkeypatch.setattr(rla, "DEPTH_TOL", tol)
+        d = np.linspace(1.0, 10.0, 500)
+        with pytest.raises(ConvergenceError, match=rf"probe {probe}\b"):
+            slq_trace_logdet(lambda x: d * x, 500, ProbeConfig(m=30, n_v=4, seed=31))
 
     def test_one_lanczos_basis_live_at_a_time(self):
         # the previous probe's m x n basis is dropped before the next probe
