@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -40,6 +41,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Plain decimal numerals, the ones the Matrix Market reader takes: Python's
+# int and float would also read digit-group underscores (1_0 as 10),
+# surrounding spaces and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+                   re.IGNORECASE)
+
+
+def integer(text: str) -> int:
+    """text as an int if it is a plain decimal integer, else ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not a plain decimal integer: {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """text as a float if it is a plain decimal numeral, inf or nan, else ValueError."""
+    if not _REAL.fullmatch(text):
+        raise ValueError(f"not a plain decimal number: {text!r}")
+    return float(text)
+
+
 # The matrix flags' defaults, and the ones each --synthetic generator reads;
 # --matrix reads none of them.
 _MATRIX_DEFAULTS = {"n": 200, "cond": 100.0, "lo": 0.5, "hi": 5.0, "clusters": "1:1"}
@@ -53,22 +76,22 @@ def _add_matrix_flags(p):
     source.add_argument("--synthetic", choices=list(_SYNTHETIC_READS),
                         help="generate the matrix instead of reading one")
     # no parser defaults: _resolve_matrix tells a flag given from one left out
-    p.add_argument("--n", type=int, help="order of a synthetic matrix (default 200)")
-    p.add_argument("--cond", type=float, help="condition number, geometric (default 100)")
-    p.add_argument("--lo", type=float, help="lower eigenvalue, uniform (default 0.5)")
-    p.add_argument("--hi", type=float, help="upper eigenvalue, uniform (default 5)")
+    p.add_argument("--n", type=integer, help="order of a synthetic matrix (default 200)")
+    p.add_argument("--cond", type=real, help="condition number, geometric (default 100)")
+    p.add_argument("--lo", type=real, help="lower eigenvalue, uniform (default 0.5)")
+    p.add_argument("--hi", type=real, help="upper eigenvalue, uniform (default 5)")
     p.add_argument("--clusters", help="value:multiplicity[,...], clustered (default 1:1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
 
 
 def _add_precond_flags(p):
     p.add_argument("--factor", choices=list(harness.FACTORS), default="ic0")
-    p.add_argument("--rank", type=int, default=None,
+    p.add_argument("--rank", type=integer, default=None,
                    help="low-rank correction size (default ceil(n/10), at most n - 1)")
 
 
 def _add_alpha_flag(p):
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=real, default=None,
                    help="complement scaling (default: the optimal value)")
 
 
@@ -97,23 +120,23 @@ def build_parser() -> _Parser:
     _add_matrix_flags(p)
     _add_precond_flags(p)
     _add_alpha_flag(p)
-    p.add_argument("--tol", type=float, default=SolveConfig.tol)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--tol", type=real, default=SolveConfig.tol)
+    p.add_argument("--max-iter", type=integer, default=None)
     p.add_argument("--out", help="CSV output path for the per-iteration table; "
                    "the summary goes to <out>.json")
 
     p = sub.add_parser("verify", help="run the theorem-verification batteries")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--n-min", type=int, default=10)
-    p.add_argument("--n-max", type=int, default=60)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=integer, default=100)
+    p.add_argument("--n-min", type=integer, default=10)
+    p.add_argument("--n-max", type=integer, default=60)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--out", help="JSON report path")
 
     p = sub.add_parser("estimate", help="randomized estimates vs exact quantities")
     _add_matrix_flags(p)
     _add_precond_flags(p)
-    p.add_argument("--m", type=int, default=ProbeConfig.m, help="most Lanczos steps per probe")
-    p.add_argument("--nv", type=int, default=ProbeConfig.n_v, help="number of probe vectors")
+    p.add_argument("--m", type=integer, default=ProbeConfig.m, help="most Lanczos steps per probe")
+    p.add_argument("--nv", type=integer, default=ProbeConfig.n_v, help="number of probe vectors")
     p.add_argument("--out", help="CSV output path; the summary goes to <out>.json")
     return parser
 
@@ -147,8 +170,8 @@ def _resolve_matrix(args):
     else:
         try:
             pairs = [item.split(":") for item in args.clusters.split(",")]
-            values = [float(v) for v, _ in pairs]
-            mults = [int(m) for _, m in pairs]
+            values = [real(v) for v, _ in pairs]
+            mults = [integer(m) for _, m in pairs]
         except ValueError as exc:
             raise UsageError(f"--clusters expects value:multiplicity[,...], "
                              f"got {args.clusters!r}") from exc
@@ -167,7 +190,7 @@ def _parse_grid(text):
         return None
     try:
         amin, amax, count, scale = text.split(",")
-        grid = (float(amin), float(amax), int(count), scale)
+        grid = (real(amin), real(amax), integer(count), scale)
         harness.check_grid(grid)
     except (ValueError, DomainError) as exc:
         raise UsageError(f"--grid expects min,max,count,log|linear, got {text!r}: {exc}") from exc

@@ -34,7 +34,9 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class FactorizationError(RuntimeError):
-    """Incomplete factorization broke down beyond the recoverable shifts."""
+    """A factor is unusable: an incomplete factorization broke down beyond
+    the recoverable shifts, or a factor is too ill-conditioned for its
+    matrix to form the error core."""
 
 
 class SingularFactorError(ValueError):

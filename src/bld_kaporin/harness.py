@@ -42,14 +42,16 @@ TRUNCATIONS = {"bld": pc.bld_truncate, "tsvd": pc.tsvd_truncate}
 
 def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
                          alpha: float | None = None, truncation: str = "bld"):
-    """Factor A by FACTORS[factor], eigendecompose the error core, keep
-    rank (default ceil(n/10), at most n - 1) eigenpairs by
-    TRUNCATIONS[truncation], and assemble P_alpha (alpha default alpha_star).
+    """Factor A by FACTORS[factor], form the error core, keep rank
+    (default ceil(n/10), at most n - 1) eigenpairs by
+    TRUNCATIONS[truncation] from the ends of its spectrum (its full
+    eigendecomposition where the ends pass precond.ENDS_SHARE, as at the
+    default rank), and assemble P_alpha (alpha default alpha_star).
 
     Returns (term, rest, preconditioner): rest is the RestStats that
     every alpha functional, alpha_star included, is read from, and the
     factor is the preconditioner's.  The core is not returned, so its
-    n x n reflectors are freed before the caller solves or estimates.
+    n x n array is freed before the caller solves or estimates.
     """
     if truncation not in TRUNCATIONS:
         raise DomainError(f"unknown truncation {truncation!r}")

@@ -13,10 +13,11 @@ alpha_star, the mean of the unselected 1 + theta_i, is the unique
 divergence minimizer over alpha and makes the divergence equal the log
 Kaporin condition number of the preconditioned matrix.
 
-Memory: the dense error core is formed, symmetrized and reduced in one
-n x n array, the dense copy of A, and the ErrorCore keeps that array as
-the reflectors of its eigendecomposition; a truncation forms only the r
-eigenvectors it selects.
+Memory: the error core lives in one n x n array, the dense copy of A,
+through every stage (ErrorCore): B = I + E, then its Cholesky factor
+beside it, or the reflectors of E's eigendecomposition.  ARPACK's work
+space, n x (2k + 1) for k values, is freed with each run, and a
+truncation forms only the r eigenvectors it selects.
 """
 
 from __future__ import annotations
@@ -26,11 +27,32 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
+from scipy.linalg import blas, lapack
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
-from .errors import DomainError, NotPositiveDefiniteError, RankError
-from .linalg import EigenDecomposition, LowerTriFactor, spd_cholesky, sym_eig, tri_solve
-from .matio import as_dense, as_dense_pair, as_matvec
+from .errors import (ConvergenceError, DomainError, FactorizationError, NotPositiveDefiniteError,
+                     RankError)
+from .linalg import EigenDecomposition, LowerTriFactor, _f_view, spd_cholesky, sym_eig, tri_solve
+from .matio import PANEL, SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_matvec
+
+# The share of the order up to which a core finds the ends of its spectrum
+# by ARPACK, counted in the Krylov vectors ARPACK holds for both ends
+# (_ncv); a core asked for more takes the full eigendecomposition instead.
+# On the benchmark's diffusion matrix (n = 1936, IC(0), one BLAS thread),
+# core plus gamma pick took 0.59 s by ARPACK against 0.90 s in full at
+# r = 50 (a share of 0.064), 0.97 against 1.05 s at r = 120 (0.136), and
+# 2.64 against 1.08 s at r = 150 (0.167).
+ENDS_SHARE = 0.1
+
+
+def _ncv(k: int) -> int:
+    """ARPACK's Krylov basis for k values: eigsh's default, 2k + 1, at least 20."""
+    return max(2 * k + 1, 20)
+
+
+_NOT_SPD = ("error core Q^-1 A Q^-T has 1 + theta <= 1e-12: A is not positive definite "
+            "relative to the factor, to working precision")
 
 __all__ = [
     "ErrorCore",
@@ -50,30 +72,159 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class ErrorCore:
-    """Eigendecomposition of E = Q^-1 A Q^-T - I and the factor Q it was
-    formed from; eig.values are algebraically non-increasing.  Each
-    truncation orders the eigenpairs by its own key when it selects."""
+    """The error core E = Q^-1 A Q^-T - I, held as what a truncation reads:
+    the sum and log-sum of all n values 1 + theta, and the ends of its
+    spectrum, found on request.
 
-    eig: EigenDecomposition
+    total = trace(I + E).  ends(k_lo, k_hi) gives the k_lo lowest theta
+    ascending and the k_hi highest descending; vectors(selection) their
+    eigenvectors.  Positions count in the algebraically non-increasing
+    spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
+
+    _work holds B = I + E (symmetrized) and _diag its diagonal.  While the
+    ends asked for stay within ENDS_SHARE of n, B is Cholesky-factored in
+    place, lower, once: _work then holds L below its diagonal and B above
+    it, logsum = log det B, and the ends come from ARPACK through L: the
+    low end from B^-1 = L^-T L^-1 (two dtrsv calls per product), the high
+    end from L L^T (two dtrmv calls).  Past that share, or when a caller
+    reads eig or thetas, the core rebuilds E in _work from B's upper
+    triangle and _diag and eigendecomposes it there (sym_eig), with the
+    bits of a dense E formed out of place; every end then comes from that
+    decomposition, and so does logsum if no factor came first.
+    """
+
     factor: LowerTriFactor = field(repr=False)
+    total: float
+    _work: np.ndarray | None = field(repr=False)
+    _diag: np.ndarray = field(repr=False)
+    _logsum: float | None = field(default=None, repr=False)
+    _low: tuple | None = field(default=None, repr=False)
+    _high: tuple | None = field(default=None, repr=False)
+    _eig: EigenDecomposition | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.eig.n
+        return self._diag.size
+
+    @property
+    def logsum(self) -> float:
+        """log det(I + E), the sum of log(1 + theta)."""
+        if self._logsum is None:
+            if self._eig is None:
+                self._factor()
+            else:
+                self._logsum = float(np.sum(np.log(1.0 + self._eig.values)))
+        return self._logsum
+
+    @property
+    def eig(self) -> EigenDecomposition:
+        """The full eigendecomposition of E, values non-increasing."""
+        if self._eig is None:
+            self._full()
+        return self._eig
 
     @property
     def thetas(self) -> np.ndarray:
         return self.eig.values
 
+    def _factor(self) -> None:
+        """Cholesky-factor B in _work, lower, leaving its upper triangle."""
+        a = self._work
+        _, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise NotPositiveDefiniteError(_NOT_SPD)
+        self._logsum = 2.0 * float(np.sum(np.log(a.diagonal())))
+
+    def _full(self) -> None:
+        """Rebuild E in _work, a panel at a time, and reduce it there.
+        A factored _work (a logsum and no eig) has L below its diagonal,
+        which B's upper triangle replaces."""
+        a, n = self._work, self.n
+        if self._logsum is not None:
+            for j in range(0, n, PANEL):
+                J = slice(j, j + PANEL)
+                a[j + PANEL:, J] = a[J, j + PANEL:].T
+                upper = np.triu(a[J, J], 1)
+                a[J, J] = upper + upper.T
+        a[np.diag_indices(n)] = self._diag - 1.0
+        self._work = self._low = self._high = None
+        eig = sym_eig(a, overwrite=True)
+        if eig.values[-1] <= -1.0 + 1e-12:
+            raise NotPositiveDefiniteError(_NOT_SPD)
+        self._eig = eig
+
+    def _arpack(self, k: int, low: bool):
+        """The k lowest (low) or highest theta and their vectors, in that
+        order: ARPACK's k largest of (I + E)^-1 or I + E, to full accuracy
+        (tol 0), from a seeded start vector so a build is deterministic."""
+        L, n = self._work, self.n
+        if low:
+            def apply(x):
+                y = blas.dtrsv(L, x, lower=1)
+                return blas.dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
+        else:
+            def apply(x):
+                y = blas.dtrmv(L, x, lower=1, trans=1)
+                return blas.dtrmv(L, y, lower=1, overwrite_x=1)
+        v0 = np.random.default_rng(0).standard_normal(n)
+        try:
+            w, X = eigsh(LinearOperator((n, n), matvec=apply, dtype=np.float64), k=k,
+                         which="LA", v0=v0, ncv=_ncv(k), tol=0)
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"ARPACK did not converge on the error core: {exc}") from exc
+        order = np.argsort(-w, kind="stable")
+        mu = 1.0 / w[order] if low else w[order]
+        if low and mu[0] <= 1e-12:
+            raise NotPositiveDefiniteError(_NOT_SPD)
+        return mu - 1.0, X[:, order]
+
+    def ends(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """At least the k_lo lowest theta, ascending, and the k_hi highest,
+        descending; from the full spectrum, all n of each."""
+        if self._eig is None:
+            lo_ok = self._low is not None and self._low[0].size >= k_lo
+            hi_ok = self._high is not None and self._high[0].size >= k_hi
+            if not (lo_ok and hi_ok) and _ncv(k_lo) + _ncv(k_hi) > ENDS_SHARE * self.n:
+                self._full()
+            else:
+                if self._logsum is None:
+                    self._factor()
+                if not lo_ok:
+                    self._low = self._arpack(k_lo, low=True)
+                if not hi_ok:
+                    self._high = self._arpack(k_hi, low=False)
+                return self._low[0], self._high[0]
+        return self._eig.values[::-1], self._eig.values
+
+    def vectors(self, selection: np.ndarray) -> np.ndarray:
+        """C-contiguous eigenvectors for positions in the non-increasing
+        spectrum, each within the ends last given."""
+        if self._eig is not None:
+            return self._eig.vectors_at(selection)
+        high = selection < self._high[1].shape[1]
+        V = np.empty((self.n, selection.size))
+        V[:, high] = self._high[1][:, selection[high]]
+        V[:, ~high] = self._low[1][:, self.n - 1 - selection[~high]]
+        return V
+
     def rest(self, term: LowRankTerm) -> RestStats:
-        """Statistics of the 1 + theta that term leaves unselected."""
-        rest = 1.0 + np.delete(self.thetas, term.selection)
-        if rest.size == 0:
+        """Statistics of the 1 + theta that term, a truncation of this core,
+        leaves unselected: the sums less those of its 1 + D, and the next
+        unselected value at each end."""
+        n = self.n
+        if term.r >= n:
             raise RankError("rank equals the order: no remaining spectrum")
-        return RestStats(self.n, self.n - rest.size, float(np.sum(rest)),
-                         float(np.sum(np.log(rest))), float(rest.min()), float(rest.max()))
+        free = np.ones(n, dtype=bool)
+        free[term.selection] = False
+        hi = int(np.argmax(free))
+        lo = int(np.argmax(free[::-1]))
+        low, high = self.ends(lo + 1, hi + 1)
+        d = 1.0 + term.D
+        return RestStats(n, term.r, self.total - float(np.sum(d)),
+                         self.logsum - float(np.sum(np.log(d))),
+                         float(1.0 + low[lo]), float(1.0 + high[hi]))
 
 
 def _check_alpha(alpha: float) -> None:
@@ -129,7 +280,8 @@ class RestStats:
 class LowRankTerm:
     """Selected eigenpairs (V, D) of the error core; V D V^T is the correction.
 
-    selection indexes into the core's eigendecomposition; V has orthonormal
+    selection gives the pairs' positions in the core's algebraically
+    non-increasing spectrum (ErrorCore); V has orthonormal
     columns and every 1 + D entry is positive.  V must be 2-D with r
     columns and D and selection must have r entries, else ValueError; a
     non-finite entry of V raises DomainError.
@@ -153,59 +305,87 @@ class LowRankTerm:
 
 
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
-    """Form and eigendecompose E = Q^-1 A Q^-T - I.
-
-    Fails with NotPositiveDefiniteError when an eigenvalue 1 + theta of
-    Q^-1 A Q^-T is at or below 1e-12: A is then not positive definite
-    relative to the factor, to working precision, though it may be SPD.
+    """Form B = Q^-1 A Q^-T = I + E and its trace.
 
     One n x n array holds every stage: the dense copy of A (a copy even of
-    a caller's ndarray, which is never changed), then Q^-1 A solved into it
-    a column panel at a time, then E solved into its transpose, so that
-    row panel J of Q^-1 A becomes row panel J of E, and the unit diagonal
-    subtracted.  sym_eig then checks and symmetrizes it in place and
-    reduces it, and the core keeps it as its reflectors.
+    a caller's ndarray, which is never changed; a dense A is checked and
+    symmetrized there, ValueError naming it), then Q^-1 A solved into it
+    a column panel at a time, then B solved into its transpose, so that
+    row panel J of Q^-1 A becomes row panel J of B.  B is checked and
+    symmetrized in place: asymmetry past 1e-10 relative
+    (matio._symmetrized) raises FactorizationError, since the factor is
+    then too ill-conditioned for A.  The core keeps that array, B's
+    diagonal and total = trace(B), and factors or reduces B when its
+    ends are first asked for (ErrorCore).
+
+    NotPositiveDefiniteError follows when B is not positive definite to
+    working precision: its Cholesky factorization fails, or its lowest
+    1 + theta is at or below 1e-12.  A core too small for ARPACK at any
+    rank (2 _ncv(1) > ENDS_SHARE n) eigendecomposes here and raises here;
+    a larger one raises at its first truncation.
     """
     B = as_dense(A, copy=True)
     n = B.shape[0]
     if Q.n != n:
         raise ValueError(f"factor order {Q.n} does not match the matrix order {n}")
+    if not isinstance(A, SparseSymMatrix):
+        _symmetrized(B, out=B)                 # a dense A's own asymmetry is named as such
     tri_solve(Q, B, "forward", out=B)          # Q^-1 A
     tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
-    B[np.diag_indices(n)] -= 1.0
-    eig = sym_eig(B, overwrite=True)           # checks and symmetrizes E
-    if np.any(eig.values <= -1.0 + 1e-12):
-        raise NotPositiveDefiniteError("error core has 1 + theta <= 1e-12: A is not positive "
-                                       "definite relative to the factor, to working precision")
-    return ErrorCore(eig=eig, factor=Q)
+    try:
+        _symmetrized(B, out=B)
+    except ValueError as exc:
+        raise FactorizationError("error core Q^-1 A Q^-T is not symmetric to 1e-10 relative: "
+                                 "the factor is too ill-conditioned for A") from exc
+    a = _f_view(B)
+    diag = a.diagonal().copy()
+    core = ErrorCore(Q, float(np.sum(diag)), a, diag)
+    if 2 * _ncv(1) > ENDS_SHARE * n:
+        core._full()
+    return core
 
 
-def _take(core: ErrorCore, order: np.ndarray, r: int) -> LowRankTerm:
-    if not (isinstance(r, Integral) and 0 <= r < core.n):
-        raise RankError(f"rank must satisfy 0 <= r < {core.n} and be an integer, got {r!r}")
-    selection = order[:r]
-    return LowRankTerm(
-        r=int(r),
-        V=core.eig.vectors_at(selection),
-        D=core.thetas[selection].copy(),
-        selection=selection.copy(),
-    )
+def _take(core: ErrorCore, key, r: int) -> LowRankTerm:
+    """The r eigenpairs largest under key, ties toward the larger theta,
+    then the lower position: a lexsort of the values at the two ends of
+    the spectrum.  key (gamma, |theta|) is quasi-convex, so those largest
+    sit at the ends.  An end whose innermost value the pick takes is asked
+    for twice as many, and the pick made again; so the pick ends with the
+    next unselected value at each end, which rest reads.  With the full
+    spectrum both ends hold all n values, and the lexsort is over all of
+    them."""
+    n = core.n
+    if not (isinstance(r, Integral) and 0 <= r < n):
+        raise RankError(f"rank must satisfy 0 <= r < {n} and be an integer, got {r!r}")
+    k_lo, k_hi = r + 1, 1
+    while True:
+        low, high = core.ends(k_lo, k_hi)
+        pos, first = np.unique(np.concatenate((np.arange(high.size), n - 1 - np.arange(low.size))),
+                               return_index=True)
+        theta = np.concatenate((high, low))[first]
+        picked = np.lexsort((pos, -theta, -key(theta)))[:r]
+        selection = pos[picked]
+        lo_out = low.size < n and n - low.size in selection
+        hi_out = high.size < n and high.size - 1 in selection
+        if not (lo_out or hi_out):
+            break
+        k_lo *= 2 if lo_out else 1
+        k_hi *= 2 if hi_out else 1
+    return LowRankTerm(r=int(r), V=core.vectors(selection), D=theta[picked], selection=selection)
 
 
 def bld_truncate(core: ErrorCore, r: int) -> LowRankTerm:
     """Keep the r eigenpairs whose eigenvalues are largest under gamma.
-    Ties break toward the larger eigenvalue, then the lower index."""
-    th = core.thetas
-    return _take(core, np.lexsort((np.arange(core.n), -th, -gamma_map(th))), r)
+    Ties break toward the larger eigenvalue, then the lower position."""
+    return _take(core, gamma_map, r)
 
 
 def tsvd_truncate(core: ErrorCore, r: int) -> LowRankTerm:
     """Keep the r eigenpairs largest in magnitude (the TSVD selection).
 
-    Ties break toward the positive eigenvalue, then the lower index.
+    Ties break toward the positive eigenvalue, then the lower position.
     """
-    th = core.thetas
-    return _take(core, np.lexsort((np.arange(core.n), -np.sign(th), -np.abs(th))), r)
+    return _take(core, np.abs, r)
 
 
 def optimal_alpha(core: ErrorCore, term: LowRankTerm) -> float:

@@ -99,6 +99,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "relative to the factor, to working precision" in err and "not SPD" not in err
 
+    def test_core_asymmetric_to_rounding_is_two_and_named_so(self, capsys):
+        # IC(0) of this matrix is exact but so ill-conditioned that
+        # Q^-1 A Q^-T comes out asymmetric past 1e-10 relative
+        matrix = ["--synthetic", "clustered", "--n", "4", "--clusters", "1:2,1e-13:2"]
+        assert run(["precondition", *matrix]) == 2
+        err = capsys.readouterr().err
+        assert "error core Q^-1 A Q^-T" in err and "too ill-conditioned for A" in err
+
     @pytest.mark.parametrize("clusters", ["abc", "1:x", "1:2:3", "2:1.5"])
     def test_malformed_clusters_is_usage_error(self, clusters, capsys):
         rc = run(["precondition", "--synthetic", "clustered", "--n", "4", "--clusters", clusters])
@@ -188,6 +196,76 @@ class TestExitCodes:
         assert rc == 1
         assert "--grid" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNumerals:
+    # Every numeric flag, --clusters and --grid read plain decimal numerals
+    # only: Python's int and float would read 1_0 as 10
+    NET = ["--synthetic", "network", "--n", "30"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["info", "--synthetic", "network", "--n", "3_0"], "--n"),
+        (["info", "--synthetic", "geometric", "--n", "30", "--cond", "1_0"], "--cond"),
+        (["info", "--synthetic", "uniform", "--n", "30", "--lo", "0_5"], "--lo"),
+        (["info", "--synthetic", "uniform", "--n", "30", "--hi", "5_0"], "--hi"),
+        (["info", *NET, "--seed", "1_0"], "--seed"),
+        (["precondition", *NET, "--rank", "1_0"], "--rank"),
+        (["precondition", *NET, "--alpha", "1_0"], "--alpha"),
+        (["solve", *NET, "--tol", "1e-1_0"], "--tol"),
+        (["solve", *NET, "--max-iter", "1_0"], "--max-iter"),
+        (["verify", "--trials", "1_0"], "--trials"),
+        (["verify", "--n-min", "1_0"], "--n-min"),
+        (["verify", "--n-max", "6_0"], "--n-max"),
+        (["verify", "--seed", "1_0"], "--seed"),
+        (["estimate", *NET, "--m", "1_0"], "--m"),
+        (["estimate", *NET, "--nv", "1_0"], "--nv"),
+        (["info", "--synthetic", "clustered", "--n", "4", "--clusters", "1_0:2,1:2"], "--clusters"),
+        (["info", "--synthetic", "clustered", "--n", "4", "--clusters", "1:0_2,1:2"], "--clusters"),
+        (["sweep-alpha", *NET, "--grid", "0.1,1_0,5,log"], "--grid"),
+        (["sweep-alpha", *NET, "--grid", "0.1,10,1_0,log"], "--grid"),
+    ])
+    def test_underscore_numeral_is_usage_error(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and flag in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["3_0", " 30", "30 ", "\u0663\u0660", "0x1e", "30.0", ""])
+    def test_order_is_a_plain_decimal_integer(self, value, capsys):
+        assert run(["info", "--synthetic", "network", "--n", value]) == 1
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, value", [("30", 30), ("+7", 7), ("-3", -3), ("007", 7)])
+    def test_integer_reads_plain_decimals(self, text, value):
+        assert cli.integer(text) == value
+
+    @pytest.mark.parametrize("text, value", [("2", 2.0), ("-0.5", -0.5), (".5", 0.5), ("5.", 5.0),
+                                             ("1e-3", 1e-3), ("+2.5E+2", 250.0), ("inf", np.inf),
+                                             ("-Infinity", -np.inf)])
+    def test_real_reads_plain_decimals(self, text, value):
+        assert cli.real(text) == value
+
+    @pytest.mark.parametrize("text", ["1_0", "1e1_0", " 1", "1 ", "1e", "e1", ".", "0x10",
+                                      "\u0661", "infinit", ""])
+    def test_real_rejects_what_python_alone_reads(self, text):
+        with pytest.raises(ValueError, match="plain decimal"):
+            cli.real(text)
+
+    def test_nan_is_read_and_left_to_the_domain_check(self):
+        assert np.isnan(cli.real("nan"))
+
+    def test_every_numeric_flag_uses_the_strict_parsers(self):
+        parsers = [cli.build_parser()]
+        typed = []
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                if action.choices and isinstance(action.choices, dict):
+                    parsers.extend(action.choices.values())
+                if action.type is not None:
+                    typed.append(action.type)
+        assert typed and set(typed) <= {cli.integer, cli.real}
 
 
 class TestMatrixSource:

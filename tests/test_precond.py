@@ -12,9 +12,11 @@ import pytest
 import scipy.linalg as sla
 
 import bld_kaporin
+from bld_kaporin import precond
 from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k, preconditioned_spectrum
-from bld_kaporin.errors import DomainError, NotPositiveDefiniteError, RankError
+from bld_kaporin.errors import DomainError, FactorizationError, NotPositiveDefiniteError, RankError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor, sym_eig, tri_solve
+from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.precond import (
     LowRankTerm,
     Preconditioner,
@@ -32,6 +34,7 @@ from bld_kaporin.precond import (
     tsvd_truncate,
 )
 from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
+from test_linalg import _diffusion
 
 
 def _planted_core(thetas, seed=0, lower_seed=None):
@@ -101,9 +104,24 @@ class TestErrorCore:
         for r in ranks:
             np.testing.assert_array_equal(bld_truncate(core, r).selection, order[:r])
 
-    def test_core_keeps_only_eigendecomposition_and_factor(self):
+    def test_core_keeps_only_sums_ends_and_factor(self):
         core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
-        assert [f.name for f in dataclasses.fields(core)] == ["eig", "factor"]
+        assert [f.name for f in dataclasses.fields(core)] == [
+            "factor", "total", "_work", "_diag", "_logsum", "_low", "_high", "_eig"]
+
+    def test_asymmetry_from_an_ill_conditioned_factor_is_named(self):
+        # the IC(0) factor of this SPD matrix is exact, yet too ill-conditioned
+        # for Q^-1 A Q^-T to come out symmetric to 1e-10 relative
+        A = SparseSymMatrix.from_dense(make_dense_spd(np.array([1.0, 1.0, 1e-13, 1e-13]), 0))
+        with pytest.raises(FactorizationError,
+                           match=r"error core Q\^-1 A Q\^-T .* too ill-conditioned for A"):
+            error_core(A, ic0(A))
+
+    def test_asymmetric_dense_matrix_is_named_as_the_input(self):
+        A = make_sparse_network(30, seed=1).to_dense()
+        A[5, 0] += 1e-6 * np.abs(A).max()
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            error_core(A, identity_factor(30))
 
     @pytest.mark.parametrize("factor", [ic0, cholesky])
     @pytest.mark.parametrize("n", [300, 600])
@@ -126,7 +144,10 @@ class TestErrorCore:
         # In a fresh process, the rise of the peak RSS over error_core and
         # the rank-50 pick at n = 1936, in units of n x n doubles.  The dense
         # A, Q^-1 A and full-size temporaries alive together read 5.0; the
-        # core formed in two n x n arrays read 2.24, in one it reads 1.44.
+        # core formed in two n x n arrays read 2.24, in one 1.21 when it was
+        # eigendecomposed in full.  Its ends found by ARPACK through its
+        # in-place Cholesky factor read 1.36, the rise over 1.21 being
+        # OpenBLAS's dpotrf work space.
         code = textwrap.dedent("""
             import resource
             from bld_kaporin.linalg import ic0
@@ -146,6 +167,119 @@ class TestErrorCore:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert float(out.stdout) <= 1.75
+
+
+def _planted_ends(n=500):
+    """I + E with a planted spectrum and the identity factor: three values at
+    each end that gamma and |theta| both rank above the bulk in [-0.5, 0.5]."""
+    thetas = np.concatenate(([-0.95, -0.9, -0.85, 4.0, 3.0, 2.5], np.linspace(-0.5, 0.5, n - 6)))
+    return make_dense_spd(1.0 + thetas, 3), identity_factor(n)
+
+
+def _counted_sym_eig(monkeypatch):
+    """Count the full eigendecompositions precond makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sym_eig(*args, **kwargs)
+
+    monkeypatch.setattr(precond, "sym_eig", counted)
+    return calls
+
+
+def _functionals(rest):
+    a = rest.alpha_star
+    return [a, rest.divergence(a), rest.ln_kaporin(a), rest.kappa2(a), rest.lo, rest.hi]
+
+
+class TestEndsRoute:
+    """A core whose ends stay within ENDS_SHARE of n finds them by ARPACK
+    through the Cholesky factor of I + E, and gives what the full
+    eigendecomposition of the same core gives."""
+
+    @pytest.fixture(scope="class")
+    def diffusion(self):
+        A = _diffusion(36, seed=4)
+        return A, ic0(A)
+
+    @pytest.mark.parametrize("truncate", [bld_truncate, tsvd_truncate])
+    @pytest.mark.parametrize("case, r", [("diffusion", 20), ("diffusion", 40), ("planted", 6)])
+    def test_agrees_with_the_full_spectrum(self, case, r, truncate, diffusion, monkeypatch):
+        A, Q = diffusion if case == "diffusion" else _planted_ends()
+        calls = _counted_sym_eig(monkeypatch)
+        core = error_core(A, Q)
+        term = truncate(core, r)
+        rest = core.rest(term)
+        assert calls == []
+        full = error_core(A, Q)
+        full.thetas
+        want = truncate(full, r)
+        np.testing.assert_array_equal(term.selection, want.selection)
+        np.testing.assert_allclose(term.D, want.D, rtol=1e-10)
+        np.testing.assert_allclose(_functionals(rest), _functionals(full.rest(want)), rtol=1e-10)
+        # the eigenvectors span the same invariant subspace
+        np.testing.assert_allclose((term.V * term.D) @ term.V.T, (want.V * want.D) @ want.V.T,
+                                   atol=1e-10)
+        # both picks take from both ends, so the high end grew past k = 1,
+        # except the diffusion core's at r = 20
+        high = np.sum(term.selection < Q.n // 2)
+        assert 0 < high < r or (case, r) == ("diffusion", 20)
+
+    def test_two_builds_are_bit_identical(self, diffusion):
+        A, Q = diffusion
+        cores = [error_core(A, Q) for _ in range(2)]
+        terms = [bld_truncate(core, 40) for core in cores]
+        for field in ("selection", "D", "V"):
+            np.testing.assert_array_equal(getattr(terms[0], field), getattr(terms[1], field))
+        assert cores[0].rest(terms[0]) == cores[1].rest(terms[1])
+
+    def test_rank_zero_then_last_rank_gives_the_full_spectrum_answer(self, monkeypatch):
+        A = make_sparse_network(400, seed=6)
+        Q = ic0(A)
+        calls = _counted_sym_eig(monkeypatch)
+        core = error_core(A, Q)
+        first = core.rest(bld_truncate(core, 0))
+        assert calls == []
+        last = bld_truncate(core, 399)
+        assert calls == [1]
+        full = error_core(A, Q)
+        full.thetas
+        np.testing.assert_allclose(_functionals(first), _functionals(full.rest(bld_truncate(full, 0))),
+                                   rtol=1e-10)
+        want = bld_truncate(full, 399)
+        for field in ("selection", "D", "V"):
+            np.testing.assert_array_equal(getattr(last, field), getattr(want, field))
+        got, ref = core.rest(last), full.rest(want)
+        assert (got.lo, got.hi) == (ref.lo, ref.hi)
+        assert got.alpha_star == pytest.approx(ref.alpha_star, rel=1e-10)
+
+    def test_too_many_ends_take_the_full_spectrum(self, monkeypatch):
+        # at n = 400 the pick takes only low values, and the two ARPACK bases
+        # pass ENDS_SHARE n = 40 vectors once the low end needs 10 values
+        A = make_sparse_network(400, seed=6)
+        assert precond._ncv(9) + precond._ncv(1) <= precond.ENDS_SHARE * 400
+        assert precond._ncv(10) + precond._ncv(1) > precond.ENDS_SHARE * 400
+        calls = _counted_sym_eig(monkeypatch)
+        core = error_core(A, ic0(A))
+        bld_truncate(core, 8)
+        assert calls == []
+        bld_truncate(core, 9)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("low", [1e-13, -1e-3])
+    def test_core_below_working_precision_fails_at_its_first_truncation(self, low):
+        # SPD (or not) with 1 + theta = low: a core large enough for ARPACK
+        # finds its lowest value with its low end
+        A = make_dense_spd(np.concatenate(([low], np.linspace(1.0, 2.0, 399))), 2)
+        core = error_core(A, identity_factor(400))
+        with pytest.raises(NotPositiveDefiniteError, match="relative to the factor, to working precision"):
+            bld_truncate(core, 3)
+
+    def test_small_core_takes_the_full_spectrum_at_once(self, monkeypatch):
+        calls = _counted_sym_eig(monkeypatch)
+        error_core(make_sparse_network(399, seed=6), ic0(make_sparse_network(399, seed=6)))
+        assert calls == [1]
 
 
 class TestTruncations:
