@@ -44,9 +44,11 @@ def build_preconditioner(A: SparseSymMatrix, factor: str, rank: int | None,
                          alpha: float | None = None, truncation: str = "bld"):
     """Factor A by FACTORS[factor], form the error core, keep rank
     (default ceil(n/10), at most n - 1) eigenpairs by
-    TRUNCATIONS[truncation] from the ends of its spectrum (its full
-    eigendecomposition where the ends pass precond.ENDS_SHARE, as at the
-    default rank), and assemble P_alpha (alpha default alpha_star).
+    TRUNCATIONS[truncation] from the ends of its spectrum, and assemble
+    P_alpha (alpha default alpha_star).  The ends are the r + 1 lowest
+    values and the top one, by ARPACK, while they stay within
+    precond.ENDS_SHARE; past it (as at the default rank), or when the
+    pick takes the top value, the core's full eigendecomposition.
 
     Returns (term, rest, preconditioner): rest is the RestStats that
     every alpha functional, alpha_star included, is read from, and the

@@ -15,9 +15,10 @@ Kaporin condition number of the preconditioned matrix.
 
 Memory: the error core lives in one n x n array, the dense copy of A,
 through every stage (ErrorCore): B = I + E, then its Cholesky factor
-beside it, or the reflectors of E's eigendecomposition.  ARPACK's work
-space, n x (2k + 1) for k values, is freed with each run, and a
-truncation forms only the r eigenvectors it selects.
+beside it, or the reflectors of E's eigendecomposition.  A core runs
+ARPACK at most twice, once per end; its work space, n x (2k + 1) for k
+values, is freed with each run, and a truncation forms only the r
+eigenvectors it selects.
 """
 
 from __future__ import annotations
@@ -83,16 +84,19 @@ class ErrorCore:
     eigenvectors.  Positions count in the algebraically non-increasing
     spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
 
-    _work holds B = I + E (symmetrized) and _diag its diagonal.  While the
-    ends asked for stay within ENDS_SHARE of n, B is Cholesky-factored in
-    place, lower, once: _work then holds L below its diagonal and B above
-    it, logsum = log det B, and the ends come from ARPACK through L: the
-    low end from B^-1 = L^-T L^-1 (two dtrsv calls per product), the high
-    end from L L^T (two dtrmv calls).  Past that share, or when a caller
-    reads eig or thetas, the core rebuilds E in _work from B's upper
-    triangle and _diag and eigendecomposes it there (sym_eig), with the
-    bits of a dense E formed out of place; every end then comes from that
-    decomposition, and so does logsum if no factor came first.
+    _work holds B = I + E (symmetrized) and _diag its diagonal.  The first
+    request for ends decides where they come from.  If it asks for the top
+    value alone and ARPACK's bases stay within ENDS_SHARE of n, B is
+    Cholesky-factored in place, lower, once: _work then holds L below its
+    diagonal and B above it, logsum = log det B, and ARPACK runs once per
+    end: the k_lo lowest theta and their vectors from B^-1 = L^-T L^-1
+    (two dtrsv calls per product), the top value alone from L L^T (two
+    dtrmv calls).  Any request those do not cover, and a read of eig or
+    thetas, takes the full spectrum: the core rebuilds E in _work from B's
+    upper triangle and _diag and eigendecomposes it there (sym_eig), with
+    the bits of a dense E formed out of place; every end and logsum then
+    come from that decomposition.  The first NotPositiveDefiniteError is
+    kept, and every later read raises it.
     """
 
     factor: LowerTriFactor = field(repr=False)
@@ -101,8 +105,9 @@ class ErrorCore:
     _diag: np.ndarray = field(repr=False)
     _logsum: float | None = field(default=None, repr=False)
     _low: tuple | None = field(default=None, repr=False)
-    _high: tuple | None = field(default=None, repr=False)
+    _top: np.ndarray | None = field(default=None, repr=False)
     _eig: EigenDecomposition | None = field(default=None, repr=False)
+    _failed: NotPositiveDefiniteError | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -111,16 +116,15 @@ class ErrorCore:
     @property
     def logsum(self) -> float:
         """log det(I + E), the sum of log(1 + theta)."""
+        self._check()
         if self._logsum is None:
-            if self._eig is None:
-                self._factor()
-            else:
-                self._logsum = float(np.sum(np.log(1.0 + self._eig.values)))
+            self._factor()
         return self._logsum
 
     @property
     def eig(self) -> EigenDecomposition:
         """The full eigendecomposition of E, values non-increasing."""
+        self._check()
         if self._eig is None:
             self._full()
         return self._eig
@@ -129,18 +133,25 @@ class ErrorCore:
     def thetas(self) -> np.ndarray:
         return self.eig.values
 
+    def _check(self, fails: bool = False) -> None:
+        """Raise the core's first NotPositiveDefiniteError, made here if fails."""
+        if fails:
+            self._failed = NotPositiveDefiniteError(_NOT_SPD)
+        if self._failed is not None:
+            raise self._failed.with_traceback(None)
+
     def _factor(self) -> None:
         """Cholesky-factor B in _work, lower, leaving its upper triangle."""
         a = self._work
         _, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise NotPositiveDefiniteError(_NOT_SPD)
+        self._check(fails=info != 0)
         self._logsum = 2.0 * float(np.sum(np.log(a.diagonal())))
 
     def _full(self) -> None:
         """Rebuild E in _work, a panel at a time, and reduce it there.
         A factored _work (a logsum and no eig) has L below its diagonal,
-        which B's upper triangle replaces."""
+        which B's upper triangle replaces.  logsum is then taken from the
+        eigenvalues too, so every read has a full core's bits."""
         a, n = self._work, self.n
         if self._logsum is not None:
             for j in range(0, n, PANEL):
@@ -149,16 +160,16 @@ class ErrorCore:
                 upper = np.triu(a[J, J], 1)
                 a[J, J] = upper + upper.T
         a[np.diag_indices(n)] = self._diag - 1.0
-        self._work = self._low = self._high = None
+        self._work = self._low = self._top = None
         eig = sym_eig(a, overwrite=True)
-        if eig.values[-1] <= -1.0 + 1e-12:
-            raise NotPositiveDefiniteError(_NOT_SPD)
-        self._eig = eig
+        self._check(fails=eig.values[-1] <= -1.0 + 1e-12)
+        self._eig, self._logsum = eig, float(np.sum(np.log(1.0 + eig.values)))
 
     def _arpack(self, k: int, low: bool):
-        """The k lowest (low) or highest theta and their vectors, in that
-        order: ARPACK's k largest of (I + E)^-1 or I + E, to full accuracy
-        (tol 0), from a seeded start vector so a build is deterministic."""
+        """The k lowest theta, ascending, and their vectors (low), or the
+        top theta alone: ARPACK's k largest of (I + E)^-1 or I + E, to full
+        accuracy (tol 0), from a seeded start vector so a build is
+        deterministic."""
         L, n = self._work, self.n
         if low:
             def apply(x):
@@ -170,44 +181,40 @@ class ErrorCore:
                 return blas.dtrmv(L, y, lower=1, overwrite_x=1)
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
-            w, X = eigsh(LinearOperator((n, n), matvec=apply, dtype=np.float64), k=k,
-                         which="LA", v0=v0, ncv=_ncv(k), tol=0)
+            got = eigsh(LinearOperator((n, n), matvec=apply, dtype=np.float64), k=k,
+                        which="LA", v0=v0, ncv=_ncv(k), tol=0, return_eigenvectors=low)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge on the error core: {exc}") from exc
+        if not low:
+            return got - 1.0
+        w, X = got
         order = np.argsort(-w, kind="stable")
-        mu = 1.0 / w[order] if low else w[order]
-        if low and mu[0] <= 1e-12:
-            raise NotPositiveDefiniteError(_NOT_SPD)
+        mu = 1.0 / w[order]
+        self._check(fails=mu[0] <= 1e-12)
         return mu - 1.0, X[:, order]
 
     def ends(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
         """At least the k_lo lowest theta, ascending, and the k_hi highest,
         descending; from the full spectrum, all n of each."""
+        self._check()
         if self._eig is None:
-            lo_ok = self._low is not None and self._low[0].size >= k_lo
-            hi_ok = self._high is not None and self._high[0].size >= k_hi
-            if not (lo_ok and hi_ok) and _ncv(k_lo) + _ncv(k_hi) > ENDS_SHARE * self.n:
-                self._full()
-            else:
+            if self._low is None and k_hi == 1 and _ncv(k_lo) + _ncv(1) <= ENDS_SHARE * self.n:
                 if self._logsum is None:
                     self._factor()
-                if not lo_ok:
-                    self._low = self._arpack(k_lo, low=True)
-                if not hi_ok:
-                    self._high = self._arpack(k_hi, low=False)
-                return self._low[0], self._high[0]
+                self._low = self._arpack(k_lo, low=True)
+                self._top = self._arpack(1, low=False)
+            if self._low is not None and self._low[0].size >= k_lo and k_hi == 1:
+                return self._low[0], self._top
+            self._full()
         return self._eig.values[::-1], self._eig.values
 
     def vectors(self, selection: np.ndarray) -> np.ndarray:
         """C-contiguous eigenvectors for positions in the non-increasing
-        spectrum, each within the ends last given."""
+        spectrum; without the full spectrum, each within the low end."""
+        self._check()
         if self._eig is not None:
             return self._eig.vectors_at(selection)
-        high = selection < self._high[1].shape[1]
-        V = np.empty((self.n, selection.size))
-        V[:, high] = self._high[1][:, selection[high]]
-        V[:, ~high] = self._low[1][:, self.n - 1 - selection[~high]]
-        return V
+        return np.ascontiguousarray(self._low[1][:, self.n - 1 - selection])
 
     def rest(self, term: LowRankTerm) -> RestStats:
         """Statistics of the 1 + theta that term, a truncation of this core,
@@ -311,23 +318,22 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     a caller's ndarray, which is never changed; a dense A is checked and
     symmetrized there, ValueError naming it), then Q^-1 A solved into it
     a column panel at a time, then B solved into its transpose, so that
-    row panel J of Q^-1 A becomes row panel J of B.  B is checked and
-    symmetrized in place: asymmetry past 1e-10 relative
+    row panel J of Q^-1 A becomes row panel J of B.  A square A whose
+    order is not Q's raises ValueError before that copy is made.  B is
+    checked and symmetrized in place: asymmetry past 1e-10 relative
     (matio._symmetrized) raises FactorizationError, since the factor is
     then too ill-conditioned for A.  The core keeps that array, B's
     diagonal and total = trace(B), and factors or reduces B when its
     ends are first asked for (ErrorCore).
 
-    NotPositiveDefiniteError follows when B is not positive definite to
-    working precision: its Cholesky factorization fails, or its lowest
-    1 + theta is at or below 1e-12.  A core too small for ARPACK at any
-    rank (2 _ncv(1) > ENDS_SHARE n) eigendecomposes here and raises here;
-    a larger one raises at its first truncation.
+    NotPositiveDefiniteError follows, at the core's first truncation, when
+    B is not positive definite to working precision: its Cholesky
+    factorization fails, or its lowest 1 + theta is at or below 1e-12.
     """
+    shape = (A.n, A.n) if hasattr(A, "n") else np.shape(A)
+    if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_dense names the shape
+        raise ValueError(f"factor order {Q.n} does not match the matrix order {shape[0]}")
     B = as_dense(A, copy=True)
-    n = B.shape[0]
-    if Q.n != n:
-        raise ValueError(f"factor order {Q.n} does not match the matrix order {n}")
     if not isinstance(A, SparseSymMatrix):
         _symmetrized(B, out=B)                 # a dense A's own asymmetry is named as such
     tri_solve(Q, B, "forward", out=B)          # Q^-1 A
@@ -339,38 +345,30 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
                                  "the factor is too ill-conditioned for A") from exc
     a = _f_view(B)
     diag = a.diagonal().copy()
-    core = ErrorCore(Q, float(np.sum(diag)), a, diag)
-    if 2 * _ncv(1) > ENDS_SHARE * n:
-        core._full()
-    return core
+    return ErrorCore(Q, float(np.sum(diag)), a, diag)
 
 
 def _take(core: ErrorCore, key, r: int) -> LowRankTerm:
     """The r eigenpairs largest under key, ties toward the larger theta,
     then the lower position: a lexsort of the values at the two ends of
     the spectrum.  key (gamma, |theta|) is quasi-convex, so those largest
-    sit at the ends.  An end whose innermost value the pick takes is asked
-    for twice as many, and the pick made again; so the pick ends with the
-    next unselected value at each end, which rest reads.  With the full
-    spectrum both ends hold all n values, and the lexsort is over all of
-    them."""
+    sit at the ends.  The first pass asks for the r + 1 lowest values and
+    the top one.  A pick that takes the top value or the innermost low
+    one is made again over the full spectrum, where both ends hold all n
+    values; so the pick ends with the next unselected value at each end,
+    which rest reads."""
     n = core.n
     if not (isinstance(r, Integral) and 0 <= r < n):
         raise RankError(f"rank must satisfy 0 <= r < {n} and be an integer, got {r!r}")
-    k_lo, k_hi = r + 1, 1
-    while True:
+    for k_lo, k_hi in ((r + 1, 1), (n, n)):
         low, high = core.ends(k_lo, k_hi)
         pos, first = np.unique(np.concatenate((np.arange(high.size), n - 1 - np.arange(low.size))),
                                return_index=True)
         theta = np.concatenate((high, low))[first]
         picked = np.lexsort((pos, -theta, -key(theta)))[:r]
         selection = pos[picked]
-        lo_out = low.size < n and n - low.size in selection
-        hi_out = high.size < n and high.size - 1 in selection
-        if not (lo_out or hi_out):
+        if low.size == n or not (n - low.size in selection or high.size - 1 in selection):
             break
-        k_lo *= 2 if lo_out else 1
-        k_hi *= 2 if hi_out else 1
     return LowRankTerm(r=int(r), V=core.vectors(selection), D=theta[picked], selection=selection)
 
 

@@ -69,17 +69,20 @@ class TestErrorCore:
         np.testing.assert_allclose(kept, [-0.45, 0.5], rtol=1e-9, atol=1e-11)
 
     def test_indefinite_rejected(self):
+        # the core is formed; its first truncation finds the spectrum and raises
         A, Q = _planted_core([-1.5, 0.2], seed=1)
+        core = error_core(A, Q)
         with pytest.raises(NotPositiveDefiniteError):
-            error_core(A, Q)
+            bld_truncate(core, 1)
 
     def test_spd_matrix_below_working_precision_named_as_such(self):
         # SPD, but 1 + theta = 1e-13 relative to the identity factor
         A = make_dense_spd(np.array([1.0, 1.0, 1e-13, 1e-13]), basis_seed=0)
         np.linalg.cholesky(A)
+        core = error_core(A, identity_factor(4))
         with pytest.raises(NotPositiveDefiniteError,
                            match="not positive definite relative to the factor, to working precision"):
-            error_core(A, identity_factor(4))
+            bld_truncate(core, 1)
 
     def test_gamma_tie_breaks_by_theta_then_index(self):
         # equal gamma values (identical thetas): order by index, deterministic
@@ -107,7 +110,7 @@ class TestErrorCore:
     def test_core_keeps_only_sums_ends_and_factor(self):
         core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
         assert [f.name for f in dataclasses.fields(core)] == [
-            "factor", "total", "_work", "_diag", "_logsum", "_low", "_high", "_eig"]
+            "factor", "total", "_work", "_diag", "_logsum", "_low", "_top", "_eig", "_failed"]
 
     def test_asymmetry_from_an_ill_conditioned_factor_is_named(self):
         # the IC(0) factor of this SPD matrix is exact, yet too ill-conditioned
@@ -188,15 +191,30 @@ def _counted_sym_eig(monkeypatch):
     return calls
 
 
+def _counted_eigsh(monkeypatch):
+    """Record (k, return_eigenvectors) of each ARPACK run precond makes."""
+    calls = []
+    eigsh = precond.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs["k"], kwargs.get("return_eigenvectors", True)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(precond, "eigsh", counted)
+    return calls
+
+
 def _functionals(rest):
     a = rest.alpha_star
     return [a, rest.divergence(a), rest.ln_kaporin(a), rest.kappa2(a), rest.lo, rest.hi]
 
 
 class TestEndsRoute:
-    """A core whose ends stay within ENDS_SHARE of n finds them by ARPACK
-    through the Cholesky factor of I + E, and gives what the full
-    eigendecomposition of the same core gives."""
+    """A core whose first truncation's ends, the r + 1 lowest values and the
+    top one, stay within ENDS_SHARE of n finds them by ARPACK through the
+    Cholesky factor of I + E, and gives what the full eigendecomposition of
+    the same core gives.  Any pick those ends do not cover takes the full
+    spectrum, and then has a full core's bits."""
 
     @pytest.fixture(scope="class")
     def diffusion(self):
@@ -206,25 +224,32 @@ class TestEndsRoute:
     @pytest.mark.parametrize("truncate", [bld_truncate, tsvd_truncate])
     @pytest.mark.parametrize("case, r", [("diffusion", 20), ("diffusion", 40), ("planted", 6)])
     def test_agrees_with_the_full_spectrum(self, case, r, truncate, diffusion, monkeypatch):
+        # every pick here but the gamma pick at r = 20 on the diffusion core
+        # takes the top value, which the ends route does not cover
         A, Q = diffusion if case == "diffusion" else _planted_ends()
-        calls = _counted_sym_eig(monkeypatch)
+        takes_top = (case, r, truncate) != ("diffusion", 20, bld_truncate)
+        calls, arpack = _counted_sym_eig(monkeypatch), _counted_eigsh(monkeypatch)
         core = error_core(A, Q)
         term = truncate(core, r)
         rest = core.rest(term)
-        assert calls == []
+        assert arpack == [(r + 1, True), (1, False)]
+        assert calls == ([1] if takes_top else [])
+        assert (0 in term.selection) == takes_top
         full = error_core(A, Q)
         full.thetas
         want = truncate(full, r)
         np.testing.assert_array_equal(term.selection, want.selection)
+        if takes_top:
+            # made again over the full spectrum: a full core's bits
+            for field in ("D", "V"):
+                np.testing.assert_array_equal(getattr(term, field), getattr(want, field))
+            assert rest == full.rest(want)
+            return
         np.testing.assert_allclose(term.D, want.D, rtol=1e-10)
         np.testing.assert_allclose(_functionals(rest), _functionals(full.rest(want)), rtol=1e-10)
         # the eigenvectors span the same invariant subspace
         np.testing.assert_allclose((term.V * term.D) @ term.V.T, (want.V * want.D) @ want.V.T,
                                    atol=1e-10)
-        # both picks take from both ends, so the high end grew past k = 1,
-        # except the diffusion core's at r = 20
-        high = np.sum(term.selection < Q.n // 2)
-        assert 0 < high < r or (case, r) == ("diffusion", 20)
 
     def test_two_builds_are_bit_identical(self, diffusion):
         A, Q = diffusion
@@ -267,6 +292,20 @@ class TestEndsRoute:
         bld_truncate(core, 9)
         assert calls == [1]
 
+    def test_a_core_runs_arpack_at_most_twice(self, diffusion, monkeypatch):
+        # the first truncation's ends serve every pick they cover; a larger
+        # rank, the other key and a read of thetas take the full spectrum
+        A, Q = diffusion
+        calls, arpack = _counted_sym_eig(monkeypatch), _counted_eigsh(monkeypatch)
+        core = error_core(A, Q)
+        for r in (20, 5, 19):
+            core.rest(bld_truncate(core, r))
+        assert (arpack, calls) == ([(21, True), (1, False)], [])
+        bld_truncate(core, 21)
+        tsvd_truncate(core, 20)
+        core.thetas
+        assert (arpack, calls) == ([(21, True), (1, False)], [1])
+
     @pytest.mark.parametrize("low", [1e-13, -1e-3])
     def test_core_below_working_precision_fails_at_its_first_truncation(self, low):
         # SPD (or not) with 1 + theta = low: a core large enough for ARPACK
@@ -276,10 +315,34 @@ class TestEndsRoute:
         with pytest.raises(NotPositiveDefiniteError, match="relative to the factor, to working precision"):
             bld_truncate(core, 3)
 
+    @pytest.mark.parametrize("low", [1e-13, -1e-3])
+    def test_a_failed_core_fails_the_same_way_every_time(self, low, capfd):
+        # the first failure is kept: no later read reaches the half-factored
+        # or freed array (LAPACK's own complaints go to stderr)
+        A = make_dense_spd(np.concatenate(([low], np.linspace(1.0, 2.0, 399))), 2)
+        core = error_core(A, identity_factor(400))
+        reads = [lambda: bld_truncate(core, 3), lambda: core.thetas, lambda: core.logsum,
+                 lambda: bld_truncate(core, 3), lambda: tsvd_truncate(core, 100),
+                 lambda: core.ends(1, 1), lambda: core.vectors(np.arange(1)), lambda: core.eig]
+        errors = []
+        for read in reads:
+            with pytest.raises(NotPositiveDefiniteError,
+                               match="relative to the factor, to working precision") as info:
+                read()
+            errors.append(info.value)
+        assert all(e is errors[0] for e in errors)
+        assert capfd.readouterr().err == ""
+
     def test_small_core_takes_the_full_spectrum_at_once(self, monkeypatch):
-        calls = _counted_sym_eig(monkeypatch)
-        error_core(make_sparse_network(399, seed=6), ic0(make_sparse_network(399, seed=6)))
-        assert calls == [1]
+        # too small for ARPACK at any rank (2 _ncv(1) > ENDS_SHARE n): the
+        # core is formed without a spectrum, and its first truncation makes
+        # one full eigendecomposition and no ARPACK run
+        A = make_sparse_network(399, seed=6)
+        calls, arpack = _counted_sym_eig(monkeypatch), _counted_eigsh(monkeypatch)
+        core = error_core(A, ic0(A))
+        assert calls == []
+        core.rest(bld_truncate(core, 1))
+        assert (calls, arpack) == ([1], [])
 
 
 class TestTruncations:
@@ -455,6 +518,21 @@ class TestShapes:
     def test_error_core_rejects_factor_of_another_order(self):
         with pytest.raises(ValueError, match="factor order 4 does not match the matrix order 6"):
             error_core(make_sparse_network(6, seed=0), identity_factor(4))
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_error_core_rejects_factor_of_another_order_before_the_dense_copy(self, dense):
+        # the orders are compared before the n x n copy of A is made
+        n = 2000
+        A = make_sparse_network(n, seed=0)
+        A = A.to_dense() if dense else A
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"factor order {n - 1} does not match the matrix order {n}"):
+                error_core(A, identity_factor(n - 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * 8 * n**2
 
     @pytest.mark.parametrize("D", [np.nan, np.inf, -1.0, -2.0])
     def test_preconditioner_rejects_one_plus_D_not_finite_and_positive(self, D):
