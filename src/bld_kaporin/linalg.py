@@ -1,5 +1,6 @@
 """Dense symmetric eigendecomposition, Cholesky / IC(0) factorizations,
-triangular solves, and Lanczos tridiagonalization.
+triangular solves, a sparse SPD log-determinant, and Lanczos
+tridiagonalization.
 
 Dense kernels are delegated to LAPACK through scipy.  The eigensolver
 keeps one Householder tridiagonal reduction (``dsytrd``): every eigenvalue
@@ -69,6 +70,7 @@ __all__ = [
     "LanczosResult",
     "cholesky",
     "spd_cholesky",
+    "sparse_logdet",
     "ic0",
     "identity_factor",
     "sym_eig",
@@ -249,6 +251,29 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return L
+
+
+def sparse_logdet(A) -> float:
+    """log det of an SPD matrix from SuperLU's sparse LU of it.
+
+    A is a SparseSymMatrix (both triangles) or a dense array (its nonzeros),
+    factored in symmetric mode: minimum-degree ordering on A^T + A, diagonal
+    pivots (diag_pivot_thresh=0) and no equilibration, so P^T A P = L U with
+    U's diagonal the pivots of P^T A P = L D L^T.  A non-positive pivot, an
+    off-diagonal one (perm_r is not perm_c) or an exactly singular A raises
+    NotPositiveDefiniteError.
+    """
+    csc = A.full.tocsc() if isinstance(A, SparseSymMatrix) else sp.csc_matrix(as_dense(A))
+    try:
+        lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True, "Equil": False})
+    except RuntimeError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from exc
+    pivots = lu.U.diagonal()
+    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
+        raise NotPositiveDefiniteError("matrix is not positive definite: "
+                                       "a sparse LU pivot is not positive")
+    return float(np.sum(np.log(pivots)))
 
 
 def _f_view(S: np.ndarray) -> np.ndarray:

@@ -14,11 +14,11 @@ divergence minimizer over alpha and makes the divergence equal the log
 Kaporin condition number of the preconditioned matrix.
 
 Memory: the error core lives in one n x n array, the dense copy of A,
-through every stage (ErrorCore): B = I + E, then its Cholesky factor
-beside it, or the reflectors of E's eigendecomposition.  A core runs
-ARPACK at most twice, once per end; its work space, n x (2k + 1) for k
-values, is freed with each run, and a truncation forms only the r
-eigenvectors it selects.
+through every stage (ErrorCore): B = I + E, never factored, then the
+reflectors of E's eigendecomposition.  A core runs ARPACK at most twice,
+once per end, through the sparse factor; its work space, n x (2k + 1) for
+k values, is freed with each run, and a truncation forms only the r
+eigenvectors it selects.  log det A comes from A's sparse LU.
 """
 
 from __future__ import annotations
@@ -28,22 +28,23 @@ from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
-from scipy.linalg import blas, lapack
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
 from .errors import (ConvergenceError, DomainError, FactorizationError, NotPositiveDefiniteError,
                      RankError)
-from .linalg import EigenDecomposition, LowerTriFactor, _f_view, spd_cholesky, sym_eig, tri_solve
-from .matio import PANEL, SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_matvec
+from .linalg import (EigenDecomposition, LowerTriFactor, _f_view, sparse_logdet, spd_cholesky,
+                     sym_eig, tri_solve)
+from .matio import SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_matvec
 
 # The share of the order up to which a core finds the ends of its spectrum
 # by ARPACK, counted in the Krylov vectors ARPACK holds for both ends
 # (_ncv); a core asked for more takes the full eigendecomposition instead.
-# On the benchmark's diffusion matrix (n = 1936, IC(0), one BLAS thread),
-# core plus gamma pick took 0.59 s by ARPACK against 0.90 s in full at
-# r = 50 (a share of 0.064), 0.97 against 1.05 s at r = 120 (0.136), and
-# 2.64 against 1.08 s at r = 150 (0.167).
+# On the benchmark's diffusion matrix (n = 1936, IC(0), seed 0, one BLAS
+# thread), core, gamma pick and rest took 0.22 s by ARPACK against 0.79 s
+# in full at r = 50 (a share of 0.064), 0.49 against 0.84 s at r = 120
+# (0.136); at r = 150 (0.167) and 194 (0.212) the pick takes the top value
+# and falls through to the full spectrum, 1.45 and 1.89 s against 1.00, 0.96.
 ENDS_SHARE = 0.1
 
 
@@ -84,25 +85,23 @@ class ErrorCore:
     eigenvectors.  Positions count in the algebraically non-increasing
     spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
 
-    _work holds B = I + E (symmetrized) and _diag its diagonal.  The first
-    request for ends decides where they come from.  If it asks for the top
-    value alone and ARPACK's bases stay within ENDS_SHARE of n, B is
-    Cholesky-factored in place, lower, once: _work then holds L below its
-    diagonal and B above it, logsum = log det B, and ARPACK runs once per
-    end: the k_lo lowest theta and their vectors from B^-1 = L^-T L^-1
-    (two dtrsv calls per product), the top value alone from L L^T (two
-    dtrmv calls).  Any request those do not cover, and a read of eig or
-    thetas, takes the full spectrum: the core rebuilds E in _work from B's
-    upper triangle and _diag and eigendecomposes it there (sym_eig), with
-    the bits of a dense E formed out of place; every end and logsum then
-    come from that decomposition.  The first NotPositiveDefiniteError is
-    kept, and every later read raises it.
+    _work holds B = I + E (symmetrized), and matrix is A itself, not a
+    copy.  logsum = log det B = log det A - log det QQ^T, A's from its
+    sparse LU.  The first request for ends decides where they come from.
+    If it asks for the top value alone and ARPACK's bases stay within
+    ENDS_SHARE of n, ARPACK runs once per end on B applied through the
+    sparse factor, Q^-1 A Q^-T, and B is never factored: the k_lo lowest
+    theta and their vectors, and the top value alone.  Any request those do
+    not cover, and a read of eig or thetas, takes the full spectrum: the
+    core turns B into E in _work and eigendecomposes it there (sym_eig);
+    every end and logsum then come from that decomposition.  The first
+    NotPositiveDefiniteError is kept, and every later read raises it.
     """
 
     factor: LowerTriFactor = field(repr=False)
+    matrix: SparseSymMatrix | np.ndarray = field(repr=False)
     total: float
     _work: np.ndarray | None = field(repr=False)
-    _diag: np.ndarray = field(repr=False)
     _logsum: float | None = field(default=None, repr=False)
     _low: tuple | None = field(default=None, repr=False)
     _top: np.ndarray | None = field(default=None, repr=False)
@@ -111,14 +110,14 @@ class ErrorCore:
 
     @property
     def n(self) -> int:
-        return self._diag.size
+        return self.factor.n
 
     @property
     def logsum(self) -> float:
         """log det(I + E), the sum of log(1 + theta)."""
         self._check()
         if self._logsum is None:
-            self._factor()
+            self._logdet()
         return self._logsum
 
     @property
@@ -140,26 +139,19 @@ class ErrorCore:
         if self._failed is not None:
             raise self._failed.with_traceback(None)
 
-    def _factor(self) -> None:
-        """Cholesky-factor B in _work, lower, leaving its upper triangle."""
-        a = self._work
-        _, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
-        self._check(fails=info != 0)
-        self._logsum = 2.0 * float(np.sum(np.log(a.diagonal())))
+    def _logdet(self) -> None:
+        """logsum from A's sparse LU and the factor's diagonal."""
+        try:
+            self._logsum = sparse_logdet(self.matrix) - self.factor.logdet_gram()
+        except NotPositiveDefiniteError:
+            self._check(fails=True)
 
     def _full(self) -> None:
-        """Rebuild E in _work, a panel at a time, and reduce it there.
-        A factored _work (a logsum and no eig) has L below its diagonal,
-        which B's upper triangle replaces.  logsum is then taken from the
-        eigenvalues too, so every read has a full core's bits."""
-        a, n = self._work, self.n
-        if self._logsum is not None:
-            for j in range(0, n, PANEL):
-                J = slice(j, j + PANEL)
-                a[j + PANEL:, J] = a[J, j + PANEL:].T
-                upper = np.triu(a[J, J], 1)
-                a[J, J] = upper + upper.T
-        a[np.diag_indices(n)] = self._diag - 1.0
+        """Turn B in _work into E and reduce it there.  logsum is then
+        taken from the eigenvalues too, so every read has a full core's
+        bits."""
+        a = self._work
+        a[np.diag_indices(self.n)] -= 1.0
         self._work = self._low = self._top = None
         eig = sym_eig(a, overwrite=True)
         self._check(fails=eig.values[-1] <= -1.0 + 1e-12)
@@ -167,31 +159,29 @@ class ErrorCore:
 
     def _arpack(self, k: int, low: bool):
         """The k lowest theta, ascending, and their vectors (low), or the
-        top theta alone: ARPACK's k largest of (I + E)^-1 or I + E, to full
-        accuracy (tol 0), from a seeded start vector so a build is
-        deterministic."""
-        L, n = self._work, self.n
-        if low:
-            def apply(x):
-                y = blas.dtrsv(L, x, lower=1)
-                return blas.dtrsv(L, y, lower=1, trans=1, overwrite_x=1)
-        else:
-            def apply(x):
-                y = blas.dtrmv(L, x, lower=1, trans=1)
-                return blas.dtrmv(L, y, lower=1, overwrite_x=1)
+        top theta alone: ARPACK's k smallest or largest of I + E in regular
+        mode, applied as Q^-1 (A (Q^-T x)) through the sparse factor, to
+        full accuracy (tol 0), from a seeded start vector so a build is
+        deterministic.  A dense A is read in place, by its symmetric part."""
+        Q, A, n = self.factor, self.matrix, self.n
+        product = A.matvec if isinstance(A, SparseSymMatrix) else lambda x: 0.5 * (A @ x + A.T @ x)
+
+        def apply(x):
+            return tri_solve(Q, product(tri_solve(Q, x, "adjoint")), "forward")
+
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             got = eigsh(LinearOperator((n, n), matvec=apply, dtype=np.float64), k=k,
-                        which="LA", v0=v0, ncv=_ncv(k), tol=0, return_eigenvectors=low)
+                        which="SA" if low else "LA", v0=v0, ncv=_ncv(k), tol=0,
+                        return_eigenvectors=low)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge on the error core: {exc}") from exc
         if not low:
             return got - 1.0
         w, X = got
-        order = np.argsort(-w, kind="stable")
-        mu = 1.0 / w[order]
-        self._check(fails=mu[0] <= 1e-12)
-        return mu - 1.0, X[:, order]
+        order = np.argsort(w, kind="stable")
+        self._check(fails=w[order[0]] <= 1e-12)
+        return w[order] - 1.0, X[:, order]
 
     def ends(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
         """At least the k_lo lowest theta, ascending, and the k_hi highest,
@@ -200,7 +190,7 @@ class ErrorCore:
         if self._eig is None:
             if self._low is None and k_hi == 1 and _ncv(k_lo) + _ncv(1) <= ENDS_SHARE * self.n:
                 if self._logsum is None:
-                    self._factor()
+                    self._logdet()      # an indefinite A fails here, before ARPACK
                 self._low = self._arpack(k_lo, low=True)
                 self._top = self._arpack(1, low=False)
             if self._low is not None and self._low[0].size >= k_lo and k_hi == 1:
@@ -322,20 +312,24 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     order is not Q's raises ValueError before that copy is made.  B is
     checked and symmetrized in place: asymmetry past 1e-10 relative
     (matio._symmetrized) raises FactorizationError, since the factor is
-    then too ill-conditioned for A.  The core keeps that array, B's
-    diagonal and total = trace(B), and factors or reduces B when its
-    ends are first asked for (ErrorCore).
+    then too ill-conditioned for A.  The core keeps that array, A itself
+    and total = trace(B); it finds B's ends through Q and A, or reduces B,
+    when they are first asked for (ErrorCore).  So a caller's dense A is
+    read again then, and must not change before the core's truncations.
 
     NotPositiveDefiniteError follows, at the core's first truncation, when
-    B is not positive definite to working precision: its Cholesky
-    factorization fails, or its lowest 1 + theta is at or below 1e-12.
+    B is not positive definite to working precision: a pivot of A's
+    sparse LU is not positive, or B's lowest 1 + theta is at or below
+    1e-12.
     """
     shape = (A.n, A.n) if hasattr(A, "n") else np.shape(A)
     if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_dense names the shape
         raise ValueError(f"factor order {Q.n} does not match the matrix order {shape[0]}")
-    B = as_dense(A, copy=True)
-    if not isinstance(A, SparseSymMatrix):
-        _symmetrized(B, out=B)                 # a dense A's own asymmetry is named as such
+    if isinstance(A, SparseSymMatrix):
+        B = as_dense(A, copy=True)
+    else:
+        A = as_dense(A)                        # a caller's float64 ndarray is kept, not copied
+        B = _symmetrized(A)                    # a dense A's own asymmetry is named as such
     tri_solve(Q, B, "forward", out=B)          # Q^-1 A
     tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
     try:
@@ -344,8 +338,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
         raise FactorizationError("error core Q^-1 A Q^-T is not symmetric to 1e-10 relative: "
                                  "the factor is too ill-conditioned for A") from exc
     a = _f_view(B)
-    diag = a.diagonal().copy()
-    return ErrorCore(Q, float(np.sum(diag)), a, diag)
+    return ErrorCore(Q, A, float(np.sum(a.diagonal())), a)
 
 
 def _take(core: ErrorCore, key, r: int) -> LowRankTerm:

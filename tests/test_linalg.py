@@ -22,6 +22,7 @@ from bld_kaporin.linalg import (
     ic0,
     identity_factor,
     lanczos,
+    sparse_logdet,
     sym_eig,
     tri_solve,
 )
@@ -196,6 +197,27 @@ _IC0_MATRICES = {
     "network-80": lambda: make_sparse_network(80, seed=2),
     "network-2000": lambda: make_sparse_network(2000),
 }
+
+
+class TestSparseLogdet:
+    @pytest.mark.parametrize("A", [make_sparse_network(300, seed=2), _diffusion(12, seed=1)],
+                             ids=["network", "diffusion"])
+    def test_equals_the_dense_cholesky_log_det(self, A):
+        want = 2.0 * np.sum(np.log(cholesky(A).diagonal()))
+        assert sparse_logdet(A) == pytest.approx(want, rel=1e-12)
+        assert sparse_logdet(A.to_dense()) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("A", [
+        pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), id="negative-pivot"),
+        pytest.param(np.array([[0.0, 1.0], [1.0, 0.0]]), id="off-diagonal-pivot"),
+        pytest.param(np.array([[1.0, 1.0], [1.0, 1.0]]), id="singular"),
+        pytest.param(np.array([[-2.0]]), id="negative-one-by-one"),
+    ])
+    def test_not_positive_definite_rejected(self, A):
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            sparse_logdet(A)
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
+            sparse_logdet(SparseSymMatrix.from_dense(A))
 
 
 class TestIc0MatchesOracle:

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import bld_kaporin
 from bld_kaporin import precond
@@ -110,7 +111,7 @@ class TestErrorCore:
     def test_core_keeps_only_sums_ends_and_factor(self):
         core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
         assert [f.name for f in dataclasses.fields(core)] == [
-            "factor", "total", "_work", "_diag", "_logsum", "_low", "_top", "_eig", "_failed"]
+            "factor", "matrix", "total", "_work", "_logsum", "_low", "_top", "_eig", "_failed"]
 
     def test_asymmetry_from_an_ill_conditioned_factor_is_named(self):
         # the IC(0) factor of this SPD matrix is exact, yet too ill-conditioned
@@ -148,9 +149,9 @@ class TestErrorCore:
         # the rank-50 pick at n = 1936, in units of n x n doubles.  The dense
         # A, Q^-1 A and full-size temporaries alive together read 5.0; the
         # core formed in two n x n arrays read 2.24, in one 1.21 when it was
-        # eigendecomposed in full.  Its ends found by ARPACK through its
-        # in-place Cholesky factor read 1.36, the rise over 1.21 being
-        # OpenBLAS's dpotrf work space.
+        # eigendecomposed in full, and 1.36 with its ends found through an
+        # in-place Cholesky factor of B.  Its ends found through the sparse
+        # factor, with log det A from a sparse LU, read 1.24.
         code = textwrap.dedent("""
             import resource
             from bld_kaporin.linalg import ic0
@@ -211,10 +212,11 @@ def _functionals(rest):
 
 class TestEndsRoute:
     """A core whose first truncation's ends, the r + 1 lowest values and the
-    top one, stay within ENDS_SHARE of n finds them by ARPACK through the
-    Cholesky factor of I + E, and gives what the full eigendecomposition of
-    the same core gives.  Any pick those ends do not cover takes the full
-    spectrum, and then has a full core's bits."""
+    top one, stay within ENDS_SHARE of n finds them by ARPACK on I + E
+    applied through the sparse factor, and its log-sum from the sparse LU
+    of A, and gives what the full eigendecomposition of the same core
+    gives.  Any pick those ends do not cover takes the full spectrum, and
+    then has a full core's bits."""
 
     @pytest.fixture(scope="class")
     def diffusion(self):
@@ -250,6 +252,39 @@ class TestEndsRoute:
         # the eigenvectors span the same invariant subspace
         np.testing.assert_allclose((term.V * term.D) @ term.V.T, (want.V * want.D) @ want.V.T,
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["diffusion", "network"])
+    def test_logsum_from_the_sparse_lu_equals_the_full_spectrum(self, case, diffusion):
+        if case == "diffusion":
+            A, Q = diffusion
+        else:
+            A = make_sparse_network(1000)
+            Q = ic0(A)
+        core = error_core(A, Q)
+        bld_truncate(core, 20)
+        assert core._eig is None
+        full = error_core(A, Q)
+        assert core.logsum == pytest.approx(float(np.sum(np.log1p(full.thetas))), rel=1e-12)
+
+    def test_the_ends_leave_the_core_array_intact(self, diffusion):
+        # B is never factored: after the ends route the array is B's bits
+        A, Q = diffusion
+        core = error_core(A, Q)
+        bld_truncate(core, 20)
+        assert core._eig is None
+        np.testing.assert_array_equal(core._work, error_core(A, Q)._work)
+
+    def test_sparse_indefinite_matrix_fails_before_arpack(self, monkeypatch):
+        # one eigenvalue below zero: A's sparse LU has a negative pivot, so
+        # the first truncation raises with no ARPACK run
+        A = make_sparse_network(400, seed=6)
+        low = sla.eigh(A.to_dense(), eigvals_only=True, subset_by_index=[0, 1])
+        A = SparseSymMatrix((A.lower - float(np.mean(low)) * sp.identity(400)).tocsr())
+        arpack = _counted_eigsh(monkeypatch)
+        core = error_core(A, identity_factor(400))
+        with pytest.raises(NotPositiveDefiniteError, match="relative to the factor, to working precision"):
+            bld_truncate(core, 1)
+        assert arpack == []
 
     def test_two_builds_are_bit_identical(self, diffusion):
         A, Q = diffusion
