@@ -1,5 +1,5 @@
 """Dense symmetric eigendecomposition, Cholesky / IC(0) factorizations,
-triangular solves, a sparse SPD log-determinant, and Lanczos
+triangular solves, a sparse SPD LU with its log-determinant, and Lanczos
 tridiagonalization.
 
 Dense kernels are delegated to LAPACK through scipy.  The eigensolver
@@ -70,7 +70,7 @@ __all__ = [
     "LanczosResult",
     "cholesky",
     "spd_cholesky",
-    "sparse_logdet",
+    "spd_splu",
     "ic0",
     "identity_factor",
     "sym_eig",
@@ -253,17 +253,22 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
     return L
 
 
-def sparse_logdet(A) -> float:
-    """log det of an SPD matrix from SuperLU's sparse LU of it.
+def spd_splu(A) -> tuple[SuperLU, float]:
+    """SuperLU's sparse LU of an SPD matrix, and log det A from its pivots.
 
-    A is a SparseSymMatrix (both triangles) or a dense array (its nonzeros),
-    factored in symmetric mode: minimum-degree ordering on A^T + A, diagonal
-    pivots (diag_pivot_thresh=0) and no equilibration, so P^T A P = L U with
-    U's diagonal the pivots of P^T A P = L D L^T.  A non-positive pivot, an
-    off-diagonal one (perm_r is not perm_c) or an exactly singular A raises
-    NotPositiveDefiniteError.
+    A is a SparseSymMatrix (both triangles, read in place) or a dense array
+    (its nonzeros), factored in symmetric mode: minimum-degree ordering on
+    A^T + A, diagonal pivots (diag_pivot_thresh=0) and no equilibration, so
+    P^T A P = L U with U's diagonal the pivots of P^T A P = L D L^T.  A
+    non-positive pivot, an off-diagonal one (perm_r is not perm_c) or an
+    exactly singular A raises NotPositiveDefiniteError.  The handle's solve
+    applies A^-1.
     """
-    csc = A.full.tocsc() if isinstance(A, SparseSymMatrix) else sp.csc_matrix(as_dense(A))
+    if isinstance(A, SparseSymMatrix):
+        full = A.full                     # symmetric: its CSR arrays are its CSC ones
+        csc = sp.csc_matrix((full.data, full.indices, full.indptr), shape=full.shape)
+    else:
+        csc = sp.csc_matrix(as_dense(A))
     try:
         lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True, "Equil": False})
@@ -273,7 +278,7 @@ def sparse_logdet(A) -> float:
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots > 0.0)):
         raise NotPositiveDefiniteError("matrix is not positive definite: "
                                        "a sparse LU pivot is not positive")
-    return float(np.sum(np.log(pivots)))
+    return lu, float(np.sum(np.log(pivots)))
 
 
 def _f_view(S: np.ndarray) -> np.ndarray:

@@ -16,9 +16,9 @@ Kaporin condition number of the preconditioned matrix.
 Memory: the error core lives in one n x n array, the dense copy of A,
 through every stage (ErrorCore): B = I + E, never factored, then the
 reflectors of E's eigendecomposition.  A core runs ARPACK at most twice,
-once per end, through the sparse factor; its work space, n x (2k + 1) for
-k values, is freed with each run, and a truncation forms only the r
-eigenvectors it selects.  log det A comes from A's sparse LU.
+once per end, through the sparse factor and A's sparse LU, which also
+gives log det A; its work space, n x (2k + 1) for k values, is freed with
+each run, and a truncation forms only the r eigenvectors it selects.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
 from .errors import (ConvergenceError, DomainError, FactorizationError, NotPositiveDefiniteError,
                      RankError)
-from .linalg import (EigenDecomposition, LowerTriFactor, _f_view, sparse_logdet, spd_cholesky,
+from .linalg import (EigenDecomposition, LowerTriFactor, _f_view, spd_cholesky, spd_splu,
                      sym_eig, tri_solve)
 from .matio import SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_matvec
 
@@ -41,10 +41,10 @@ from .matio import SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_ma
 # by ARPACK, counted in the Krylov vectors ARPACK holds for both ends
 # (_ncv); a core asked for more takes the full eigendecomposition instead.
 # On the benchmark's diffusion matrix (n = 1936, IC(0), seed 0, one BLAS
-# thread), core, gamma pick and rest took 0.22 s by ARPACK against 0.79 s
-# in full at r = 50 (a share of 0.064), 0.49 against 0.84 s at r = 120
+# thread), core, gamma pick and rest took 0.16 s by ARPACK against 0.76 s
+# in full at r = 50 (a share of 0.064), 0.31 against 0.81 s at r = 120
 # (0.136); at r = 150 (0.167) and 194 (0.212) the pick takes the top value
-# and falls through to the full spectrum, 1.45 and 1.89 s against 1.00, 0.96.
+# and falls through to the full spectrum, 1.18 and 1.49 s against 0.86, 0.92.
 ENDS_SHARE = 0.1
 
 
@@ -85,23 +85,25 @@ class ErrorCore:
     eigenvectors.  Positions count in the algebraically non-increasing
     spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
 
-    _work holds B = I + E (symmetrized), and matrix is A itself, not a
-    copy.  logsum = log det B = log det A - log det QQ^T, A's from its
-    sparse LU.  The first request for ends decides where they come from.
-    If it asks for the top value alone and ARPACK's bases stay within
-    ENDS_SHARE of n, ARPACK runs once per end on B applied through the
-    sparse factor, Q^-1 A Q^-T, and B is never factored: the k_lo lowest
-    theta and their vectors, and the top value alone.  Any request those do
-    not cover, and a read of eig or thetas, takes the full spectrum: the
-    core turns B into E in _work and eigendecomposes it there (sym_eig);
-    every end and logsum then come from that decomposition.  The first
-    NotPositiveDefiniteError is kept, and every later read raises it.
+    _work holds B = I + E (symmetrized), and _matrix A itself (error_core)
+    up to the first request for ends, which decides where they come from.
+    If it asks for the top value alone, ARPACK's bases stay within
+    ENDS_SHARE of n and the core holds A, B is never factored: one sparse
+    LU of A (linalg.spd_splu) gives logsum = log det A - log det QQ^T, and
+    ARPACK runs once per end: the k_lo lowest theta and their vectors from
+    B^-1 = Q^T A^-1 Q through that LU, the top value alone from B = Q^-1 A
+    Q^-T through the sparse factor.  Any request those do not cover, and a
+    read of eig, thetas or logsum before any ends, takes the full spectrum:
+    the core turns B into E in _work and eigendecomposes it there
+    (sym_eig); every end and logsum then come from that decomposition.
+    Either way the core then drops A.  The first NotPositiveDefiniteError
+    is kept, and every later read raises it.
     """
 
     factor: LowerTriFactor = field(repr=False)
-    matrix: SparseSymMatrix | np.ndarray = field(repr=False)
     total: float
     _work: np.ndarray | None = field(repr=False)
+    _matrix: SparseSymMatrix | np.ndarray | None = field(repr=False)
     _logsum: float | None = field(default=None, repr=False)
     _low: tuple | None = field(default=None, repr=False)
     _top: np.ndarray | None = field(default=None, repr=False)
@@ -117,7 +119,7 @@ class ErrorCore:
         """log det(I + E), the sum of log(1 + theta)."""
         self._check()
         if self._logsum is None:
-            self._logdet()
+            self._full()
         return self._logsum
 
     @property
@@ -139,60 +141,60 @@ class ErrorCore:
         if self._failed is not None:
             raise self._failed.with_traceback(None)
 
-    def _logdet(self) -> None:
-        """logsum from A's sparse LU and the factor's diagonal."""
-        try:
-            self._logsum = sparse_logdet(self.matrix) - self.factor.logdet_gram()
-        except NotPositiveDefiniteError:
-            self._check(fails=True)
-
     def _full(self) -> None:
         """Turn B in _work into E and reduce it there.  logsum is then
         taken from the eigenvalues too, so every read has a full core's
         bits."""
         a = self._work
         a[np.diag_indices(self.n)] -= 1.0
-        self._work = self._low = self._top = None
+        self._work = self._matrix = self._low = self._top = None
         eig = sym_eig(a, overwrite=True)
         self._check(fails=eig.values[-1] <= -1.0 + 1e-12)
         self._eig, self._logsum = eig, float(np.sum(np.log(1.0 + eig.values)))
 
-    def _arpack(self, k: int, low: bool):
-        """The k lowest theta, ascending, and their vectors (low), or the
-        top theta alone: ARPACK's k smallest or largest of I + E in regular
-        mode, applied as Q^-1 (A (Q^-T x)) through the sparse factor, to
-        full accuracy (tol 0), from a seeded start vector so a build is
-        deterministic.  A dense A is read in place, by its symmetric part."""
-        Q, A, n = self.factor, self.matrix, self.n
+    def _arpack(self, k: int, lu=None):
+        """The k lowest theta, ascending, and their vectors: ARPACK's k
+        largest of B^-1 = Q^T A^-1 Q through A's LU lu; without lu, the top
+        theta alone, ARPACK's largest of B = Q^-1 A Q^-T.  Full accuracy
+        (tol 0), from a seeded start vector so a build is deterministic.  A
+        dense A is read by its symmetric part."""
+        Q, A, n = self.factor, self._matrix, self.n
         product = A.matvec if isinstance(A, SparseSymMatrix) else lambda x: 0.5 * (A @ x + A.T @ x)
 
         def apply(x):
+            if lu is not None:
+                return Q.values.T @ lu.solve(Q.values @ x)
             return tri_solve(Q, product(tri_solve(Q, x, "adjoint")), "forward")
 
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
             got = eigsh(LinearOperator((n, n), matvec=apply, dtype=np.float64), k=k,
-                        which="SA" if low else "LA", v0=v0, ncv=_ncv(k), tol=0,
-                        return_eigenvectors=low)
+                        which="LA", v0=v0, ncv=_ncv(k), tol=0, return_eigenvectors=lu is not None)
         except ArpackNoConvergence as exc:
             raise ConvergenceError(f"ARPACK did not converge on the error core: {exc}") from exc
-        if not low:
+        if lu is None:
             return got - 1.0
         w, X = got
-        order = np.argsort(w, kind="stable")
-        self._check(fails=w[order[0]] <= 1e-12)
-        return w[order] - 1.0, X[:, order]
+        order = np.argsort(-w, kind="stable")
+        mu = 1.0 / w[order]
+        self._check(fails=mu[0] <= 1e-12)
+        return mu - 1.0, X[:, order]
 
     def ends(self, k_lo: int, k_hi: int) -> tuple[np.ndarray, np.ndarray]:
         """At least the k_lo lowest theta, ascending, and the k_hi highest,
         descending; from the full spectrum, all n of each."""
         self._check()
         if self._eig is None:
-            if self._low is None and k_hi == 1 and _ncv(k_lo) + _ncv(1) <= ENDS_SHARE * self.n:
-                if self._logsum is None:
-                    self._logdet()      # an indefinite A fails here, before ARPACK
-                self._low = self._arpack(k_lo, low=True)
-                self._top = self._arpack(1, low=False)
+            fits = _ncv(k_lo) + _ncv(1) <= ENDS_SHARE * self.n
+            if self._matrix is not None and k_hi == 1 and fits:
+                try:
+                    lu, logdet = spd_splu(self._matrix)
+                except NotPositiveDefiniteError:
+                    self._check(fails=True)     # an indefinite A fails here, before ARPACK
+                self._logsum = logdet - self.factor.logdet_gram()
+                self._low = self._arpack(k_lo, lu)
+                self._top = self._arpack(1)
+                self._matrix = None
             if self._low is not None and self._low[0].size >= k_lo and k_hi == 1:
                 return self._low[0], self._top
             self._full()
@@ -304,18 +306,18 @@ class LowRankTerm:
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     """Form B = Q^-1 A Q^-T = I + E and its trace.
 
-    One n x n array holds every stage: the dense copy of A (a copy even of
-    a caller's ndarray, which is never changed; a dense A is checked and
-    symmetrized there, ValueError naming it), then Q^-1 A solved into it
-    a column panel at a time, then B solved into its transpose, so that
-    row panel J of Q^-1 A becomes row panel J of B.  A square A whose
-    order is not Q's raises ValueError before that copy is made.  B is
-    checked and symmetrized in place: asymmetry past 1e-10 relative
-    (matio._symmetrized) raises FactorizationError, since the factor is
-    then too ill-conditioned for A.  The core keeps that array, A itself
-    and total = trace(B); it finds B's ends through Q and A, or reduces B,
-    when they are first asked for (ErrorCore).  So a caller's dense A is
-    read again then, and must not change before the core's truncations.
+    One n x n array holds every stage: the dense copy of A (a dense A is
+    checked and symmetrized into it, ValueError naming A; a caller's array
+    is never changed), then Q^-1 A solved into it a column panel at a
+    time, then B solved into its transpose, so that row panel J of Q^-1 A
+    becomes row panel J of B.  A square A whose order is not Q's raises
+    ValueError before that copy is made.  B is checked and symmetrized in
+    place: asymmetry past 1e-10 relative (matio._symmetrized) raises
+    FactorizationError, since the factor is then too ill-conditioned for A.
+    The core keeps that array and total = trace(B), and A itself where it
+    costs no second array: a SparseSymMatrix, or a float64 ndarray that is
+    the caller's own, read again at the first truncation (ErrorCore).  Any
+    other dense A was copied, and its core takes the full spectrum.
 
     NotPositiveDefiniteError follows, at the core's first truncation, when
     B is not positive definite to working precision: a pivot of A's
@@ -328,8 +330,10 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     if isinstance(A, SparseSymMatrix):
         B = as_dense(A, copy=True)
     else:
-        A = as_dense(A)                        # a caller's float64 ndarray is kept, not copied
-        B = _symmetrized(A)                    # a dense A's own asymmetry is named as such
+        X = as_dense(A)
+        caller = isinstance(A, np.ndarray) and np.may_share_memory(X, A)
+        B = _symmetrized(X, out=None if caller else X)   # A's own asymmetry is named as such
+        A = X if caller else None
     tri_solve(Q, B, "forward", out=B)          # Q^-1 A
     tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
     try:
@@ -338,7 +342,7 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
         raise FactorizationError("error core Q^-1 A Q^-T is not symmetric to 1e-10 relative: "
                                  "the factor is too ill-conditioned for A") from exc
     a = _f_view(B)
-    return ErrorCore(Q, A, float(np.sum(a.diagonal())), a)
+    return ErrorCore(Q, float(np.sum(a.diagonal())), a, A)
 
 
 def _take(core: ErrorCore, key, r: int) -> LowRankTerm:

@@ -22,7 +22,7 @@ from bld_kaporin.linalg import (
     ic0,
     identity_factor,
     lanczos,
-    sparse_logdet,
+    spd_splu,
     sym_eig,
     tri_solve,
 )
@@ -199,13 +199,16 @@ _IC0_MATRICES = {
 }
 
 
-class TestSparseLogdet:
+class TestSpdSplu:
     @pytest.mark.parametrize("A", [make_sparse_network(300, seed=2), _diffusion(12, seed=1)],
                              ids=["network", "diffusion"])
-    def test_equals_the_dense_cholesky_log_det(self, A):
+    def test_log_det_equals_the_dense_cholesky_one_and_solve_inverts(self, A):
         want = 2.0 * np.sum(np.log(cholesky(A).diagonal()))
-        assert sparse_logdet(A) == pytest.approx(want, rel=1e-12)
-        assert sparse_logdet(A.to_dense()) == pytest.approx(want, rel=1e-12)
+        b = np.random.default_rng(0).standard_normal(A.n)
+        for given in (A, A.to_dense()):
+            lu, logdet = spd_splu(given)
+            assert logdet == pytest.approx(want, rel=1e-12)
+            np.testing.assert_allclose(A.matvec(lu.solve(b)), b, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("A", [
         pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), id="negative-pivot"),
@@ -215,9 +218,9 @@ class TestSparseLogdet:
     ])
     def test_not_positive_definite_rejected(self, A):
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            sparse_logdet(A)
+            spd_splu(A)
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            sparse_logdet(SparseSymMatrix.from_dense(A))
+            spd_splu(SparseSymMatrix.from_dense(A))
 
 
 class TestIc0MatchesOracle:

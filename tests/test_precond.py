@@ -34,7 +34,8 @@ from bld_kaporin.precond import (
     sym_preconditioned_operator,
     tsvd_truncate,
 )
-from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
+from bld_kaporin.synth import (haar_orthogonal, make_dense_spd, make_sparse_network, make_spectrum,
+                               random_spd)
 from test_linalg import _diffusion
 
 
@@ -111,7 +112,7 @@ class TestErrorCore:
     def test_core_keeps_only_sums_ends_and_factor(self):
         core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
         assert [f.name for f in dataclasses.fields(core)] == [
-            "factor", "matrix", "total", "_work", "_logsum", "_low", "_top", "_eig", "_failed"]
+            "factor", "total", "_work", "_matrix", "_logsum", "_low", "_top", "_eig", "_failed"]
 
     def test_asymmetry_from_an_ill_conditioned_factor_is_named(self):
         # the IC(0) factor of this SPD matrix is exact, yet too ill-conditioned
@@ -151,7 +152,8 @@ class TestErrorCore:
         # core formed in two n x n arrays read 2.24, in one 1.21 when it was
         # eigendecomposed in full, and 1.36 with its ends found through an
         # in-place Cholesky factor of B.  Its ends found through the sparse
-        # factor, with log det A from a sparse LU, read 1.24.
+        # factor and a sparse LU of A, alive through the low end's ARPACK
+        # run, read 1.38-1.39.
         code = textwrap.dedent("""
             import resource
             from bld_kaporin.linalg import ic0
@@ -212,11 +214,11 @@ def _functionals(rest):
 
 class TestEndsRoute:
     """A core whose first truncation's ends, the r + 1 lowest values and the
-    top one, stay within ENDS_SHARE of n finds them by ARPACK on I + E
-    applied through the sparse factor, and its log-sum from the sparse LU
-    of A, and gives what the full eigendecomposition of the same core
-    gives.  Any pick those ends do not cover takes the full spectrum, and
-    then has a full core's bits."""
+    top one, stay within ENDS_SHARE of n finds them by ARPACK through the
+    sparse factor and the sparse LU of A, which also gives its log-sum, and
+    gives what the full eigendecomposition of the same core gives.  Any
+    pick those ends do not cover takes the full spectrum, and then has a
+    full core's bits."""
 
     @pytest.fixture(scope="class")
     def diffusion(self):
@@ -265,6 +267,47 @@ class TestEndsRoute:
         assert core._eig is None
         full = error_core(A, Q)
         assert core.logsum == pytest.approx(float(np.sum(np.log1p(full.thetas))), rel=1e-12)
+
+    def test_ill_separated_low_end_agrees_with_the_full_spectrum(self, monkeypatch):
+        # a geometric spectrum over [1e-6, 1] with the identity factor: the
+        # lowest values sit 1e-6 apart in a spread of 1, and B^-1 separates them
+        n, r = 600, 5
+        A = SparseSymMatrix.from_dense(make_dense_spd(make_spectrum(n, "geometric", (1e6,)), 0))
+        Q = identity_factor(n)
+        arpack = _counted_eigsh(monkeypatch)
+        core = error_core(A, Q)
+        term = bld_truncate(core, r)
+        assert arpack == [(r + 1, True), (1, False)] and core._eig is None
+        full = error_core(A, Q)
+        full.thetas
+        want = bld_truncate(full, r)
+        np.testing.assert_array_equal(term.selection, want.selection)
+        np.testing.assert_allclose(term.D, want.D, rtol=1e-10)
+        np.testing.assert_allclose(_functionals(core.rest(term)), _functionals(full.rest(want)),
+                                   rtol=1e-10)
+
+    def test_a_is_held_only_where_it_costs_no_copy_and_only_up_to_the_ends(self, monkeypatch):
+        A, Q = _planted_ends()
+        arpack = _counted_eigsh(monkeypatch)
+        core = error_core(A, Q)
+        assert core._matrix is A
+        bld_truncate(core, 3)
+        assert len(arpack) == 2 and core._matrix is None
+        # an ndarray subclass is read through a view of its memory, never written
+        M = A.copy().view(type("Sub", (np.ndarray,), {}))
+        bld_truncate(error_core(M, Q), 3)
+        assert len(arpack) == 4
+        np.testing.assert_array_equal(M, A)
+        # a float32 A is copied once, into the core's array, and not kept:
+        # its core holds one n x n array and takes the full spectrum
+        A32 = A.astype(np.float32)
+        tracemalloc.start()
+        core = error_core(A32, Q)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert core._matrix is None and held < 1.1 * 8 * A.size
+        bld_truncate(core, 3)
+        assert len(arpack) == 4
 
     def test_the_ends_leave_the_core_array_intact(self, diffusion):
         # B is never factored: after the ends route the array is B's bits
