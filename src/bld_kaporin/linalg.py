@@ -256,19 +256,16 @@ def spd_cholesky(X, what="matrix") -> np.ndarray:
 def spd_splu(A) -> tuple[SuperLU, float]:
     """SuperLU's sparse LU of an SPD matrix, and log det A from its pivots.
 
-    A is a SparseSymMatrix (both triangles, read in place) or a dense array
-    (its nonzeros), factored in symmetric mode: minimum-degree ordering on
-    A^T + A, diagonal pivots (diag_pivot_thresh=0) and no equilibration, so
-    P^T A P = L U with U's diagonal the pivots of P^T A P = L D L^T.  A
+    A is a SparseSymMatrix only; its two triangles (A.full) are read in
+    place and factored in symmetric mode: minimum-degree ordering on
+    A^T + A, diagonal pivots (diag_pivot_thresh=0) and no equilibration,
+    so P^T A P = L U with U's diagonal the pivots of P^T A P = L D L^T.  A
     non-positive pivot, an off-diagonal one (perm_r is not perm_c) or an
     exactly singular A raises NotPositiveDefiniteError.  The handle's solve
     applies A^-1.
     """
-    if isinstance(A, SparseSymMatrix):
-        full = A.full                     # symmetric: its CSR arrays are its CSC ones
-        csc = sp.csc_matrix((full.data, full.indices, full.indptr), shape=full.shape)
-    else:
-        csc = sp.csc_matrix(as_dense(A))
+    full = A.full                         # symmetric: its CSR arrays are its CSC ones
+    csc = sp.csc_matrix((full.data, full.indices, full.indptr), shape=full.shape)
     try:
         lu = splu(csc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True, "Equil": False})

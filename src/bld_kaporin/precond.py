@@ -15,7 +15,10 @@ Kaporin condition number of the preconditioned matrix.
 
 Memory: the error core lives in one n x n array, the dense copy of A,
 through every stage (ErrorCore): B = I + E, never factored, then the
-reflectors of E's eigendecomposition.  A core runs ARPACK at most twice,
+reflectors of E's eigendecomposition.  Up to its first ends it also holds
+A as a SparseSymMatrix, its lower triangle and both triangles (full): a
+dense A's store all n^2 entries, about 2.25 n x n arrays' worth, as the
+CLI's dense generators' matrices do.  A core runs ARPACK at most twice,
 once per end, through the sparse factor and A's sparse LU, which also
 gives log det A; its work space, n x (2k + 1) for k values, is freed with
 each run, and a truncation forms only the r eigenvectors it selects.
@@ -85,25 +88,25 @@ class ErrorCore:
     eigenvectors.  Positions count in the algebraically non-increasing
     spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
 
-    _work holds B = I + E (symmetrized), and _matrix A itself (error_core)
-    up to the first request for ends, which decides where they come from.
-    If it asks for the top value alone, ARPACK's bases stay within
-    ENDS_SHARE of n and the core holds A, B is never factored: one sparse
-    LU of A (linalg.spd_splu) gives logsum = log det A - log det QQ^T, and
-    ARPACK runs once per end: the k_lo lowest theta and their vectors from
-    B^-1 = Q^T A^-1 Q through that LU, the top value alone from B = Q^-1 A
-    Q^-T through the sparse factor.  Any request those do not cover, and a
-    read of eig, thetas or logsum before any ends, takes the full spectrum:
-    the core turns B into E in _work and eigendecomposes it there
-    (sym_eig); every end and logsum then come from that decomposition.
-    Either way the core then drops A.  The first NotPositiveDefiniteError
-    is kept, and every later read raises it.
+    _work holds B = I + E (symmetrized), and _matrix A, always a
+    SparseSymMatrix (error_core), up to the first request for ends, which
+    decides where they come from.  If it asks for the top value alone and
+    ARPACK's bases stay within ENDS_SHARE of n, B is never factored: one
+    sparse LU of A (linalg.spd_splu) gives logsum = log det A - log det
+    QQ^T, and ARPACK runs once per end: the k_lo lowest theta and their
+    vectors from B^-1 = Q^T A^-1 Q through that LU, the top value alone
+    from B = Q^-1 A Q^-T through the sparse factor.  Any request those do
+    not cover, and a read of eig, thetas or logsum before any ends, takes
+    the full spectrum: the core turns B into E in _work and
+    eigendecomposes it there (sym_eig); every end and logsum then come
+    from that decomposition.  Either way the core then drops A.  The first
+    NotPositiveDefiniteError is kept, and every later read raises it.
     """
 
     factor: LowerTriFactor = field(repr=False)
     total: float
     _work: np.ndarray | None = field(repr=False)
-    _matrix: SparseSymMatrix | np.ndarray | None = field(repr=False)
+    _matrix: SparseSymMatrix | None = field(repr=False)
     _logsum: float | None = field(default=None, repr=False)
     _low: tuple | None = field(default=None, repr=False)
     _top: np.ndarray | None = field(default=None, repr=False)
@@ -156,15 +159,13 @@ class ErrorCore:
         """The k lowest theta, ascending, and their vectors: ARPACK's k
         largest of B^-1 = Q^T A^-1 Q through A's LU lu; without lu, the top
         theta alone, ARPACK's largest of B = Q^-1 A Q^-T.  Full accuracy
-        (tol 0), from a seeded start vector so a build is deterministic.  A
-        dense A is read by its symmetric part."""
+        (tol 0), from a seeded start vector so a build is deterministic."""
         Q, A, n = self.factor, self._matrix, self.n
-        product = A.matvec if isinstance(A, SparseSymMatrix) else lambda x: 0.5 * (A @ x + A.T @ x)
 
         def apply(x):
             if lu is not None:
                 return Q.values.T @ lu.solve(Q.values @ x)
-            return tri_solve(Q, product(tri_solve(Q, x, "adjoint")), "forward")
+            return tri_solve(Q, A.matvec(tri_solve(Q, x, "adjoint")), "forward")
 
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
@@ -306,18 +307,18 @@ class LowRankTerm:
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     """Form B = Q^-1 A Q^-T = I + E and its trace.
 
-    One n x n array holds every stage: the dense copy of A (a dense A is
-    checked and symmetrized into it, ValueError naming A; a caller's array
-    is never changed), then Q^-1 A solved into it a column panel at a
-    time, then B solved into its transpose, so that row panel J of Q^-1 A
-    becomes row panel J of B.  A square A whose order is not Q's raises
-    ValueError before that copy is made.  B is checked and symmetrized in
-    place: asymmetry past 1e-10 relative (matio._symmetrized) raises
-    FactorizationError, since the factor is then too ill-conditioned for A.
-    The core keeps that array and total = trace(B), and A itself where it
-    costs no second array: a SparseSymMatrix, or a float64 ndarray that is
-    the caller's own, read again at the first truncation (ErrorCore).  Any
-    other dense A was copied, and its core takes the full spectrum.
+    A is a SparseSymMatrix or anything as_dense reads, which enters as
+    SparseSymMatrix.from_dense of it, as in linalg.ic0: checked
+    (ValueError naming A) and symmetrized, and the caller's array is not
+    read again.  A square A whose order is not Q's raises ValueError
+    before any n x n copy is made.  One n x n array holds every stage: the
+    dense copy of A, then Q^-1 A solved into it a column panel at a time,
+    then B solved into its transpose, so that row panel J of Q^-1 A
+    becomes row panel J of B.  B is checked and symmetrized in place:
+    asymmetry past 1e-10 relative (matio._symmetrized) raises
+    FactorizationError, since the factor is then too ill-conditioned for
+    A.  The core keeps that array, total = trace(B) and the
+    SparseSymMatrix, read again at the first truncation (ErrorCore).
 
     NotPositiveDefiniteError follows, at the core's first truncation, when
     B is not positive definite to working precision: a pivot of A's
@@ -327,13 +328,9 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     shape = (A.n, A.n) if hasattr(A, "n") else np.shape(A)
     if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_dense names the shape
         raise ValueError(f"factor order {Q.n} does not match the matrix order {shape[0]}")
-    if isinstance(A, SparseSymMatrix):
-        B = as_dense(A, copy=True)
-    else:
-        X = as_dense(A)
-        caller = isinstance(A, np.ndarray) and np.may_share_memory(X, A)
-        B = _symmetrized(X, out=None if caller else X)   # A's own asymmetry is named as such
-        A = X if caller else None
+    if not isinstance(A, SparseSymMatrix):
+        A = SparseSymMatrix.from_dense(as_dense(A))   # A's own asymmetry is named as such
+    B = as_dense(A, copy=True)
     tri_solve(Q, B, "forward", out=B)          # Q^-1 A
     tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
     try:

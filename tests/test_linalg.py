@@ -205,10 +205,9 @@ class TestSpdSplu:
     def test_log_det_equals_the_dense_cholesky_one_and_solve_inverts(self, A):
         want = 2.0 * np.sum(np.log(cholesky(A).diagonal()))
         b = np.random.default_rng(0).standard_normal(A.n)
-        for given in (A, A.to_dense()):
-            lu, logdet = spd_splu(given)
-            assert logdet == pytest.approx(want, rel=1e-12)
-            np.testing.assert_allclose(A.matvec(lu.solve(b)), b, rtol=0, atol=1e-10)
+        lu, logdet = spd_splu(A)
+        assert logdet == pytest.approx(want, rel=1e-12)
+        np.testing.assert_allclose(A.matvec(lu.solve(b)), b, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("A", [
         pytest.param(np.array([[1.0, 2.0], [2.0, 1.0]]), id="negative-pivot"),
@@ -217,8 +216,6 @@ class TestSpdSplu:
         pytest.param(np.array([[-2.0]]), id="negative-one-by-one"),
     ])
     def test_not_positive_definite_rejected(self, A):
-        with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
-            spd_splu(A)
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite"):
             spd_splu(SparseSymMatrix.from_dense(A))
 

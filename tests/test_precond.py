@@ -286,28 +286,52 @@ class TestEndsRoute:
         np.testing.assert_allclose(_functionals(core.rest(term)), _functionals(full.rest(want)),
                                    rtol=1e-10)
 
-    def test_a_is_held_only_where_it_costs_no_copy_and_only_up_to_the_ends(self, monkeypatch):
-        A, Q = _planted_ends()
+    @pytest.fixture(scope="class")
+    def dense_diffusion(self):
+        # n = 900 with float32-exact entries, so a float32 copy holds A itself
+        A = _diffusion(30, seed=4).to_dense().astype(np.float32).astype(np.float64)
+        return A, ic0(SparseSymMatrix.from_dense(A))
+
+    def test_every_dense_input_takes_the_route_of_its_sparse_matrix(self, dense_diffusion,
+                                                                    monkeypatch):
+        # float64, float32, a nested list, an ndarray subclass and an object
+        # with dense() all enter as SparseSymMatrix.from_dense of A: the same
+        # ARPACK runs and the bits of the sparse matrix's core
+        A, Q = dense_diffusion
+        r = 5
         arpack = _counted_eigsh(monkeypatch)
+        want_core = error_core(SparseSymMatrix.from_dense(A), Q)
+        want = bld_truncate(want_core, r)
+        assert arpack == [(r + 1, True), (1, False)]
+        Sub = type("Sub", (np.ndarray,), {})
+        inputs = {"float64": A.copy(), "float32": A.astype(np.float32), "list": A.tolist(),
+                  "subclass": A.copy().view(Sub),
+                  "dense()": type("Dense", (), {"dense": lambda self: A.copy()})()}
+        for name, given in inputs.items():
+            arpack.clear()
+            core = error_core(given, Q)
+            assert isinstance(core._matrix, SparseSymMatrix), name
+            term = bld_truncate(core, r)
+            assert arpack == [(r + 1, True), (1, False)], name
+            assert core._matrix is None and core._eig is None, name
+            for field in ("selection", "D", "V"):
+                np.testing.assert_array_equal(getattr(term, field), getattr(want, field))
+            assert core.rest(term) == want_core.rest(want), name
+        np.testing.assert_array_equal(inputs["subclass"], A)
+
+    def test_the_callers_array_is_not_read_after_the_core_is_formed(self, dense_diffusion):
+        # A changed between error_core and the first truncation leaves the
+        # core as it was formed: ends, log-sum and total all from the old A
+        A0, Q = dense_diffusion
+        A = A0.copy()
         core = error_core(A, Q)
-        assert core._matrix is A
-        bld_truncate(core, 3)
-        assert len(arpack) == 2 and core._matrix is None
-        # an ndarray subclass is read through a view of its memory, never written
-        M = A.copy().view(type("Sub", (np.ndarray,), {}))
-        bld_truncate(error_core(M, Q), 3)
-        assert len(arpack) == 4
-        np.testing.assert_array_equal(M, A)
-        # a float32 A is copied once, into the core's array, and not kept:
-        # its core holds one n x n array and takes the full spectrum
-        A32 = A.astype(np.float32)
-        tracemalloc.start()
-        core = error_core(A32, Q)
-        held, _ = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert core._matrix is None and held < 1.1 * 8 * A.size
-        bld_truncate(core, 3)
-        assert len(arpack) == 4
+        A *= 1.001
+        term = bld_truncate(core, 5)
+        fresh = error_core(A0, Q)
+        want = bld_truncate(fresh, 5)
+        for field in ("selection", "D", "V"):
+            np.testing.assert_array_equal(getattr(term, field), getattr(want, field))
+        assert core.rest(term) == fresh.rest(want)
 
     def test_the_ends_leave_the_core_array_intact(self, diffusion):
         # B is never factored: after the ends route the array is B's bits
