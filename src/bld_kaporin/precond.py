@@ -13,15 +13,19 @@ alpha_star, the mean of the unselected 1 + theta_i, is the unique
 divergence minimizer over alpha and makes the divergence equal the log
 Kaporin condition number of the preconditioned matrix.
 
-Memory: the error core lives in one n x n array, the dense copy of A,
-through every stage (ErrorCore): B = I + E, never factored, then the
-reflectors of E's eigendecomposition.  Up to its first ends it also holds
-A as a SparseSymMatrix, its lower triangle and both triangles (full): a
-dense A's store all n^2 entries, about 2.25 n x n arrays' worth, as the
-CLI's dense generators' matrices do.  A core runs ARPACK at most twice,
-once per end, through the sparse factor and A's sparse LU, which also
-gives log det A; its work space, n x (2k + 1) for k values, is freed with
-each run, and a truncation forms only the r eigenvectors it selects.
+Memory: the error core holds the factor and A, its own SparseSymMatrix
+over A's lower triangle (error_core), and no n x n array while it
+answers from the ends of its spectrum.  A truncation's first ends take one sparse LU of A
+(linalg.spd_splu), which gives log det A and, from a copy of its L factor,
+trace(B) a PANEL of columns at a time; ARPACK then runs at most twice, once
+per end, each run's work space, n x (2k + 1) for k values, freed with it,
+and a truncation forms only the r eigenvectors it selects.  Only the full
+spectrum forms an n x n array, one that holds every stage: the dense copy
+of A, B = Q^-1 A Q^-T solved into it, E, and the reflectors of E's
+eigendecomposition; the core then drops A.  A dense A stores all n^2
+entries, its lower triangle and, once the core has used them, both
+triangles (full), about 2.25 n x n arrays' worth, as the CLI's dense
+generators' matrices do; the caller's own matrix keeps only what it had.
 """
 
 from __future__ import annotations
@@ -36,9 +40,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
 from .errors import (ConvergenceError, DomainError, FactorizationError, NotPositiveDefiniteError,
                      RankError)
-from .linalg import (EigenDecomposition, LowerTriFactor, _f_view, spd_cholesky, spd_splu,
-                     sym_eig, tri_solve)
-from .matio import SparseSymMatrix, _symmetrized, as_dense, as_dense_pair, as_matvec
+from .linalg import EigenDecomposition, LowerTriFactor, spd_cholesky, spd_splu, sym_eig, tri_solve
+from .matio import PANEL, SparseSymMatrix, as_dense, as_dense_pair, as_matvec
 
 # The share of the order up to which a core finds the ends of its spectrum
 # by ARPACK, counted in the Krylov vectors ARPACK holds for both ends
@@ -58,6 +61,20 @@ def _ncv(k: int) -> int:
 
 _NOT_SPD = ("error core Q^-1 A Q^-T has 1 + theta <= 1e-12: A is not positive definite "
             "relative to the factor, to working precision")
+_ASYMMETRIC = ("error core Q^-1 A Q^-T is not symmetric to 1e-10 relative: "
+               "the factor is too ill-conditioned for A")
+
+# error_core probes B = Q^-1 A Q^-T with this many seeded Gaussian columns
+# U: with M = U^T B U, ||M - M^T||_F / (sqrt(_PROBES - 1) ||B U||_F)
+# estimates ||B - B^T||_F / ||B||_F from 28 pairs of columns.  Over five
+# seeds it read at most 1.7e-11 on criterion 7's random triangular factors
+# (n = 8-19, tests/test_acceptance.py) and 2.4e-15 on the IC(0) and
+# Cholesky factors of the network matrix; on a geometric spectrum over
+# [f, 1] (n = 600) with the Cholesky factor of A + 1e-9 I, at least 4.3e-10
+# for f = 1e-8 and 6.3e-11 to 8.4e-11 for f = 1e-7.  Past 1e-10 it raises
+# FactorizationError.
+_PROBES = 8
+
 
 __all__ = [
     "ErrorCore",
@@ -88,34 +105,42 @@ class ErrorCore:
     eigenvectors.  Positions count in the algebraically non-increasing
     spectrum: the j-th highest value is at j, the i-th lowest at n - 1 - i.
 
-    _work holds B = I + E (symmetrized), and _matrix A, always a
-    SparseSymMatrix (error_core), up to the first request for ends, which
-    decides where they come from.  If it asks for the top value alone and
-    ARPACK's bases stay within ENDS_SHARE of n, B is never factored: one
+    The core holds the factor and _matrix, its own SparseSymMatrix over
+    A's lower triangle (error_core), and no n x n array.  The first
+    request for ends decides where they come from.  If it asks for the
+    top value alone and ARPACK's bases stay within ENDS_SHARE of n, one
     sparse LU of A (linalg.spd_splu) gives logsum = log det A - log det
-    QQ^T, and ARPACK runs once per end: the k_lo lowest theta and their
-    vectors from B^-1 = Q^T A^-1 Q through that LU, the top value alone
-    from B = Q^-1 A Q^-T through the sparse factor.  Any request those do
-    not cover, and a read of eig, thetas or logsum before any ends, takes
-    the full spectrum: the core turns B into E in _work and
-    eigendecomposes it there (sym_eig); every end and logsum then come
-    from that decomposition.  Either way the core then drops A.  The first
-    NotPositiveDefiniteError is kept, and every later read raises it.
+    QQ^T and total (_trace), and ARPACK runs once per end: the k_lo lowest theta and
+    their vectors from B^-1 = Q^T A^-1 Q through that LU, the top value
+    alone from B = Q^-1 A Q^-T through the sparse factor.  Any request
+    those do not cover, and a read of eig, thetas, total or logsum before
+    any ends, takes the full spectrum (_full): B formed densely from A, E
+    eigendecomposed in the same array (sym_eig), every end and both sums
+    then from B and that decomposition, and A dropped.  The first
+    NotPositiveDefiniteError or FactorizationError is kept, and every
+    later read raises it.
     """
 
     factor: LowerTriFactor = field(repr=False)
-    total: float
-    _work: np.ndarray | None = field(repr=False)
     _matrix: SparseSymMatrix | None = field(repr=False)
+    _total: float | None = field(default=None, repr=False)
     _logsum: float | None = field(default=None, repr=False)
     _low: tuple | None = field(default=None, repr=False)
     _top: np.ndarray | None = field(default=None, repr=False)
     _eig: EigenDecomposition | None = field(default=None, repr=False)
-    _failed: NotPositiveDefiniteError | None = field(default=None, repr=False)
+    _failed: Exception | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.factor.n
+
+    @property
+    def total(self) -> float:
+        """trace(I + E), the sum of 1 + theta."""
+        self._check()
+        if self._total is None:
+            self._full()
+        return self._total
 
     @property
     def logsum(self) -> float:
@@ -138,22 +163,55 @@ class ErrorCore:
         return self.eig.values
 
     def _check(self, fails: bool = False) -> None:
-        """Raise the core's first NotPositiveDefiniteError, made here if fails."""
+        """Raise the core's first error, a NotPositiveDefiniteError made here
+        if fails."""
         if fails:
             self._failed = NotPositiveDefiniteError(_NOT_SPD)
         if self._failed is not None:
             raise self._failed.with_traceback(None)
 
     def _full(self) -> None:
-        """Turn B in _work into E and reduce it there.  logsum is then
-        taken from the eigenvalues too, so every read has a full core's
-        bits."""
-        a = self._work
-        a[np.diag_indices(self.n)] -= 1.0
-        self._work = self._matrix = self._low = self._top = None
-        eig = sym_eig(a, overwrite=True)
+        """Form B from A in one n x n array, Q^-1 A solved into it a column
+        panel at a time, then B into its transpose, so that row panel J of
+        Q^-1 A becomes row panel J of B; take total from its diagonal, turn
+        it into E and reduce it there.  sym_eig symmetrizes E once: its
+        asymmetry past 1e-10 relative raises FactorizationError.  logsum is
+        then taken from the eigenvalues too, so every read has a full
+        core's bits."""
+        B = as_dense(self._matrix, copy=True)
+        tri_solve(self.factor, B, "forward", out=B)          # Q^-1 A
+        tri_solve(self.factor, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
+        diag = np.diag_indices(self.n)
+        total = float(np.sum(B[diag]))
+        B[diag] -= 1.0                   # e_ii - 1 before or after symmetrizing alike
+        self._matrix = self._low = self._top = None
+        try:
+            eig = sym_eig(B, overwrite=True)
+        except ValueError as exc:
+            self._failed = FactorizationError(_ASYMMETRIC)
+            raise self._failed from exc
         self._check(fails=eig.values[-1] <= -1.0 + 1e-12)
-        self._eig, self._logsum = eig, float(np.sum(np.log(1.0 + eig.values)))
+        self._eig, self._total = eig, total
+        self._logsum = float(np.sum(np.log(1.0 + eig.values)))
+
+    def _trace(self, lu) -> float:
+        """trace(B) = ||Q^-1 G||_F^2 for G = L[perm] D^(1/2) from A's LU lu,
+        P^T A P = L D L^T, so that G G^T = A: forward solves of G a PANEL of
+        columns at a time, each scattered from L's one copy into a dense
+        n x PANEL block."""
+        L, n = lu.L, self.n
+        row = np.argsort(lu.perm_r)               # L's row k is G's row row[k]
+        root = np.sqrt(lu.U.diagonal())
+        total = 0.0
+        for j in range(0, n, PANEL):
+            w = min(PANEL, n - j)
+            at = slice(L.indptr[j], L.indptr[j + w])
+            col = np.repeat(np.arange(w), np.diff(L.indptr[j:j + w + 1]))
+            G = np.zeros((n, w), order="F")
+            G[row[L.indices[at]], col] = L.data[at] * root[j + col]
+            X = tri_solve(self.factor, G, "forward")
+            total += float(np.einsum("ij,ij->", X, X))
+        return total
 
     def _arpack(self, k: int, lu=None):
         """The k lowest theta, ascending, and their vectors: ARPACK's k
@@ -165,7 +223,7 @@ class ErrorCore:
         def apply(x):
             if lu is not None:
                 return Q.values.T @ lu.solve(Q.values @ x)
-            return tri_solve(Q, A.matvec(tri_solve(Q, x, "adjoint")), "forward")
+            return _apply_b(Q, A, x)
 
         v0 = np.random.default_rng(0).standard_normal(n)
         try:
@@ -187,15 +245,15 @@ class ErrorCore:
         self._check()
         if self._eig is None:
             fits = _ncv(k_lo) + _ncv(1) <= ENDS_SHARE * self.n
-            if self._matrix is not None and k_hi == 1 and fits:
+            if self._low is None and k_hi == 1 and fits:
                 try:
                     lu, logdet = spd_splu(self._matrix)
                 except NotPositiveDefiniteError:
                     self._check(fails=True)     # an indefinite A fails here, before ARPACK
                 self._logsum = logdet - self.factor.logdet_gram()
+                self._total = self._trace(lu)
                 self._low = self._arpack(k_lo, lu)
                 self._top = self._arpack(1)
-                self._matrix = None
             if self._low is not None and self._low[0].size >= k_lo and k_hi == 1:
                 return self._low[0], self._top
             self._full()
@@ -304,21 +362,28 @@ class LowRankTerm:
             raise DomainError("V must be finite")
 
 
+def _apply_b(Q: LowerTriFactor, A: SparseSymMatrix, x) -> np.ndarray:
+    """B x = Q^-1 A Q^-T x through the sparse factor; x a vector or a block."""
+    return tri_solve(Q, A.matvec(tri_solve(Q, x, "adjoint")), "forward")
+
+
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
-    """Form B = Q^-1 A Q^-T = I + E and its trace.
+    """The error core of A relative to the factor Q, B = Q^-1 A Q^-T = I + E.
 
     A is a SparseSymMatrix or anything as_dense reads, which enters as
     SparseSymMatrix.from_dense of it, as in linalg.ic0: checked
     (ValueError naming A) and symmetrized, and the caller's array is not
-    read again.  A square A whose order is not Q's raises ValueError
-    before any n x n copy is made.  One n x n array holds every stage: the
-    dense copy of A, then Q^-1 A solved into it a column panel at a time,
-    then B solved into its transpose, so that row panel J of Q^-1 A
-    becomes row panel J of B.  B is checked and symmetrized in place:
-    asymmetry past 1e-10 relative (matio._symmetrized) raises
+    read again.  A SparseSymMatrix enters as a new one over its lower
+    triangle, with no copy, so both triangles (full), built for the
+    products and the LU, are cached on the core's matrix and go with the
+    core, not on the caller's.  A square A whose order is not Q's raises
+    ValueError before any n x n copy is made.  The core holds Q and that
+    SparseSymMatrix, and forms B densely only for its full spectrum
+    (ErrorCore).  Seeded probes through B's operator estimate its
+    asymmetry (_PROBES): past 1e-10 relative they raise
     FactorizationError, since the factor is then too ill-conditioned for
-    A.  The core keeps that array, total = trace(B) and the
-    SparseSymMatrix, read again at the first truncation (ErrorCore).
+    A, and ARPACK could not converge on that operator.  The full route
+    checks B itself too (ErrorCore._full).
 
     NotPositiveDefiniteError follows, at the core's first truncation, when
     B is not positive definite to working precision: a pivot of A's
@@ -328,18 +393,16 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     shape = (A.n, A.n) if hasattr(A, "n") else np.shape(A)
     if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_dense names the shape
         raise ValueError(f"factor order {Q.n} does not match the matrix order {shape[0]}")
-    if not isinstance(A, SparseSymMatrix):
+    if isinstance(A, SparseSymMatrix):
+        A = SparseSymMatrix(A.lower)                  # no copy; caches go with the core
+    else:
         A = SparseSymMatrix.from_dense(as_dense(A))   # A's own asymmetry is named as such
-    B = as_dense(A, copy=True)
-    tri_solve(Q, B, "forward", out=B)          # Q^-1 A
-    tri_solve(Q, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
-    try:
-        _symmetrized(B, out=B)
-    except ValueError as exc:
-        raise FactorizationError("error core Q^-1 A Q^-T is not symmetric to 1e-10 relative: "
-                                 "the factor is too ill-conditioned for A") from exc
-    a = _f_view(B)
-    return ErrorCore(Q, float(np.sum(a.diagonal())), a, A)
+    U = np.random.default_rng(1).standard_normal((Q.n, _PROBES))
+    BU = _apply_b(Q, A, U)
+    M = U.T @ BU
+    if np.linalg.norm(M - M.T) > 1e-10 * math.sqrt(_PROBES - 1) * np.linalg.norm(BU):
+        raise FactorizationError(_ASYMMETRIC)
+    return ErrorCore(Q, A)
 
 
 def _take(core: ErrorCore, key, r: int) -> LowRankTerm:

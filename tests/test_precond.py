@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 
 import numpy as np
@@ -110,9 +111,10 @@ class TestErrorCore:
             np.testing.assert_array_equal(bld_truncate(core, r).selection, order[:r])
 
     def test_core_keeps_only_sums_ends_and_factor(self):
+        # the factor and A; the sums and ends once found; no dense array
         core = error_core(np.diag([2.0, 1.0]), identity_factor(2))
         assert [f.name for f in dataclasses.fields(core)] == [
-            "factor", "total", "_work", "_matrix", "_logsum", "_low", "_top", "_eig", "_failed"]
+            "factor", "_matrix", "_total", "_logsum", "_low", "_top", "_eig", "_failed"]
 
     def test_asymmetry_from_an_ill_conditioned_factor_is_named(self):
         # the IC(0) factor of this SPD matrix is exact, yet too ill-conditioned
@@ -121,6 +123,34 @@ class TestErrorCore:
         with pytest.raises(FactorizationError,
                            match=r"error core Q\^-1 A Q\^-T .* too ill-conditioned for A"):
             error_core(A, ic0(A))
+
+    def test_asymmetry_is_named_before_any_spectrum_is_sought(self, monkeypatch):
+        # kappa 1e8 and the Cholesky factor of A + 1e-9 I: Q^-1 A Q^-T is
+        # asymmetric past 1e-10 relative, and error_core says so from its
+        # probes, with no ARPACK run and no n x n array
+        n = 600
+        A = SparseSymMatrix.from_dense(make_dense_spd(np.geomspace(1e-8, 1.0, n), 0))
+        Q = cholesky(A.to_dense() + 1e-9 * np.eye(n))
+        arpack = _counted_eigsh(monkeypatch)
+        start = time.perf_counter()
+        with pytest.raises(FactorizationError,
+                           match=r"error core Q\^-1 A Q\^-T .* too ill-conditioned for A"):
+            bld_truncate(error_core(A, Q), 5)
+        assert time.perf_counter() - start <= 1.0
+        assert arpack == []
+
+    def test_full_route_asymmetry_is_named_and_kept(self):
+        # a core made without error_core's probes: the full route's own
+        # check on E names the same cause, and every later read raises
+        # that same error
+        A = SparseSymMatrix.from_dense(make_dense_spd(np.array([1.0, 1.0, 1e-13, 1e-13]), 0))
+        core = precond.ErrorCore(ic0(A), A)
+        errors = []
+        for read in (lambda: core.thetas, lambda: bld_truncate(core, 1), lambda: core.total):
+            with pytest.raises(FactorizationError, match="too ill-conditioned for A") as info:
+                read()
+            errors.append(info.value)
+        assert errors[1] is errors[0] and errors[2] is errors[0]
 
     def test_asymmetric_dense_matrix_is_named_as_the_input(self):
         A = make_sparse_network(30, seed=1).to_dense()
@@ -153,7 +183,9 @@ class TestErrorCore:
         # eigendecomposed in full, and 1.36 with its ends found through an
         # in-place Cholesky factor of B.  Its ends found through the sparse
         # factor and a sparse LU of A, alive through the low end's ARPACK
-        # run, read 1.38-1.39.
+        # run, read 1.38-1.39 with B formed, and 0.40-0.44 with no n x n
+        # array: the LU, a copy of its L factor for trace(B) and ARPACK's
+        # bases.
         code = textwrap.dedent("""
             import resource
             from bld_kaporin.linalg import ic0
@@ -172,7 +204,7 @@ class TestErrorCore:
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert float(out.stdout) <= 1.75
+        assert float(out.stdout) <= 0.75
 
 
 def _planted_ends(n=500):
@@ -313,7 +345,7 @@ class TestEndsRoute:
             assert isinstance(core._matrix, SparseSymMatrix), name
             term = bld_truncate(core, r)
             assert arpack == [(r + 1, True), (1, False)], name
-            assert core._matrix is None and core._eig is None, name
+            assert isinstance(core._matrix, SparseSymMatrix) and core._eig is None, name
             for field in ("selection", "D", "V"):
                 np.testing.assert_array_equal(getattr(term, field), getattr(want, field))
             assert core.rest(term) == want_core.rest(want), name
@@ -333,13 +365,36 @@ class TestEndsRoute:
             np.testing.assert_array_equal(getattr(term, field), getattr(want, field))
         assert core.rest(term) == fresh.rest(want)
 
-    def test_the_ends_leave_the_core_array_intact(self, diffusion):
-        # B is never factored: after the ends route the array is B's bits
-        A, Q = diffusion
+    def test_the_ends_route_allocates_no_n_by_n_array(self):
+        # traced peak of the core and a rank-50 pick in units of n x n
+        # doubles: 1.26 when the core formed B, 0.26 without it.  Both
+        # triangles of A are cached on the core's own matrix, not the caller's
+        n = 2000
+        A = make_sparse_network(n)
+        Q = ic0(A)
+        tracemalloc.start()
+        try:
+            core = error_core(A, Q)
+            bld_truncate(core, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert core._eig is None and "full" in vars(core._matrix) and "full" not in vars(A)
+        assert np.shares_memory(core._matrix.lower.data, A.lower.data)
+        assert peak <= 0.5 * 8 * n * n
+
+    @pytest.mark.parametrize("case", ["diffusion", "network"])
+    def test_total_from_the_sparse_lu_equals_the_full_spectrum(self, case, diffusion):
+        if case == "diffusion":
+            A, Q = diffusion
+        else:
+            A = make_sparse_network(1000)
+            Q = ic0(A)
         core = error_core(A, Q)
         bld_truncate(core, 20)
         assert core._eig is None
-        np.testing.assert_array_equal(core._work, error_core(A, Q)._work)
+        full = error_core(A, Q)
+        assert core.total == pytest.approx(float(np.sum(1.0 + full.thetas)), rel=1e-12)
 
     def test_sparse_indefinite_matrix_fails_before_arpack(self, monkeypatch):
         # one eigenvalue below zero: A's sparse LU has a negative pivot, so
