@@ -18,6 +18,7 @@ from .divergence import (
     kaporin_b,
     kappa2,
     ln_kaporin_k,
+    scale_to_unit_trace,
 )
 from .harness import (
     alpha_sensitivity,
@@ -48,7 +49,6 @@ from .precond import (
     Preconditioner,
     bld_truncate,
     error_core,
-    scale_to_unit_trace,
     sym_preconditioned_operator,
     tsvd_truncate,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import harness
 from .errors import DomainError, NotPositiveDefiniteError
-from .linalg import spd_cholesky
+from .linalg import spd_splu
 from .matio import SparseSymMatrix, read_matrix_market, write_json
 from .pcg import SolveConfig
 from .rla import ProbeConfig
@@ -205,7 +205,7 @@ def _cmd_info(args) -> int:
     print(f"diagonal > 0     {bool(np.all(diag > 0))}")
     spd = True
     try:
-        spd_cholesky(A, "A")
+        spd_splu(A)
     except NotPositiveDefiniteError:
         spd = False
     print(f"positive definite {spd}")

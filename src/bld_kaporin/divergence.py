@@ -3,8 +3,8 @@
 Covers the spectral condition number, the arithmetic/geometric eigenvalue
 mean ratio and its n-th power in log form, the log-determinant matrix
 divergence, the scalar curve gamma(t) = t - log(1+t), dual
-(negative-definite) coordinates and the conjugate divergence, and
-symmetric diagonal (Jacobi) scaling.
+(negative-definite) coordinates and the conjugate divergence, symmetric
+diagonal (Jacobi) scaling, and the rescaling of P to unit trace.
 
 Conventions:
   * d_ld(A, P) = trace(A P^-1) - log det(A P^-1) - n  >= 0, zero iff A = P.
@@ -34,6 +34,7 @@ __all__ = [
     "kaporin_b",
     "ln_kaporin_k",
     "bregman_logdet",
+    "scale_to_unit_trace",
     "gamma_map",
     "dual_coords",
     "dual_divergence",
@@ -103,19 +104,32 @@ def _trace_pinv(La: np.ndarray, Lp: np.ndarray) -> float:
     return float(np.sum(np.square(Z, out=Z)))
 
 
+def _cholesky_pair(A, P):
+    """(La, Lp, P): the Cholesky factors of A and P, and P as as_dense_pair
+    reads it.  A sparse A's dense copy goes before P is factored."""
+    A, P = as_dense_pair(A, P)
+    La = spd_cholesky(A, "A")
+    del A
+    return La, spd_cholesky(P, "P"), P
+
+
 def bregman_logdet(A, P) -> float:
     """Log-determinant matrix divergence between SPD matrices A and P.
 
     Evaluates trace(A P^-1) - logdet(A P^-1) - n through Cholesky solves;
     beside the arguments at most two n x n arrays are live.
     """
-    A, P = as_dense_pair(A, P)
-    n = A.shape[0]
-    La = spd_cholesky(A, "A")
-    del A  # a sparse A's dense copy goes before P is factored
-    Lp = spd_cholesky(P, "P")
+    La, Lp, P = _cholesky_pair(A, P)
     logdet_m = 2.0 * float(np.sum(np.log(np.diag(La))) - np.sum(np.log(np.diag(Lp))))
-    return _trace_pinv(La, Lp) - logdet_m - n
+    return _trace_pinv(La, Lp) - logdet_m - P.shape[0]
+
+
+def scale_to_unit_trace(A, P):
+    """Rescale P so trace((cP)^-1 A) = n; returns (c, cP), cP dense."""
+    La, Lp, P = _cholesky_pair(A, P)
+    c = _trace_pinv(La, Lp) / P.shape[0]
+    del La, Lp  # the factors go before cP is made
+    return c, c * P
 
 
 def dual_coords(X) -> np.ndarray:

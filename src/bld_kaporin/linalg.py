@@ -52,7 +52,7 @@ from .errors import (
     NotPositiveDefiniteError,
     SingularFactorError,
 )
-from .matio import PANEL, SparseSymMatrix, _check_lower, _symmetrized, as_dense
+from .matio import PANEL, SparseSymMatrix, _check_lower, _symmetrized, as_dense, as_sparse
 
 # Estimated loss of orthogonality up to which lanczos keeps no basis: below
 # it the tridiagonal is, to working precision, that of an orthogonal run.
@@ -315,12 +315,12 @@ def ic0(A: SparseSymMatrix) -> LowerTriFactor:
     The loop runs over flat raw buffers: memoryviews of the lower CSR's
     own indptr, indices and data, and each attempt overwrites a fresh copy
     of data entry by entry.  So every access is a Python int or float, not
-    a numpy scalar, and no per-row array is built.  A's lower triangle is
-    a canonical float64 CSR (SparseSymMatrix), and the factor keeps its
-    pattern, indices and indptr.
+    a numpy scalar, and no per-row array is built.  A is read by
+    matio.as_sparse; its lower triangle is a canonical float64 CSR
+    (SparseSymMatrix), and the factor keeps its pattern, indices and
+    indptr.
     """
-    if not isinstance(A, SparseSymMatrix):
-        A = SparseSymMatrix.from_dense(A)
+    A = as_sparse(A)
     if np.any(A.diagonal() <= 0):
         raise NotPositiveDefiniteError("ic0 requires a strictly positive diagonal")
     lower = A.lower

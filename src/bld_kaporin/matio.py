@@ -1,5 +1,6 @@
-"""Matrix Market ingestion, symmetric sparse containers, the one reader
-of matrix arguments (as_dense, as_dense_pair, as_matvec), the one
+"""Matrix Market ingestion, symmetric sparse containers, the two readers
+of matrix arguments (as_sparse for the factored path, with as_matvec over
+it, and as_dense, with as_dense_pair, for the dense oracle), the one
 symmetry check of a dense one (_symmetrized) and the one lower-triangle
 check of a sparse one (_check_lower), CSV and JSON emission.
 
@@ -37,6 +38,7 @@ __all__ = [
     "as_dense",
     "as_dense_pair",
     "as_matvec",
+    "as_sparse",
     "read_matrix_market",
     "write_json",
     "write_matrix_market",
@@ -189,16 +191,23 @@ def as_dense_pair(A, P):
     return A, P
 
 
-def as_matvec(A):
-    """(product, n) for a matrix argument: a SparseSymMatrix's own matvec,
-    looked up at this call, else the product with _symmetrized(as_dense(A)).
-    A callable is rejected with TypeError, since its order is unknown."""
+def as_sparse(A) -> SparseSymMatrix:
+    """A matrix argument of the factored path as a SparseSymMatrix: one is
+    returned as given, anything else as SparseSymMatrix.from_dense of
+    as_dense(A), so it is checked as as_dense checks, and symmetrized."""
     if isinstance(A, SparseSymMatrix):
-        return A.matvec, A.n
+        return A
+    return SparseSymMatrix.from_dense(as_dense(A))
+
+
+def as_matvec(A):
+    """(product, n) for a matrix argument: the matvec of as_sparse(A),
+    looked up at this call.  A callable is rejected with TypeError, since
+    its order is unknown."""
     if callable(A):
         raise TypeError("pass (apply, n) operators as SparseSymMatrix or ndarray")
-    S = _symmetrized(as_dense(A))
-    return (lambda x: S @ x), S.shape[0]
+    A = as_sparse(A)
+    return A.matvec, A.n
 
 
 def _symmetrized(S: np.ndarray, out=None) -> np.ndarray:
@@ -208,9 +217,12 @@ def _symmetrized(S: np.ndarray, out=None) -> np.ndarray:
     One pass over the pairs of PANEL x PANEL blocks (I, J) and (J, I), each
     pair read before either block is written, takes max|S - S^T| and max|S|
     and writes the symmetrized pair.  So out=S symmetrizes in place, and no
-    n x n temporary is made beside S and out.  The result is exactly
-    symmetric, so LAPACK may read either of its triangles or its transpose,
-    and equals S bit for bit if S is symmetric.
+    n x n temporary is made beside S and out.  Each half is taken before
+    the sum, so entries near the largest float do not overflow; halving is
+    exact wherever the halves are normal numbers, and there the sum has the
+    bits of 0.5 (S + S^T).  The result is exactly symmetric, so LAPACK may
+    read either of its triangles or its transpose, and equals S bit for bit
+    if S is symmetric and no half is subnormal.
     """
     n = S.shape[0]
     if out is None:
@@ -222,8 +234,8 @@ def _symmetrized(S: np.ndarray, out=None) -> np.ndarray:
             blk = lo - up
             asym = max(asym, np.abs(blk, out=blk).max())
             smax = max(smax, lo.max(), -lo.min(), up.max(), -up.min())
-            np.add(lo, up, out=blk)
-            blk *= 0.5
+            np.multiply(lo, 0.5, out=blk)
+            blk += 0.5 * up
             out[i:i + PANEL, j:j + PANEL] = blk
             out[j:j + PANEL, i:i + PANEL] = blk.T
     if asym > 1e-10 * max(smax, 1.0):

@@ -37,11 +37,11 @@ from numbers import Integral
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .divergence import _trace_pinv, gamma_map, ln_kaporin_k, logdet_spd
+from .divergence import gamma_map, ln_kaporin_k
 from .errors import (ConvergenceError, DomainError, FactorizationError, NotPositiveDefiniteError,
                      RankError)
-from .linalg import EigenDecomposition, LowerTriFactor, spd_cholesky, spd_splu, sym_eig, tri_solve
-from .matio import PANEL, SparseSymMatrix, as_dense, as_dense_pair, as_matvec
+from .linalg import EigenDecomposition, LowerTriFactor, spd_splu, sym_eig, tri_solve
+from .matio import PANEL, SparseSymMatrix, as_matvec, as_sparse
 
 # The share of the order up to which a core finds the ends of its spectrum
 # by ARPACK, counted in the Krylov vectors ARPACK holds for both ends
@@ -89,7 +89,6 @@ __all__ = [
     "ln_kaporin_alpha",
     "kappa2_alpha",
     "flat_interval",
-    "scale_to_unit_trace",
     "sym_preconditioned_operator",
 ]
 
@@ -178,7 +177,7 @@ class ErrorCore:
         asymmetry past 1e-10 relative raises FactorizationError.  logsum is
         then taken from the eigenvalues too, so every read has a full
         core's bits."""
-        B = as_dense(self._matrix, copy=True)
+        B = self._matrix.to_dense()
         tri_solve(self.factor, B, "forward", out=B)          # Q^-1 A
         tri_solve(self.factor, B.T, "forward", out=B.T)      # Q^-1 A Q^-T, through B^T
         diag = np.diag_indices(self.n)
@@ -370,10 +369,9 @@ def _apply_b(Q: LowerTriFactor, A: SparseSymMatrix, x) -> np.ndarray:
 def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     """The error core of A relative to the factor Q, B = Q^-1 A Q^-T = I + E.
 
-    A is a SparseSymMatrix or anything as_dense reads, which enters as
-    SparseSymMatrix.from_dense of it, as in linalg.ic0: checked
+    A is read by matio.as_sparse, as in linalg.ic0: a dense A is checked
     (ValueError naming A) and symmetrized, and the caller's array is not
-    read again.  A SparseSymMatrix enters as a new one over its lower
+    read again.  The core holds a new SparseSymMatrix over that lower
     triangle, with no copy, so both triangles (full), built for the
     products and the LU, are cached on the core's matrix and go with the
     core, not on the caller's.  A square A whose order is not Q's raises
@@ -391,12 +389,9 @@ def error_core(A, Q: LowerTriFactor) -> ErrorCore:
     1e-12.
     """
     shape = (A.n, A.n) if hasattr(A, "n") else np.shape(A)
-    if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_dense names the shape
+    if len(shape) == 2 and 0 < shape[0] == shape[1] != Q.n:   # else as_sparse names the shape
         raise ValueError(f"factor order {Q.n} does not match the matrix order {shape[0]}")
-    if isinstance(A, SparseSymMatrix):
-        A = SparseSymMatrix(A.lower)                  # no copy; caches go with the core
-    else:
-        A = SparseSymMatrix.from_dense(as_dense(A))   # A's own asymmetry is named as such
+    A = SparseSymMatrix(as_sparse(A).lower)      # no copy; caches go with the core
     U = np.random.default_rng(1).standard_normal((Q.n, _PROBES))
     BU = _apply_b(Q, A, U)
     M = U.T @ BU
@@ -559,16 +554,6 @@ def kappa2_alpha(core: ErrorCore, term: LowRankTerm, alpha: float) -> float:
     return core.rest(term).kappa2(alpha)
 
 
-def scale_to_unit_trace(A, P):
-    """Rescale P so trace((cP)^-1 A) = n; returns (c, cP), cP dense."""
-    A, P = as_dense_pair(A, P)
-    n = A.shape[0]
-    La = spd_cholesky(A, "A")
-    del A  # a sparse A's dense copy goes before P is factored
-    c = _trace_pinv(La, spd_cholesky(P, "P")) / n
-    return c, c * P
-
-
 def sym_preconditioned_operator(A, P: Preconditioner):
     """Matvec closure for the SPD matrix similar to P_alpha^-1 A.
 
@@ -586,5 +571,11 @@ def sym_preconditioned_operator(A, P: Preconditioner):
 
 
 def preconditioned_logdet(A, P: Preconditioner) -> float:
-    """Exact log det(P_alpha^-1 A) via dense Cholesky of A and P's structure."""
-    return logdet_spd(A) - P.logdet()
+    """Exact log det(P_alpha^-1 A): log det A from the sparse LU of
+    as_sparse(A) (linalg.spd_splu), less log det P_alpha from P's
+    structure.  An A whose order is not P's raises ValueError naming both;
+    one that is not positive definite, NotPositiveDefiniteError."""
+    A = as_sparse(A)
+    if A.n != P.n:
+        raise ValueError(f"A and P must have matching order, got {A.n} and {P.n}")
+    return spd_splu(A)[1] - P.logdet()

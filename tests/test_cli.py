@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,19 @@ class TestInfo:
         assert "diagonal > 0     True" in out
         assert "positive definite False" in out
 
+    def test_definiteness_check_allocates_no_n_by_n_array(self, capsys):
+        # definiteness from the sparse LU reads a traced peak of 0.14 n x n
+        # doubles; a dense Cholesky of A would hold at least one n x n array
+        n = 2000
+        tracemalloc.start()
+        try:
+            assert run(["info", "--synthetic", "network", "--n", str(n)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "positive definite True" in capsys.readouterr().out
+        assert peak <= 0.5 * 8 * n * n
+
     def test_non_finite_synthetic_parameter_is_two(self, capsys):
         assert run(["info", "--synthetic", "geometric", "--n", "30", "--cond", "nan"]) == 2
         assert "kappa" in capsys.readouterr().err
@@ -338,7 +352,7 @@ class TestInfo:
         def failing(*args):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(cli, "spd_cholesky", failing)
+        monkeypatch.setattr(cli, "spd_splu", failing)
         assert run(["info", "--matrix", str(mtx_path)]) == 2
         captured = capsys.readouterr()
         assert "injected" in captured.err and "positive definite" not in captured.out

@@ -350,6 +350,14 @@ class TestEstimatorStudy:
             assert row == estimator_study(A, factor="ic0", rank=5, probes=(cfg,))[0][0]
         assert estimator_study(A, factor="ic0", rank=5, probes=iter(configs)) == (rows, summary)
 
+    def test_order_past_the_old_dense_limit(self):
+        # the exact values come from RestStats, so no dense reference
+        # bounds the order
+        rows, summary = estimator_study(make_sparse_network(2500), rank=20,
+                                        probes=(ProbeConfig(m=10, n_v=2, seed=1),))
+        assert summary["n"] == 2500 and summary["rank"] == 20 and len(rows) == 1
+        assert rows[0]["rel_err_alpha"] <= 0.05
+
     def test_network_within_tolerances(self, monkeypatch):
         # the fixed-depth run: the depth rule would stop these probes after 5 steps
         monkeypatch.setattr(rla, "DEPTH_TOL", 0)

@@ -15,6 +15,7 @@ from bld_kaporin.divergence import (
     jacobi_scale,
     logdet_spd,
     preconditioned_spectrum,
+    scale_to_unit_trace,
     spd_cholesky,
 )
 from bld_kaporin.errors import MatrixMarketError, SchemaError, SymmetryError
@@ -35,7 +36,6 @@ from bld_kaporin.precond import (
     bld_truncate,
     error_core,
     preconditioned_logdet,
-    scale_to_unit_trace,
     sym_preconditioned_operator,
 )
 from bld_kaporin.synth import make_sparse_network
@@ -254,6 +254,12 @@ class TestSymmetrized:
         with pytest.raises(ValueError, match="not symmetric"):
             _symmetrized(S, out=S)
 
+    def test_entries_near_the_largest_float_do_not_overflow(self):
+        # halves are summed, not the entries: (S + S^T) would overflow past 8.9e307
+        S = 1e308 * np.eye(2)
+        np.testing.assert_array_equal(_symmetrized(S), S)
+        np.testing.assert_array_equal(sym_eig(S).values, [1e308, 1e308])
+
 
 @pytest.mark.skipif(not os.path.exists(BUS_PATH), reason="494_bus.mtx not available locally")
 def test_494_bus_when_present():
@@ -375,8 +381,8 @@ def _reader_inputs():
 (_A, _P, _N), _ = _reader_inputs()
 _b = np.linspace(1.0, 2.0, _A.n)
 
-# Every function that reads a matrix argument through as_dense or
-# as_matvec, as f(A, P, N) with P a Preconditioner or its dense copy.
+# Every function that reads a matrix argument through as_dense, as_sparse
+# or as_matvec, as f(A, P, N) with P a Preconditioner or its dense copy.
 READERS = {
     "spd_cholesky": lambda A, P, N: spd_cholesky(A),
     "logdet_spd": lambda A, P, N: logdet_spd(A),

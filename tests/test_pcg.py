@@ -381,7 +381,7 @@ class TestBoundsAgainstRealRuns:
         rng = np.random.default_rng(6)
         A = random_spd(30, rng)
         P = random_spd(30, rng)
-        from bld_kaporin.precond import scale_to_unit_trace
+        from bld_kaporin.divergence import scale_to_unit_trace
 
         _, cP = scale_to_unit_trace(A, P)
         d = bregman_logdet(A, cP)

@@ -15,7 +15,8 @@ import scipy.sparse as sp
 
 import bld_kaporin
 from bld_kaporin import precond
-from bld_kaporin.divergence import bregman_logdet, gamma_map, ln_kaporin_k, preconditioned_spectrum
+from bld_kaporin.divergence import (bregman_logdet, gamma_map, ln_kaporin_k, logdet_spd,
+                                    preconditioned_spectrum, scale_to_unit_trace)
 from bld_kaporin.errors import DomainError, FactorizationError, NotPositiveDefiniteError, RankError
 from bld_kaporin.linalg import LowerTriFactor, cholesky, ic0, identity_factor, sym_eig, tri_solve
 from bld_kaporin.matio import SparseSymMatrix
@@ -31,7 +32,6 @@ from bld_kaporin.precond import (
     ln_kaporin_alpha,
     optimal_alpha,
     preconditioned_logdet,
-    scale_to_unit_trace,
     sym_preconditioned_operator,
     tsvd_truncate,
 )
@@ -993,6 +993,32 @@ class TestInvariantsOnRandomInstances:
         P = Preconditioner(core.factor, bld_truncate(core, 2), 1.0)
         with pytest.raises(ValueError, match="matching order, got 6 and 8"):
             sym_preconditioned_operator(make_sparse_network(6, seed=601), P)
+
+
+class TestPreconditionedLogdet:
+    def test_rejects_matrix_of_other_order(self):
+        A = make_sparse_network(8, seed=601)
+        core = error_core(A, ic0(A))
+        P = Preconditioner(core.factor, bld_truncate(core, 2), 1.0)
+        with pytest.raises(ValueError, match="matching order, got 12 and 8"):
+            preconditioned_logdet(make_sparse_network(12, seed=601), P)
+
+    def test_sparse_lu_allocates_no_n_by_n_array(self):
+        # log det A from the sparse LU reads a traced peak of 0.13 n x n
+        # doubles; a dense Cholesky of A would hold at least one n x n array
+        n = 2000
+        A = make_sparse_network(n)
+        Q = ic0(A)
+        P = Preconditioner(Q, LowRankTerm(0, np.empty((n, 0)), np.empty(0),
+                                          np.empty(0, dtype=np.int64)))
+        tracemalloc.start()
+        try:
+            got = preconditioned_logdet(A, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * 8 * n * n
+        assert got + Q.logdet_gram() == pytest.approx(logdet_spd(A.to_dense()), rel=1e-12)
 
 
 class TestScaleToUnitTrace:

@@ -14,7 +14,6 @@ from bld_kaporin.rla import (
     slq_trace_logdet,
 )
 from bld_kaporin.linalg import ic0
-from bld_kaporin.matio import SparseSymMatrix
 from bld_kaporin.precond import (
     LowRankTerm,
     Preconditioner,
@@ -23,6 +22,7 @@ from bld_kaporin.precond import (
     sym_preconditioned_operator,
 )
 from bld_kaporin.synth import haar_orthogonal, make_dense_spd, make_sparse_network, random_spd
+from test_linalg import _diffusion
 
 
 def _unit_probe(seed: int, i: int, n: int) -> np.ndarray:
@@ -293,24 +293,6 @@ class TestSlq:
             tracemalloc.stop()
         assert rep.reruns == 0
         assert peak <= 12 * 8 * n
-
-
-def _diffusion(nx: int, seed: int) -> SparseSymMatrix:
-    """5-point diffusion on an nx x nx grid, Dirichlet boundary, every edge
-    coefficient exp(U(-3, 3)): IC(0) leaves it a wide spectrum."""
-    rng = np.random.default_rng(seed)
-    idx = np.arange(nx * nx).reshape(nx, nx)
-    horiz = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx - 1)))
-    vert = np.exp(rng.uniform(-3.0, 3.0, size=(nx - 1, nx)))
-    diag = np.exp(rng.uniform(-3.0, 3.0, size=(nx, nx)))  # the outside edges, lumped
-    diag[:, :-1] += horiz
-    diag[:, 1:] += horiz
-    diag[:-1, :] += vert
-    diag[1:, :] += vert
-    rows = np.concatenate((idx.ravel(), idx[:, 1:].ravel(), idx[1:, :].ravel()))
-    cols = np.concatenate((idx.ravel(), idx[:, :-1].ravel(), idx[:-1, :].ravel()))
-    vals = np.concatenate((diag.ravel(), -horiz.ravel(), -vert.ravel()))
-    return SparseSymMatrix.from_coo(nx * nx, rows, cols, vals)
 
 
 class TestDepthRule:
