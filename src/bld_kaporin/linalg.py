@@ -17,8 +17,10 @@ while Simon's omega-recurrence estimates that orthogonality has been lost
 by no more than SEMI_ORTH_TOL = sqrt(eps); a run that passes that level
 is rerun from the same start with full reorthogonalization, a kept basis
 against which every new vector is swept twice.  Either regime hands back
-only the tridiagonal; the rerun's basis is freed with the run.  A caller's
-predicate may end a run early, after any step.
+only the tridiagonal; the rerun's basis is freed with the run, and one
+module lock lets one rerun at a time hold a basis, so runs on several
+threads never hold more than one.  A caller's predicate may end a run
+early, after any step.
 
 Memory: the dense kernels work in blocks of PANEL = 64 columns, so none
 holds more than two n x n arrays at once, most hold one, and a kernel's
@@ -36,6 +38,7 @@ tri_solve gives the same bits.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -57,6 +60,10 @@ from .matio import PANEL, SparseSymMatrix, _check_lower, _symmetrized, as_dense,
 # Estimated loss of orthogonality up to which lanczos keeps no basis: below
 # it the tridiagonal is, to working precision, that of an orthogonal run.
 SEMI_ORTH_TOL = math.sqrt(np.finfo(np.float64).eps)
+
+# Held by a rerun with a kept basis (lanczos), so that threads running
+# lanczos at once hold at most one m x n basis between them.
+_KEPT_BASIS = threading.RLock()
 
 # dormqr's block size: it applies reflectors in blocks of this many, and a
 # set of at most this many unblocked.  PANEL is a multiple of it, so that
@@ -470,6 +477,12 @@ def lanczos(apply, v0, m, stop=None) -> LanczosResult:
     basis one Lanczos vector per row of a C-contiguous m x n array, so each
     step reads and updates contiguous rows, and frees it when it returns.
 
+    lanczos may run on several threads at once, if apply may.  A rerun
+    holds the module's _KEPT_BASIS lock, so at most one basis is live
+    across threads while the basis-free runs go on.  The lock is
+    reentrant: an apply that calls lanczos on its own thread cannot
+    deadlock.
+
     stop, if given, is asked stop(alphas, betas) after every step k < m,
     with views of the tridiagonal so far (k alphas, k - 1 betas), before
     the step's new vector is measured.  True ends the run with those k
@@ -484,7 +497,10 @@ def lanczos(apply, v0, m, stop=None) -> LanczosResult:
         raise ValueError(f"m >= 1 required, an integer, got {m!r}")
     m = min(m, v.shape[0])
     res = _lanczos_run(apply, v, m, stop, keep=False)
-    return res if res is not None else _lanczos_run(apply, v, m, stop, keep=True)
+    if res is not None:
+        return res
+    with _KEPT_BASIS:
+        return _lanczos_run(apply, v, m, stop, keep=True)
 
 
 def _lanczos_run(apply, v, m, stop, keep):
@@ -517,8 +533,10 @@ def _lanczos_run(apply, v, m, stop, keep):
         alpha = float(v @ w)
         if not np.isfinite(alpha):
             raise DomainError(f"lanczos step {k}: operator returned a non-finite alpha")
-        # out of place first: apply may return its argument or an array it keeps
-        w = w - alpha * v
+        # out of place first, into the alpha v temporary: apply may return
+        # its argument or an array it keeps
+        t = alpha * v
+        w = np.subtract(w, t, out=t)
         w -= beta_prev * v_prev
         alphas[k] = alpha
         norm_est = max(norm_est, abs(alpha) + beta_prev)

@@ -320,7 +320,10 @@ def _read_mm_stream(fh) -> SparseSymMatrix:
     scale = max(abs(full).max(), 1.0) if full.nnz else 1.0
     if gap.nnz and gap.max() > 1e-12 * scale:
         raise SymmetryError("general file is not symmetric to 1e-12 relative")
-    folded = sp.tril(0.5 * (full + full.T)).tocoo()
+    # halve before the sum, as _symmetrized does: entries near the largest
+    # float do not overflow, and where the halves are normal numbers the
+    # bits are those of 0.5 (full + full^T)
+    folded = sp.tril(0.5 * full + 0.5 * full.T).tocoo()
     return SparseSymMatrix.from_coo(n, folded.row, folded.col, folded.data)
 
 

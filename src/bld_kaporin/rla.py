@@ -39,14 +39,29 @@ Derived quantities: the log-Kaporin surrogate n ln(tr/n) - Gamma, the
 complement-scaling estimate (tr - r)/(n - r), and the divergence
 surrogate -Gamma + (n - r) ln(alpha).
 
+Threads: the probes are independent, so they run at once, on the
+calling thread and helper threads, w in all: the number of CPUs the
+process may run on (os.sched_getaffinity), at most n_v and at most
+_MAX_PROBE_THREADS = 2, since each probe at work adds its vectors to the
+peak memory.  With n_v = 1 or one CPU no thread starts.  So apply may be
+called from several threads at once.  The package's operators allow that
+(precond.sym_preconditioned_operator, the Preconditioner applies,
+SparseSymMatrix.matvec), and SuperLU's solve, where their time goes,
+releases the GIL.  A caller's own apply must allow it too.
+
 Determinism: probe i draws from a generator seeded by (seed, i), and
 its Lanczos run decides whether to rerun, and when to stop, from its own
-recurrence and tridiagonal alone, so a config reproduces bit-identical
-estimates regardless of probe batching.
+recurrence and tridiagonal alone.  Each probe's results are stored at its
+index and the report is assembled in index order, so a config reproduces
+bit-identical estimates regardless of probe batching and of the thread
+count.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -61,6 +76,12 @@ from .linalg import lanczos
 # DEPTH_TOL nats over the last DEPTH_WINDOW steps.
 DEPTH_TOL = 2.0
 DEPTH_WINDOW = 4
+
+# Probes that run at once, at most.  A basis-free probe holds four or five
+# n-vectors at its peak, beside its operator's temporaries: two at once
+# hold about 10, three about 13 (median of 40 runs, n = 19600).  Two is
+# also the only count whose speed was measured.
+_MAX_PROBE_THREADS = 2
 
 __all__ = [
     "DEPTH_TOL",
@@ -143,30 +164,69 @@ def slq_trace_logdet(apply, n: int, cfg: ProbeConfig) -> EstimateReport:
     """Joint SLQ estimates of trace(M) and log det(M) for SPD M.
 
     Each probe runs at most cfg.m Lanczos steps, fewer where the depth
-    rule (module docstring) stops it.  A nonpositive Ritz value aborts
-    with NotPositiveDefiniteError carrying the offending probe index, and
-    a failed tridiagonal eigensolve with ConvergenceError naming it.
+    rule (module docstring) stops it.  The probes run on the calling
+    thread and _probe_workers(cfg.n_v) - 1 helper threads, which take
+    probe indices in order from one counter; apply must allow calls from
+    several threads at once.  Once a probe fails no new probe starts, and
+    the error of the lowest failing index is raised: every lower index has
+    run, so it is the error a serial run would raise.  A nonpositive Ritz
+    value aborts with NotPositiveDefiniteError carrying the offending
+    probe index, and a failed tridiagonal eigensolve with ConvergenceError
+    naming it.  lanczos lets one rerun at a time keep a basis.
     """
-    tr_contribs = np.empty(cfg.n_v)
-    ld_contribs = np.empty(cfg.n_v)
-    steps = np.empty(cfg.n_v, dtype=int)
-    breakdowns = reruns = 0
+    results = [None] * cfg.n_v
+    errors = {}
     depth_rule = DEPTH_TOL > 0 and cfg.m < n
-    for i in range(cfg.n_v):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
-        z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            raise DomainError("zero probe vector drawn")
-        stop = _settled(n, cfg.m, DEPTH_TOL, i) if depth_rule else None
-        res = lanczos(apply, z / nz, cfg.m, stop=stop)
-        steps[i] = res.m
-        breakdowns += int(res.breakdown)
-        reruns += int(res.rerun)
-        tr_contribs[i] = res.alphas[0]
-        ld_contribs[i] = _gauss_logdet(res.alphas, res.betas, i)
+    indices = itertools.count()  # next() is atomic: each index goes to one thread
+
+    def run_probes():
+        while not errors and (i := next(indices)) < cfg.n_v:
+            try:
+                res = _probe(apply, n, cfg, i, depth_rule)
+                results[i] = res, _gauss_logdet(res.alphas, res.betas, i)
+            except Exception as exc:  # raised on the calling thread below
+                errors[i] = exc
+                return
+
+    helpers = [threading.Thread(target=run_probes, daemon=True)
+               for _ in range(_probe_workers(cfg.n_v) - 1)]
+    for t in helpers:
+        t.start()
+    run_probes()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    runs, ld = zip(*results)
+    tr_contribs = np.array([res.alphas[0] for res in runs])
+    ld_contribs = np.array(ld)
     return EstimateReport(n, n * float(np.mean(tr_contribs)), n * float(np.mean(ld_contribs)),
-                          tr_contribs, ld_contribs, steps, breakdowns, reruns)
+                          tr_contribs, ld_contribs, np.array([res.m for res in runs]),
+                          sum(res.breakdown for res in runs), sum(res.rerun for res in runs))
+
+
+def _probe_workers(n_v: int) -> int:
+    """Threads that run n_v probes: one per CPU this process may run on,
+    at most one per probe and at most _MAX_PROBE_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(n_v, cpus, _MAX_PROBE_THREADS)
+
+
+def _probe(apply, n: int, cfg: ProbeConfig, i: int, depth_rule: bool):
+    """Probe i's Lanczos run from its normalized Rademacher start vector."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
+    z = rng.integers(0, 2, size=n).astype(np.float64)
+    z *= 2.0
+    z -= 1.0
+    nz = np.linalg.norm(z)
+    if nz == 0.0:
+        raise DomainError("zero probe vector drawn")
+    z /= nz
+    stop = _settled(n, cfg.m, DEPTH_TOL, i) if depth_rule else None
+    return lanczos(apply, z, cfg.m, stop=stop)
 
 
 def _not_spd(i: int) -> NotPositiveDefiniteError:

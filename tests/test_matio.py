@@ -87,6 +87,22 @@ class TestReadMatrixMarket:
         A = read_matrix_market(path)
         np.testing.assert_allclose(A.to_dense(), [[4.0, 1.5], [1.5, 3.0]])
 
+    @pytest.mark.parametrize("lower, upper", [
+        (["1 1 1e308", "2 2 1"], []),
+        (["1 1 1e308", "2 1 1e308", "2 2 1e308"], ["1 2 1e308"]),
+    ], ids=["diagonal", "off-diagonal"])
+    def test_general_file_near_the_largest_float_reads_as_symmetric(self, tmp_path, lower, upper):
+        # the general file is folded halves first, so 1e308 does not overflow
+        def text(symmetry, entries):
+            return (f"%%MatrixMarket matrix coordinate real {symmetry}\n2 2 {len(entries)}\n"
+                    + "\n".join(entries) + "\n")
+
+        sym = _write(tmp_path, text("symmetric", lower), "sym.mtx")
+        general = _write(tmp_path, text("general", lower + upper), "general.mtx")
+        want = read_matrix_market(sym).to_dense()
+        assert np.isfinite(want).all()
+        np.testing.assert_array_equal(read_matrix_market(general).to_dense(), want)
+
     def test_general_rejected_when_asymmetric(self, tmp_path):
         path = _write(
             tmp_path,

@@ -1,4 +1,7 @@
+import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,21 @@ def _unit_probe(seed: int, i: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
     z = rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     return z / np.linalg.norm(z)
+
+
+def _failing_dstev(first_coefficients, probes):
+    """rla.lapack.dstev, reporting info = 1 for the tridiagonals of the
+    given probes: those whose first coefficient is the probe's entry of
+    first_coefficients, a clean run's per_probe_trace."""
+    assert np.unique(first_coefficients).size == first_coefficients.size
+    failing = {first_coefficients[i] for i in probes}
+    dstev = rla.lapack.dstev
+
+    def failing_dstev(alphas, *args, **kwargs):
+        ritz, vecs, info = dstev(alphas, *args, **kwargs)
+        return ritz, vecs, 1 if alphas[0] in failing else info
+
+    return failing_dstev
 
 
 @pytest.mark.parametrize("estimator", [slq_trace_logdet])
@@ -245,24 +263,17 @@ class TestSlq:
             slq_trace_logdet(lambda x: d * x, 4, ProbeConfig(m=4, n_v=3, seed=18))
         assert exc.value.probe_index is not None
 
-    @pytest.mark.parametrize("tol, failing_call, probe", [(0, 3, 2), (2.0, 1, 0)])
-    def test_failed_eigensolve_reports_probe(self, tol, failing_call, probe, monkeypatch):
-        # dstev reports info = 1 from its failing_call-th call on.  Without the
-        # depth rule each probe makes one call, for its estimate; with it the
-        # first call comes from the rule
-        calls = []
-        dstev = rla.lapack.dstev
-
-        def failing(*args, **kwargs):
-            calls.append(None)
-            ritz, vecs, info = dstev(*args, **kwargs)
-            return ritz, vecs, 1 if len(calls) >= failing_call else info
-
-        monkeypatch.setattr(rla.lapack, "dstev", failing)
+    @pytest.mark.parametrize("tol, probe", [(0, 2), (2.0, 0), (2.0, 3)])
+    def test_failed_eigensolve_reports_probe(self, tol, probe, monkeypatch):
+        # dstev reports info = 1 on every tridiagonal of one probe, told
+        # apart by its first coefficient, the probe's trace from a clean run
         monkeypatch.setattr(rla, "DEPTH_TOL", tol)
-        d = np.linspace(1.0, 10.0, 500)
+        A = make_dense_spd(np.linspace(1.0, 10.0, 300), basis_seed=30)
+        cfg = ProbeConfig(m=30, n_v=4, seed=31)
+        monkeypatch.setattr(rla.lapack, "dstev", _failing_dstev(
+            slq_trace_logdet(lambda x: A @ x, 300, cfg).per_probe_trace, {probe}))
         with pytest.raises(ConvergenceError, match=rf"probe {probe}\b"):
-            slq_trace_logdet(lambda x: d * x, 500, ProbeConfig(m=30, n_v=4, seed=31))
+            slq_trace_logdet(lambda x: A @ x, 300, cfg)
 
     def test_one_lanczos_basis_live_at_a_time(self):
         # the previous probe's m x n basis is dropped before the next probe
@@ -293,6 +304,142 @@ class TestSlq:
             tracemalloc.stop()
         assert rep.reruns == 0
         assert peak <= 12 * 8 * n
+
+
+def _report_bytes(rep) -> bytes:
+    """Every number an EstimateReport holds, as bytes."""
+    return b"".join((np.array([rep.n, rep.breakdowns, rep.reruns]).tobytes(),
+                     np.array([rep.trace_est, rep.logdet_est]).tobytes(),
+                     rep.per_probe_trace.tobytes(), rep.per_probe_logdet.tobytes(),
+                     rep.steps.tobytes()))
+
+
+def _ic0_operator(nx: int, seed: int):
+    A = _diffusion(nx, seed=seed)
+    term = LowRankTerm(r=0, V=np.empty((A.n, 0)), D=np.empty(0), selection=np.empty(0, int))
+    return sym_preconditioned_operator(A, Preconditioner(ic0(A), term, 1.0)), A.n
+
+
+def _rerunning_diagonal(n: int):
+    # four outliers converge within 30 steps, so every probe reruns
+    d = np.linspace(1.0, 10.0, n)
+    d[:4] = 100.0, 300.0, 1000.0, 3000.0
+    return (lambda x: d * x), n
+
+
+class TestProbeThreads:
+    """slq_trace_logdet runs its probes on _probe_workers(n_v) threads, the
+    calling one included.  Tests set the count by patching that function."""
+
+    @pytest.mark.parametrize("w", [2, 3])
+    @pytest.mark.parametrize("case, n_v", [("ic0", 6), ("rerunning", 3), ("ic0", 1)])
+    def test_report_bits_do_not_depend_on_the_thread_count(self, case, n_v, w, monkeypatch):
+        apply, n = _ic0_operator(30, seed=37) if case == "ic0" else _rerunning_diagonal(2000)
+        cfg = ProbeConfig(m=30, n_v=n_v, seed=38)
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: 1)
+        serial = slq_trace_logdet(apply, n, cfg)
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: w)
+        threaded = slq_trace_logdet(apply, n, cfg)
+        if case == "ic0":
+            assert (serial.steps < 30).all()  # the depth rule stopped every probe
+        else:
+            assert serial.reruns == n_v
+        assert _report_bytes(threaded) == _report_bytes(serial)
+
+    def test_each_probe_runs_once_under_frequent_switches(self, monkeypatch):
+        # eight threads on 40 probes, switching every microsecond: an index
+        # handed out twice would run a probe twice, one lost would leave a
+        # hole in the report
+        ic0_apply, n = _ic0_operator(12, seed=41)
+        cfg = ProbeConfig(m=12, n_v=40, seed=42)
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: 1)
+        serial = slq_trace_logdet(ic0_apply, n, cfg)
+        starts = []
+        lanczos = linalg.lanczos
+
+        def recorded(apply, v0, m, stop=None):
+            starts.append(v0.tobytes())
+            return lanczos(apply, v0, m, stop=stop)
+
+        monkeypatch.setattr(rla, "lanczos", recorded)
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = slq_trace_logdet(ic0_apply, n, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(starts) == len(set(starts)) == 40
+        assert _report_bytes(threaded) == _report_bytes(serial)
+
+    def test_probes_run_at_once(self, monkeypatch):
+        # the first applies of probes 0 and 1 wait for each other: a run
+        # that took the probes one after another would break the barrier
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: 2)
+        barrier = threading.Barrier(2, timeout=10)
+        calls = itertools.count()
+        d = np.linspace(1.0, 10.0, 100)
+
+        def apply(x):
+            if next(calls) < 2:
+                barrier.wait()
+            return d * x
+
+        rep = slq_trace_logdet(apply, 100, ProbeConfig(m=10, n_v=4, seed=39))
+        assert rep.probes_used == 4
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_lowest_failing_probe_is_raised(self, w, monkeypatch):
+        # probes 1 and 3 fail.  With helper threads probe 1 fails only after
+        # probe 3 has, so probe 3's error comes first; probe 1 is still named
+        A = make_dense_spd(np.linspace(1.0, 10.0, 300), basis_seed=30)
+        cfg = ProbeConfig(m=30, n_v=6, seed=31)
+        first = slq_trace_logdet(lambda x: A @ x, 300, cfg).per_probe_trace
+        failing = _failing_dstev(first, {1, 3})
+        three_failed = threading.Event()
+
+        def ordered(alphas, *args, **kwargs):
+            if alphas[0] == first[3]:
+                three_failed.set()
+            elif alphas[0] == first[1] and w > 1:
+                assert three_failed.wait(timeout=30)
+            return failing(alphas, *args, **kwargs)
+
+        monkeypatch.setattr(rla.lapack, "dstev", ordered)
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: w)
+        with pytest.raises(ConvergenceError, match=r"probe 1\b"):
+            slq_trace_logdet(lambda x: A @ x, 300, cfg)
+
+    def test_concurrent_reruns_hold_one_basis_at_a_time(self, monkeypatch):
+        # two probes rerun at once; the second waits for the first's basis
+        # to be freed before it builds its own
+        monkeypatch.setattr(rla, "_probe_workers", lambda n_v: 2)
+        m = 30
+        apply, n = _rerunning_diagonal(19600)
+        tracemalloc.start()
+        try:
+            rep = slq_trace_logdet(apply, n, ProbeConfig(m=m, n_v=4, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.reruns == 4
+        assert peak <= 1.5 * (8 * m * n)
+
+    def test_one_probe_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(rla.threading, "Thread", no_thread)
+        rep = slq_trace_logdet(lambda x: 2.0 * x, 12, ProbeConfig(m=5, n_v=1, seed=40))
+        assert rep.probes_used == 1
+
+    def test_worker_count(self, monkeypatch):
+        # one per CPU the process may run on, at most one per probe and at
+        # most _MAX_PROBE_THREADS
+        monkeypatch.setattr(rla.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4, 5}, raising=False)
+        assert [rla._probe_workers(n_v) for n_v in (1, 2, 10)] == [1, 2, rla._MAX_PROBE_THREADS]
+        monkeypatch.setattr(rla.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert rla._probe_workers(10) == 1
 
 
 class TestDepthRule:
